@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .classifier import ClassPriors
+from .classifier import ClassPriors, log_softmax, top_class
 from .vmf import substream
 
 __all__ = [
@@ -130,8 +130,7 @@ def ce_loss(
     y = np.asarray(y)
     if np.any(y < 0) or np.any(y >= clf.n_classes):
         raise ValueError(f"label out of range [0, {clf.n_classes})")
-    s = _adjusted_logits(clf, z, mode, priors, temperature)
-    logp = s - logsumexp(s, axis=-1, keepdims=True)
+    logp = log_softmax(_adjusted_logits(clf, z, mode, priors, temperature))
     if logp.ndim == 1:
         return float(-logp[int(y)])
     return -logp[np.arange(logp.shape[0]), y]
@@ -149,8 +148,7 @@ def ce_loss_grad(
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise ValueError("gradient is defined for a single input vector")
-    s = _adjusted_logits(clf, z, mode, priors, temperature)
-    p = np.exp(s - logsumexp(s))
+    p = np.exp(log_softmax(_adjusted_logits(clf, z, mode, priors, temperature)))
     p[int(y)] -= 1.0
     p /= temperature
     return np.outer(p, z), p
@@ -161,12 +159,15 @@ def train(
     labels,
     config: TrainConfig,
     loss_history: list | None = None,
+    n_classes: int | None = None,
 ) -> LinearClassifier:
     """Mini-batch gradient descent with momentum and per-epoch cosine lr decay.
 
     Deterministic for a fixed config.rng_seed (initialization and shuffling
     use separate named substreams). Weight decay applies to W only. If
     loss_history is given, the mean training loss of each epoch is appended.
+    n_classes defaults to max(label)+1; pass it when the highest classes may
+    have no training samples (their rows then see no cross-entropy signal).
     """
     z = np.asarray(features, dtype=float)
     y = np.asarray(labels)
@@ -175,9 +176,11 @@ def train(
     if y.shape != (z.shape[0],):
         raise ValueError("labels length does not match features")
     n, p = z.shape
-    k = int(y.max()) + 1
+    k = int(y.max()) + 1 if n_classes is None else int(n_classes)
     if k < 2:
         raise ValueError("need at least 2 classes present")
+    if y.min() < 0 or y.max() >= k:
+        raise ValueError(f"label out of range [0, {k})")
     if config.normalize:
         z = z / np.linalg.norm(z, axis=1, keepdims=True)
     priors = ClassPriors.from_counts(np.bincount(y, minlength=k)) if config.mode == "logit_adjusted" else None
@@ -221,8 +224,7 @@ def train(
 
 def predict_linear(clf: LinearClassifier, z) -> int | np.ndarray:
     """Argmax of W z + b; ties break to the lowest index."""
-    idx = np.argmax(np.asarray(z, dtype=float) @ clf.W.T + clf.b, axis=-1)
-    return int(idx) if idx.ndim == 0 else idx
+    return top_class(np.asarray(z, dtype=float) @ clf.W.T + clf.b)
 
 
 def minority_collapse_metric(clf: LinearClassifier, tail_classes) -> float:

@@ -133,6 +133,8 @@ class BayesClassifier:
     counts: np.ndarray | None = None
     excluded: tuple[int, ...] = ()
     _log_norm: np.ndarray = field(init=False, repr=False, compare=False)
+    W: np.ndarray = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mus = as_unit_vector(self.mus)
@@ -160,9 +162,11 @@ class BayesClassifier:
         object.__setattr__(self, "kappas", kappas)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "excluded", excluded)
-        object.__setattr__(
-            self, "_log_norm", np.array([log_vmf_normalizer(p, kp) for kp in kappas])
-        )
+        log_norm = np.array([log_vmf_normalizer(p, kp) for kp in kappas])
+        object.__setattr__(self, "_log_norm", log_norm)
+        # The linear head: logits = W z + b, derived once from the parameters.
+        object.__setattr__(self, "W", kappas[:, np.newaxis] * mus)
+        object.__setattr__(self, "b", self.priors.log() - log_norm)
 
     @property
     def n_classes(self) -> int:
@@ -173,7 +177,18 @@ class BayesClassifier:
         return self.mus.shape[1]
 
     def _logits(self, z: np.ndarray) -> np.ndarray:
-        return self.priors.log() - self._log_norm + (z @ self.mus.T) * self.kappas
+        return z @ self.W.T + self.b
+
+
+def log_softmax(s: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis: logits to log class posteriors."""
+    return s - logsumexp(s, axis=-1, keepdims=True)
+
+
+def top_class(s: np.ndarray) -> int | np.ndarray:
+    """Argmax over the last axis; ties break to the lowest index."""
+    idx = np.argmax(s, axis=-1)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def log_posterior(clf: BayesClassifier, z) -> np.ndarray:
@@ -182,16 +197,12 @@ def log_posterior(clf: BayesClassifier, z) -> np.ndarray:
     Accepts one unit vector (returns shape (K,)) or a batch (n, p) (returns
     (n, K)). Rows exponentiate to probability vectors summing to 1.
     """
-    z = as_unit_vector(z, dim=clf.dim)
-    s = clf._logits(z)
-    return s - logsumexp(s, axis=-1, keepdims=True)
+    return log_softmax(clf._logits(as_unit_vector(z, dim=clf.dim)))
 
 
 def predict(clf: BayesClassifier, z) -> int | np.ndarray:
     """Most probable class; ties break to the lowest index."""
-    z = as_unit_vector(z, dim=clf.dim)
-    idx = np.argmax(clf._logits(z), axis=-1)
-    return int(idx) if idx.ndim == 0 else idx
+    return top_class(clf._logits(as_unit_vector(z, dim=clf.dim)))
 
 
 def _check_labels(y, n_classes: int) -> np.ndarray:
@@ -224,8 +235,7 @@ def bape_loss_grad_z(clf: BayesClassifier, z, y) -> np.ndarray:
         raise ValueError("gradient is defined for a single input vector")
     y = int(_check_labels(y, clf.n_classes))
     probs = np.exp(log_posterior(clf, z))
-    weighted = (probs * clf.kappas) @ clf.mus
-    return -(clf.kappas[y] * clf.mus[y] - weighted)
+    return probs @ clf.W - clf.W[y]
 
 
 def chain_through_normalization(v, grad_z) -> np.ndarray:
@@ -292,6 +302,12 @@ def kappa_report(clf: BayesClassifier) -> list[dict]:
     ]
 
 
+def class_stats(features: np.ndarray, labels: np.ndarray, n_classes: int) -> list[ClassStats]:
+    """Per-class sufficient statistics (count, resultant) of a labelled batch."""
+    empty = ClassStats.empty(features.shape[1])
+    return [update_stats(empty, features[labels == y]) for y in range(n_classes)]
+
+
 def fit(
     features,
     labels,
@@ -333,8 +349,7 @@ def fit(
     kappas = np.zeros(k)
     counts = np.zeros(k, dtype=int)
     excluded: list[int] = []
-    for y in range(k):
-        stats = update_stats(ClassStats.empty(p), features[labels == y])
+    for y, stats in enumerate(class_stats(features, labels, k)):
         counts[y] = stats.count
         m0 = prior_directions[y] if prior_directions is not None else None
         prior = scale_prior(alpha_hat, beta_hat, m0, stats.count)

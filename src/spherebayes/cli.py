@@ -21,16 +21,8 @@ import sys
 
 import numpy as np
 
-from .baselines import TrainConfig, linear_from_json, linear_to_json, predict_linear, train
-from .classifier import (
-    AdjustmentPolicy,
-    ClassPriors,
-    adjust,
-    fit,
-    from_json,
-    predict,
-    to_json,
-)
+from .baselines import linear_from_json, linear_to_json, predict_linear
+from .classifier import AdjustmentPolicy, ClassPriors, adjust, from_json, predict, to_json
 from .datagen import (
     FeatureFileError,
     LongTailSpec,
@@ -39,9 +31,14 @@ from .datagen import (
     sample_dataset,
     write_features,
 )
-from .harness import ExperimentConfig, emit_report, run_experiment, split_accuracy
-from .priors import build_etf
-from .vmf import substream
+from .harness import (
+    ExperimentConfig,
+    _fit_bape,
+    _fit_linear,
+    emit_report,
+    run_experiment,
+    split_accuracy,
+)
 
 __all__ = ["main"]
 
@@ -135,41 +132,22 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+# `fit` flags that configure the same fitters as `compare` (same names).
+_FIT_SETTINGS = (
+    "alpha_hat", "beta_hat", "estimation", "eta", "lr", "epochs", "batch_size",
+    "weight_decay", "temperature", "normalize",
+)
+
+
 def _cmd_fit(args) -> int:
     ds = read_features(args.train)
+    config = ExperimentConfig(
+        seeds=(args.seed,), **{name: getattr(args, name) for name in _FIT_SETTINGS}
+    )
     if args.model == "bape":
-        frame = None
-        if args.beta_hat > 0.0:
-            frame_seed = int(substream(args.seed, 4).integers(2**63 - 1))
-            frame = build_etf(ds.n_classes, ds.dim, frame_seed).vectors
-        clf = fit(
-            np.asarray(ds.features, dtype=float),
-            ds.labels,
-            ds.n_classes,
-            alpha_hat=args.alpha_hat,
-            beta_hat=args.beta_hat,
-            prior_directions=frame,
-            mode=args.estimation,
-            on_degenerate="exclude",
-        )
-        text = to_json(clf)
+        text = to_json(_fit_bape(ds, config, args.seed))
     else:
-        clf = train(
-            ds.features,
-            ds.labels,
-            TrainConfig(
-                lr=args.lr,
-                epochs=args.epochs,
-                batch_size=args.batch_size,
-                weight_decay=args.weight_decay,
-                mode=args.model,
-                temperature=args.temperature,
-                rng_seed=args.seed,
-                normalize=args.normalize,
-                grad_scale=args.eta if args.model == "logit_adjusted" else 1.0,
-            ),
-        )
-        text = linear_to_json(clf)
+        text = linear_to_json(_fit_linear(ds, config, args.model, args.seed))
     with open(args.out, "w") as fh:
         fh.write(text + "\n")
     return 0
@@ -209,17 +187,16 @@ def _cmd_eval(args) -> int:
     with open(args.classifier) as fh:
         text = fh.read()
     ds = read_features(args.data)
-    doc = json.loads(text)
-    if "classes" in doc:
-        clf = from_json(text)
+    if "classes" in json.loads(text):
+        clf, scorer = from_json(text), predict
         policy = _parse_adjustment(args, clf.n_classes)
         if policy is not None:
             clf = adjust(clf, policy)
-        preds = predict(clf, np.asarray(ds.features, dtype=float))
     else:
         if args.adjust_priors or args.kappa_mode != "keep":
             raise ValueError("adjustment flags only apply to bape classifier documents")
-        preds = predict_linear(linear_from_json(text), np.asarray(ds.features, dtype=float))
+        clf, scorer = linear_from_json(text), predict_linear
+    preds = scorer(clf, np.asarray(ds.features, dtype=float))
     counts = ds.class_counts
     if args.split_counts_from:
         counts = read_features(args.split_counts_from).class_counts

@@ -13,6 +13,7 @@ are bit-exact.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -279,6 +280,12 @@ def read_features(path) -> Dataset:
             version, n, p, k = struct.unpack("<IIII", _read_exact(fh, 16, "header"))
             if version != _VERSION:
                 raise VersionMismatchError(f"unsupported version {version}")
+            # Checked before reading, so a corrupt header cannot force a huge allocation.
+            size, needed = os.fstat(fh.fileno()).st_size, 20 + 4 * n * (p + 1)
+            if size < needed:
+                raise TruncatedFileError(
+                    f"header declares n={n}, p={p} ({needed} bytes); file holds {size}"
+                )
             feats = np.frombuffer(
                 _read_exact(fh, 4 * n * p, "feature block"), dtype="<f4"
             ).reshape(n, p)

@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .baselines import LinearClassifier, TrainConfig, minority_collapse_metric, predict_linear, train
 from .classifier import (
@@ -39,19 +38,15 @@ from .classifier import (
     BayesClassifier,
     ClassPriors,
     adjust,
+    class_stats,
     fit,
     log_posterior,
+    log_softmax,
     predict,
+    top_class,
 )
-from .datagen import (
-    Dataset,
-    LongTailSpec,
-    generate,
-    oracle_accuracy,
-    read_features,
-    sample_dataset,
-)
-from .estimation import ClassStats, map_estimate, posterior, scale_prior, update_stats
+from .datagen import Dataset, LongTailSpec, generate, read_features, sample_dataset
+from .estimation import ClassStats, map_estimate, posterior, scale_prior
 from .priors import EtfFrame, build_etf, grad_step_m0
 from .special import mean_resultant_ratio
 from .vmf import substream
@@ -224,14 +219,6 @@ def _tail_collapse(weights: np.ndarray, train_counts, threshold: int) -> float |
     return minority_collapse_metric(LinearClassifier(weights, np.zeros(len(weights))), tail)
 
 
-def _ratio_deriv(p: int, kappa: float) -> float:
-    """d A_p / d kappa; the kappa=0 limit is 1/p."""
-    if kappa == 0.0:
-        return 1.0 / p
-    a = mean_resultant_ratio(p, kappa)
-    return 1.0 - a * a - (p - 1) * a / kappa
-
-
 def m0_loss_gradients(
     frame: EtfFrame,
     stats: list[ClassStats],
@@ -255,27 +242,28 @@ def m0_loss_gradients(
     betas = np.empty(k)
     ms = np.empty((k, p))
     kappas = np.empty(k)
-    dk_db = np.empty(k)
     beta0 = np.empty(k)
     for j in range(k):
         prior = scale_prior(alpha_hat, beta_hat, frame.vectors[j], stats[j].count)
         post = posterior(prior, stats[j])
         alphas[j], betas[j], ms[j] = post.alpha, post.beta, post.m
         beta0[j] = prior.beta0
-        r = post.beta / post.alpha
-        if mode == "approx":
-            kappas[j] = p * r / (1.0 - r * r)
-            dk_db[j] = p * alphas[j] * (alphas[j] ** 2 + betas[j] ** 2) / (alphas[j] ** 2 - betas[j] ** 2) ** 2
-        else:
-            kappas[j] = map_estimate(post, mode="exact").kappa
-            dk_db[j] = 1.0 / (alphas[j] * _ratio_deriv(p, kappas[j]))
+        kappas[j] = map_estimate(post, mode=mode).kappa
+    a_vals = np.array([mean_resultant_ratio(p, kp) for kp in kappas])
+    if mode == "approx":
+        dk_db = p * alphas * (alphas**2 + betas**2) / (alphas**2 - betas**2) ** 2
+    else:
+        # dkappa/dbeta = 1 / (alpha A'(kappa)), A' = 1 - A^2 - (p-1)A/kappa
+        # with the kappa=0 limit 1/p.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = 1.0 - a_vals * a_vals - (p - 1) * a_vals / kappas
+        dk_db = 1.0 / (alphas * np.where(kappas == 0.0, 1.0 / p, slope))
 
     clf = BayesClassifier(mus=ms, kappas=kappas, priors=priors)
     z = np.asarray(features, dtype=float)
     probs = np.exp(log_posterior(clf, z))
     probs[np.arange(len(labels)), labels] -= 1.0  # d loss / d logit_k
     dots = z @ ms.T
-    a_vals = np.array([mean_resultant_ratio(p, kp) for kp in kappas])
     grads = np.zeros((k, p))
     for j in range(k):
         w = probs[:, j]
@@ -289,6 +277,8 @@ def m0_loss_gradients(
 
 
 def _fit_bape(train: Dataset, config: ExperimentConfig, seed: int) -> BayesClassifier:
+    """Conjugate MAP fit, with the prior frame seeded from `seed` when beta_hat > 0
+    and refined by config.m0_steps gradient steps."""
     feats = np.asarray(train.features, dtype=float)
     k = train.n_classes
     frame = None
@@ -297,10 +287,7 @@ def _fit_bape(train: Dataset, config: ExperimentConfig, seed: int) -> BayesClass
         frame_seed = int(substream(seed, 4).integers(2**63 - 1))
         frame = build_etf(k, train.dim, frame_seed)
         if config.m0_steps > 0:
-            stats = [
-                update_stats(ClassStats.empty(train.dim), feats[train.labels == j])
-                for j in range(k)
-            ]
+            stats = class_stats(feats, train.labels, k)
             priors = ClassPriors.from_counts(train.class_counts)
             for _ in range(config.m0_steps):
                 g = m0_loss_gradients(
@@ -326,6 +313,22 @@ def _fit_bape(train: Dataset, config: ExperimentConfig, seed: int) -> BayesClass
     )
 
 
+def _fit_linear(train_ds: Dataset, config: ExperimentConfig, mode: str, seed: int) -> LinearClassifier:
+    """SGD baseline; eta scales the gradients of the logit_adjusted loss only."""
+    schedule = TrainConfig(
+        lr=config.lr,
+        epochs=config.epochs,
+        batch_size=config.batch_size,
+        weight_decay=config.weight_decay,
+        mode=mode,
+        temperature=config.temperature,
+        rng_seed=seed,
+        normalize=config.normalize,
+        grad_scale=config.eta if mode == "logit_adjusted" else 1.0,
+    )
+    return train(train_ds.features, train_ds.labels, schedule, n_classes=train_ds.n_classes)
+
+
 def _load_data(config: ExperimentConfig, seed: int):
     if config.train_file is not None:
         return read_features(config.train_file), read_features(config.test_file), None
@@ -347,110 +350,92 @@ def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
     return rows
 
 
+class _BuiltOnFirstUse(dict):
+    """Values made on first lookup by the builder of their key, which gets
+    this mapping to look up what it depends on. (Builders closing over a
+    cache that holds them would form a reference cycle, keeping every
+    seed's data alive until the cyclic collector runs.)"""
+
+    def __init__(self, builders: dict):
+        super().__init__()
+        self.builders = builders
+
+    def __missing__(self, key):
+        value = self[key] = self.builders[key](self)
+        return value
+
+
 def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
     train_ds, test_ds, truth = _load_data(config, seed)
     test_z = np.asarray(test_ds.features, dtype=float)
-    train_counts = train_ds.class_counts
-    oracle_acc = oracle_accuracy(truth, test_ds) if truth is not None else None
+    tail_at = config.thresholds[0]
 
-    def score(predictions, collapse, started) -> dict:
-        acc = split_accuracy(predictions, test_ds.labels, train_counts, config.thresholds)
-        return {
-            "acc_all": acc["all"],
-            "acc_many": acc["many"],
-            "acc_medium": acc["medium"],
-            "acc_few": acc["few"],
-            "oracle_accuracy": oracle_acc,
-            "minority_collapse": collapse,
-            "wall_time": time.perf_counter() - started,
-        }
+    # What each method scores with, built on first use and shared after:
+    # bape+adjust and ensemble reuse the bape fit, ensemble the
+    # logit_adjusted one. The oracle entry holds its predictions, which
+    # also give every row's oracle_accuracy.
+    built = _BuiltOnFirstUse({
+        "bape": lambda _: _fit_bape(train_ds, config, seed),
+        "bape+adjust": lambda deps: adjust(
+            deps["bape"],
+            AdjustmentPolicy(
+                target_priors=ClassPriors.uniform(train_ds.n_classes),
+                kappa_mode=config.kappa_mode,
+                fixed_kappa=config.fixed_kappa,
+            ),
+        ),
+        "softmax": lambda _: _fit_linear(train_ds, config, "softmax", seed),
+        "logit_adjusted": lambda _: _fit_linear(train_ds, config, "logit_adjusted", seed),
+        "oracle": lambda _: predict(
+            truth.classifier(ClassPriors.from_counts(test_ds.class_counts)), test_z
+        ),
+    })
 
-    cache: dict[str, object] = {}
+    # Each scorer returns (predictions, minority_collapse). bape's collapse
+    # is taken on mus, not W: W rows of kappa=0 classes have no direction.
+    def bayes(name):
+        clf = built[name]
+        return predict(clf, test_z), _tail_collapse(clf.mus, train_ds.class_counts, tail_at)
 
-    def bape_clf() -> BayesClassifier:
-        if "bape" not in cache:
-            cache["bape"] = _fit_bape(train_ds, config, seed)
-        return cache["bape"]
+    def linear(name):
+        clf = built[name]
+        return predict_linear(clf, test_z), _tail_collapse(clf.W, train_ds.class_counts, tail_at)
 
-    def la_clf() -> LinearClassifier:
-        if "la" not in cache:
-            cache["la"] = train(
-                train_ds.features,
-                train_ds.labels,
-                TrainConfig(
-                    lr=config.lr,
-                    epochs=config.epochs,
-                    batch_size=config.batch_size,
-                    weight_decay=config.weight_decay,
-                    mode="logit_adjusted",
-                    temperature=config.temperature,
-                    rng_seed=seed,
-                    normalize=config.normalize,
-                    grad_scale=config.eta,
-                ),
-            )
-        return cache["la"]
+    def ensemble(_):
+        lin = built["logit_adjusted"]
+        lp_lin = log_softmax((test_z @ lin.W.T + lin.b) / config.temperature)
+        return top_class(0.5 * (log_posterior(built["bape"], test_z) + lp_lin)), None
 
-    rows = []
+    scorers = {
+        "bape": bayes,
+        "bape+adjust": bayes,
+        "softmax": linear,
+        "logit_adjusted": linear,
+        "ensemble": ensemble,
+        "oracle": lambda name: (built[name], None),
+    }
+
+    scored = []
     for method in config.methods:
         started = time.perf_counter()
         try:
-            if method == "bape":
-                clf = bape_clf()
-                preds = predict(clf, test_z)
-                collapse = _tail_collapse(
-                    clf.mus, train_counts, config.thresholds[0]
-                )
-            elif method == "bape+adjust":
-                clf = adjust(
-                    bape_clf(),
-                    AdjustmentPolicy(
-                        target_priors=ClassPriors.uniform(train_ds.n_classes),
-                        kappa_mode=config.kappa_mode,
-                        fixed_kappa=config.fixed_kappa,
-                    ),
-                )
-                preds = predict(clf, test_z)
-                collapse = _tail_collapse(clf.mus, train_counts, config.thresholds[0])
-            elif method == "softmax":
-                clf = train(
-                    train_ds.features,
-                    train_ds.labels,
-                    TrainConfig(
-                        lr=config.lr,
-                        epochs=config.epochs,
-                        batch_size=config.batch_size,
-                        weight_decay=config.weight_decay,
-                        mode="softmax",
-                        temperature=config.temperature,
-                        rng_seed=seed,
-                        normalize=config.normalize,
-                    ),
-                )
-                cache["softmax"] = clf
-                preds = predict_linear(clf, test_z)
-                collapse = _tail_collapse(clf.W, train_counts, config.thresholds[0])
-            elif method == "logit_adjusted":
-                clf = la_clf()
-                preds = predict_linear(clf, test_z)
-                collapse = _tail_collapse(clf.W, train_counts, config.thresholds[0])
-            elif method == "ensemble":
-                lin = la_clf()
-                s = (test_z @ lin.W.T + lin.b) / config.temperature
-                lp_lin = s - logsumexp(s, axis=1, keepdims=True)
-                lp = 0.5 * (log_posterior(bape_clf(), test_z) + lp_lin)
-                preds = np.argmax(lp, axis=1)
-                collapse = None
-            elif method == "oracle":
-                clf = truth.classifier(ClassPriors.from_counts(test_ds.class_counts))
-                preds = predict(clf, test_z)
-                collapse = None
-            else:  # unreachable: config validated
-                raise ValueError(f"unknown method {method!r}")
+            preds, collapse = scorers[method](method)
         except Exception as exc:
             raise ExperimentError(f"method {method!r}, seed {seed}: {exc}") from exc
-        rows.append(ReportRow(method=method, seed=seed, **score(preds, collapse, started)))
-    return rows
+        acc = split_accuracy(preds, test_ds.labels, train_ds.class_counts, config.thresholds)
+        scored.append((method, acc, collapse, time.perf_counter() - started))
+    oracle_acc = float(np.mean(built["oracle"] == test_ds.labels)) if truth is not None else None
+    return [
+        ReportRow(
+            method=method,
+            seed=seed,
+            **{f"acc_{split}": value for split, value in acc.items()},
+            oracle_accuracy=oracle_acc,
+            minority_collapse=collapse,
+            wall_time=wall_time,
+        )
+        for method, acc, collapse, wall_time in scored
+    ]
 
 
 def emit_report(rows: list[ReportRow], fmt: str = "json", path=None) -> str:

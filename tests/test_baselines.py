@@ -227,6 +227,17 @@ class TestTrain:
         )
         assert np.linalg.norm(decayed.W) < np.linalg.norm(plain.W)
 
+    def test_explicit_class_count_keeps_empty_trailing_classes(self):
+        z, y = blob_data(n_per=10)
+        k = int(y.max()) + 1
+        for mode in ("softmax", "logit_adjusted"):
+            cfg = TrainConfig(lr=0.3, epochs=3, batch_size=8, mode=mode)
+            clf = train(z, y, cfg, n_classes=k + 2)
+            assert clf.W.shape == (k + 2, z.shape[1])
+            assert np.all(np.isfinite(clf.W))
+        with pytest.raises(ValueError):
+            train(z, y, TrainConfig(lr=0.1, epochs=1, batch_size=4), n_classes=k - 1)
+
     def test_input_validation(self):
         z, y = blob_data(n_per=10)
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from spherebayes.classifier import from_json
 from spherebayes.baselines import linear_from_json
 from spherebayes.cli import main
-from spherebayes.datagen import read_features
+from spherebayes.datagen import Dataset, LongTailSpec, generate, read_features, write_features
 
 
 @pytest.fixture()
@@ -240,6 +241,28 @@ class TestCompare:
     def test_missing_config_is_exit_2(self, tmp_path):
         assert main(["compare", "--config", str(tmp_path / "none.json")]) == 2
 
+    def test_empty_trailing_class_in_train_file(self, tmp_path):
+        # Class 5 is declared by the file header but has no training rows:
+        # every method must still score all six classes.
+        full, truth = generate(LongTailSpec(6, 40, 5.0), 6, seed=2)
+        keep = full.labels < 5
+        counts = full.class_counts.copy()
+        counts[5] = 0
+        train_path, test_path = tmp_path / "train.bin", tmp_path / "test.bin"
+        write_features(train_path, Dataset(full.features[keep], full.labels[keep], counts))
+        write_features(test_path, full)
+        methods = ["bape", "bape+adjust", "softmax", "logit_adjusted", "ensemble"]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seeds": [0], "methods": methods, "epochs": 2,
+            "train_file": str(train_path), "test_file": str(test_path),
+        }))
+        out = tmp_path / "report.json"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())
+        assert sorted(r["method"] for r in rows) == sorted(methods)
+        assert all(0.0 <= r["acc_all"] <= 1.0 for r in rows)
+
 
 class TestDumpEmbeddings:
     def test_reencodes_binary_as_csv(self, workspace):
@@ -250,6 +273,12 @@ class TestDumpEmbeddings:
         orig = read_features(train)
         assert_array_equal(back.features, orig.features)
         assert_array_equal(back.labels, orig.labels)
+
+    def test_oversized_header_is_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "huge.bin"
+        bad.write_bytes(b"BAPF" + struct.pack("<IIII", 1, 0xFFFFFFFF, 0xFFFFFFFF, 3) + b"\0" * 64)
+        assert main(["dump-embeddings", "--data", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "header declares" in capsys.readouterr().err
 
     def test_requires_csv_suffix(self, workspace):
         tmp, train, test = workspace

@@ -1,6 +1,7 @@
 """Tests for the experiment runner: splits, configs, m0 gradients, reports."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -254,6 +255,17 @@ class TestRunExperiment:
         for d in a + b:
             d.pop("wall_time")
         assert a == b
+
+    def test_leaves_no_reference_cycles(self):
+        # A cycle through the per-seed model cache would keep each seed's
+        # datasets and classifiers alive until the cyclic collector runs.
+        gc.collect()
+        gc.disable()
+        try:
+            run_experiment(small_config(seeds=(0, 1), epochs=1))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_eta_zero_freezes_logit_adjusted_at_init(self, tmp_path):
         train_ds, truth = generate(LongTailSpec(4, 60, 10.0), 6, seed=3)
