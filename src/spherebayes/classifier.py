@@ -20,12 +20,10 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .estimation import (
-    ClassStats,
+    ConcentrationOverflowError,
     DegeneratePosteriorError,
-    map_estimate,
-    posterior,
-    scale_prior,
-    update_stats,
+    class_posteriors,
+    concentrations,
 )
 from .special import log_vmf_normalizer
 from .vmf import as_unit_vector
@@ -271,8 +269,7 @@ def adjust(clf: BayesClassifier, policy: AdjustmentPolicy) -> BayesClassifier:
     if policy.kappa_mode == "keep":
         kappas = clf.kappas
     elif policy.kappa_mode == "shared_mean":
-        active = [i for i in range(clf.n_classes) if i not in clf.excluded]
-        kappas = np.full(clf.n_classes, clf.kappas[active].mean())
+        kappas = np.full(clf.n_classes, np.delete(clf.kappas, clf.excluded).mean())
     else:
         kappas = np.full(clf.n_classes, float(policy.fixed_kappa))
     return BayesClassifier(
@@ -302,10 +299,12 @@ def kappa_report(clf: BayesClassifier) -> list[dict]:
     ]
 
 
-def class_stats(features: np.ndarray, labels: np.ndarray, n_classes: int) -> list[ClassStats]:
-    """Per-class sufficient statistics (count, resultant) of a labelled batch."""
-    empty = ClassStats.empty(features.shape[1])
-    return [update_stats(empty, features[labels == y]) for y in range(n_classes)]
+def class_stats(features: np.ndarray, labels: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class sufficient statistics of a labelled batch of unit rows, as one
+    segment sum: counts (K,) and resultants (K, p)."""
+    resultants = np.zeros((n_classes, features.shape[1]))
+    np.add.at(resultants, labels, features)
+    return np.bincount(labels, minlength=n_classes), resultants
 
 
 def fit(
@@ -323,20 +322,28 @@ def fit(
     Per-class priors scale with class size (alpha0 = alpha_hat*N_y, beta0 =
     beta_hat*N_y, direction from `prior_directions` row y, e.g. an EtfFrame).
     Class priors are the training frequencies. A class with no samples and no
-    directional prior has no defined mean: with on_degenerate="error" (the
-    default) fitting fails loudly, with "exclude" the class is dropped from
-    the posterior (flagged in `excluded`) and the rest renormalized.
+    directional prior has no defined mean, and one with beta/alpha near 1 (a
+    single sample under alpha_hat = 0) has unbounded kappa: with
+    on_degenerate="error" (the default) fitting fails loudly, naming the
+    class; with "exclude" the class is dropped from the posterior (flagged in
+    `excluded`, zero prior mass) and the rest renormalized.
     """
-    if on_degenerate not in ("error", "exclude"):
-        raise ValueError(f"unknown on_degenerate {on_degenerate!r}")
-    features = np.asarray(features, dtype=float)
+    features = as_unit_vector(features)
     if features.ndim != 2:
         raise ValueError("features must be an (n, p) array")
-    n, p = features.shape
     k = int(n_classes)
     labels = _check_labels(labels, k)
-    if labels.shape != (n,):
+    if labels.shape != (features.shape[0],):
         raise ValueError("labels length does not match features")
+    counts, resultants = class_stats(features, labels, k)
+    return _fit_stats(counts, resultants, alpha_hat, beta_hat, prior_directions, mode, on_degenerate)
+
+
+def _fit_stats(counts, resultants, alpha_hat, beta_hat, prior_directions, mode, on_degenerate):
+    """`fit` from per-class statistics (see `class_stats`)."""
+    if on_degenerate not in ("error", "exclude"):
+        raise ValueError(f"unknown on_degenerate {on_degenerate!r}")
+    k, p = resultants.shape
     if prior_directions is not None:
         prior_directions = as_unit_vector(prior_directions, dim=p)
         if prior_directions.shape[0] != k:
@@ -344,32 +351,25 @@ def fit(
     elif beta_hat > 0.0:
         raise ValueError("beta_hat > 0 requires prior_directions")
 
-    mus = np.zeros((k, p))
-    mus[:, 0] = 1.0
-    kappas = np.zeros(k)
-    counts = np.zeros(k, dtype=int)
-    excluded: list[int] = []
-    for y, stats in enumerate(class_stats(features, labels, k)):
-        counts[y] = stats.count
-        m0 = prior_directions[y] if prior_directions is not None else None
-        prior = scale_prior(alpha_hat, beta_hat, m0, stats.count)
-        try:
-            params = map_estimate(posterior(prior, stats), mode=mode)
-        except DegeneratePosteriorError:
-            if on_degenerate == "error":
-                raise DegeneratePosteriorError(
-                    f"class {y} has no samples and no directional prior"
-                ) from None
-            excluded.append(y)
-            continue
-        mus[y] = params.mu
-        kappas[y] = params.kappa
+    alphas, betas, mus, _ = class_posteriors(counts, resultants, alpha_hat, beta_hat, prior_directions)
+    excluded = betas == 0.0
+    if excluded.any() and on_degenerate == "error":
+        raise DegeneratePosteriorError(f"class {np.argmax(excluded)} has no samples and no directional prior")
+    ratios = np.divide(betas, alphas, out=np.zeros(k), where=~excluded)
+    try:
+        kappas = concentrations(p, ratios, mode)
+    except ConcentrationOverflowError as exc:
+        if on_degenerate == "error":
+            raise ConcentrationOverflowError(f"classes {list(exc.classes)}: {exc}", exc.classes) from None
+        excluded[list(exc.classes)] = True
+        kappas = concentrations(p, np.where(excluded, 0.0, ratios), mode)
+    mus[excluded] = np.eye(p)[0]  # placeholder geometry; excluded classes carry no mass
     return BayesClassifier(
         mus=mus,
         kappas=kappas,
-        priors=ClassPriors.from_counts(counts),
+        priors=ClassPriors.from_counts(np.where(excluded, 0, counts)),
         counts=counts,
-        excluded=tuple(excluded),
+        excluded=tuple(np.flatnonzero(excluded)),
     )
 
 
@@ -405,12 +405,10 @@ def from_json(text: str) -> BayesClassifier:
         raise ValueError(f"malformed classifier document: {exc}") from None
     if len(classes) != k or mus.shape != (k, p):
         raise ValueError("classifier document is inconsistent with its declared shape")
-    excluded = tuple(int(i) for i in np.flatnonzero(pi == 0.0))
-    for i in excluded:
-        # Placeholder geometry for classes that carry no mass anyway.
-        mus[i] = 0.0
-        mus[i, 0] = 1.0
-        kappas[i] = 0.0
+    excluded = tuple(np.flatnonzero(pi == 0.0))
+    # Placeholder geometry for classes that carry no mass anyway.
+    mus[list(excluded)] = np.eye(p)[0]
+    kappas[list(excluded)] = 0.0
     return BayesClassifier(
         mus=mus,
         kappas=kappas,

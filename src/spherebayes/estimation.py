@@ -9,6 +9,8 @@ length beta0 and direction m0 combines with the statistics into a posterior
 and the MAP point estimate is mu = m together with the concentration kappa
 solving A_p(kappa) = beta/alpha (exact mode) or its closed-form approximation
 kappa = p*beta*alpha / (alpha^2 - beta^2) (approx mode, the default).
+`class_posteriors` and `concentrations` run this update for all K classes of
+a fit at once; the spec types below are its one-class form.
 """
 
 from __future__ import annotations
@@ -33,16 +35,18 @@ __all__ = [
     "scale_prior",
 ]
 
-# beta/alpha at or above this is treated as "kappa unbounded".
-_RESULTANT_RATIO_MAX = 1.0 - 1e-9
-
 
 class DegeneratePosteriorError(ValueError):
     """The combined pseudo-resultant is the zero vector, so the mean direction is undefined."""
 
 
 class ConcentrationOverflowError(ValueError):
-    """beta/alpha is too close to 1 (or the implied kappa too large) to represent."""
+    """beta/alpha is too close to 1 (or the implied kappa too large) to represent.
+    `classes` indexes the offending entries of the array given to `concentrations`."""
+
+    def __init__(self, message: str, classes=()):
+        super().__init__(message)
+        self.classes = tuple(int(i) for i in classes)
 
 
 @dataclass(frozen=True)
@@ -190,35 +194,62 @@ def _solve_concentration(p: int, r: float, hi: float) -> float:
     return root
 
 
-def map_estimate(post: PosteriorSpec, mode: str = "approx") -> VmfParams:
-    """MAP vMF parameters from a posterior: mu = m, kappa from beta/alpha.
-
-    mode "approx" uses kappa = p*beta*alpha/(alpha^2 - beta^2); mode "exact"
-    solves A_p(kappa) = beta/alpha by bracketed root finding (residual below
-    1e-10), started from the approx value. The approximation always lands at
-    or above the exact root, badly so at small p.
-    """
+def concentrations(p: int, r, mode: str) -> np.ndarray:
+    """MAP kappa per class from r = beta/alpha. Mode "approx" takes p*r/(1 - r^2)
+    (= p*beta*alpha/(alpha^2 - beta^2)), which lands at or above the exact root,
+    badly so at small p; mode "exact" solves A_p(kappa) = r by bracketed root
+    finding from there (residual below 1e-10). r = 0 gives kappa = 0. Classes
+    whose kappa is unbounded (r >= 1 by float slop) or above MAX_KAPPA raise
+    one ConcentrationOverflowError that lists them all."""
     if mode not in ("approx", "exact"):
         raise ValueError(f"unknown estimation mode {mode!r}")
+    r = np.asarray(r, dtype=float)
+    with np.errstate(divide="ignore"):
+        kappa = p * r / (1.0 - r * r)
+    unbounded = ~((kappa >= 0.0) & (kappa <= MAX_KAPPA))
+    if unbounded.any():
+        raise ConcentrationOverflowError(
+            f"beta/alpha = {r[unbounded][0]} is too close to 1: kappa is unbounded or above {MAX_KAPPA:g}",
+            np.flatnonzero(unbounded),
+        )
+    if mode == "exact":
+        kappa = np.array([_solve_concentration(p, ri, ki) if ri > 0.0 else 0.0 for ri, ki in zip(r, kappa)])
+    return kappa
+
+
+def map_estimate(post: PosteriorSpec, mode: str = "approx") -> VmfParams:
+    """MAP vMF parameters from a posterior: mu = m, kappa from beta/alpha by
+    `concentrations`. With beta = 0 the class is uniform (kappa = 0) and mu is
+    a placeholder, since the direction never enters the density."""
     if post.alpha <= 0.0:
         raise ValueError(f"posterior pseudo-count must be positive, got {post.alpha}")
-    p = post.dim
-    r = post.beta / post.alpha
-    if r >= _RESULTANT_RATIO_MAX:
-        raise ConcentrationOverflowError(
-            f"beta/alpha = {r} is too close to 1; concentration is unbounded"
-        )
-    if r == 0.0:
-        # Uniform class: kappa = 0 and the direction never enters the density.
-        mu = post.m if post.m is not None else np.eye(p)[0]
-        return VmfParams(mu=mu, kappa=0.0)
-    approx = p * r / (1.0 - r * r)
-    if approx > MAX_KAPPA:
-        raise ConcentrationOverflowError(
-            f"implied concentration {approx:.3g} exceeds the supported maximum {MAX_KAPPA:g}"
-        )
-    kappa = approx if mode == "approx" else _solve_concentration(p, r, approx)
-    return VmfParams(mu=post.m, kappa=kappa)
+    kappa = concentrations(post.dim, [post.beta / post.alpha], mode)[0]
+    return VmfParams(mu=post.m if post.m is not None else np.eye(post.dim)[0], kappa=kappa)
+
+
+def _check_rates(alpha_hat: float, beta_hat: float) -> tuple[float, float]:
+    a, b = float(alpha_hat), float(beta_hat)
+    if not (np.isfinite(a) and np.isfinite(b)) or a < 0.0 or b < 0.0:
+        raise ValueError(f"prior rates must be finite and >= 0, got {a}, {b}")
+    if b > a:
+        raise ValueError(f"beta_hat={b} exceeds alpha_hat={a}")
+    return a, b
+
+
+def class_posteriors(counts, resultants, alpha_hat: float, beta_hat: float, m0=None):
+    """The conjugate update of K classes with priors scaled to class size n:
+    alpha = alpha_hat*n + n, beta*m = beta_hat*n*m0 + resultant. Returns the
+    arrays (alpha, beta, m, beta0); rows of m are 0 where beta = 0 (mean
+    direction undefined). m0 (K, p) may be omitted when beta_hat = 0."""
+    a, b = _check_rates(alpha_hat, beta_hat)
+    counts = np.asarray(counts, dtype=float)
+    beta0 = b * counts
+    v = np.array(resultants, dtype=float)
+    if m0 is not None:
+        v += beta0[:, np.newaxis] * m0
+    beta = np.linalg.norm(v, axis=1)
+    m = np.divide(v, beta[:, np.newaxis], out=np.zeros_like(v), where=beta[:, np.newaxis] > 0.0)
+    return a * counts + counts, beta, m, beta0
 
 
 def scale_prior(alpha_hat: float, beta_hat: float, m0, class_count: float) -> PriorSpec:
@@ -227,14 +258,8 @@ def scale_prior(alpha_hat: float, beta_hat: float, m0, class_count: float) -> Pr
     The per-sample rates must satisfy beta_hat <= alpha_hat (checked here, at
     configuration time) so the resulting PriorSpec invariant holds for any N.
     """
-    a, b = float(alpha_hat), float(beta_hat)
-    if not (np.isfinite(a) and np.isfinite(b)) or a < 0.0 or b < 0.0:
-        raise ValueError(f"prior rates must be finite and >= 0, got {a}, {b}")
-    if b > a:
-        raise ValueError(f"beta_hat={b} exceeds alpha_hat={a}")
+    a, b = _check_rates(alpha_hat, beta_hat)
     n = float(class_count)
     if n < 0:
         raise ValueError(f"class count must be >= 0, got {class_count}")
-    if b * n == 0.0:
-        return PriorSpec(a * n, 0.0, as_unit_vector(m0) if m0 is not None else None)
     return PriorSpec(a * n, b * n, m0)

@@ -37,19 +37,19 @@ from .classifier import (
     AdjustmentPolicy,
     BayesClassifier,
     ClassPriors,
+    _fit_stats,
     adjust,
     class_stats,
-    fit,
     log_posterior,
     log_softmax,
     predict,
     top_class,
 )
 from .datagen import Dataset, LongTailSpec, generate, read_features, sample_dataset
-from .estimation import ClassStats, map_estimate, posterior, scale_prior
+from .estimation import ClassStats, DegeneratePosteriorError, class_posteriors, concentrations
 from .priors import EtfFrame, build_etf, grad_step_m0
 from .special import mean_resultant_ratio
-from .vmf import substream
+from .vmf import as_unit_vector, substream
 
 __all__ = [
     "METHODS",
@@ -200,6 +200,8 @@ def split_accuracy(predictions, labels, class_counts, thresholds=(20, 100)) -> d
     class_counts = np.asarray(class_counts)
     if predictions.shape != labels.shape:
         raise ValueError("predictions and labels must align")
+    if labels.size and labels.max() >= len(class_counts):
+        raise ValueError(f"evaluation labels span {labels.max() + 1} classes, the training counts {len(class_counts)}")
     counts = class_counts[labels]
     hit = predictions == labels
     out = {"all": float(hit.mean())}
@@ -237,80 +239,54 @@ def m0_loss_gradients(
     beta and by kappa_k z against m_k. Returned gradients live in the ambient
     space; the renormalization in the update step kills radial components.
     """
-    k, p = frame.vectors.shape
-    alphas = np.empty(k)
-    betas = np.empty(k)
-    ms = np.empty((k, p))
-    kappas = np.empty(k)
-    beta0 = np.empty(k)
-    for j in range(k):
-        prior = scale_prior(alpha_hat, beta_hat, frame.vectors[j], stats[j].count)
-        post = posterior(prior, stats[j])
-        alphas[j], betas[j], ms[j] = post.alpha, post.beta, post.m
-        beta0[j] = prior.beta0
-        kappas[j] = map_estimate(post, mode=mode).kappa
+    p = frame.dim
+    counts = np.array([st.count for st in stats])
+    resultants = np.stack([st.resultant for st in stats])
+    alphas, betas, ms, beta0 = class_posteriors(counts, resultants, alpha_hat, beta_hat, frame.vectors)
+    if np.any(betas == 0.0):
+        raise DegeneratePosteriorError(f"class {np.argmin(betas)} has no defined mean direction")
+    kappas = concentrations(p, betas / alphas, mode)
     a_vals = np.array([mean_resultant_ratio(p, kp) for kp in kappas])
     if mode == "approx":
         dk_db = p * alphas * (alphas**2 + betas**2) / (alphas**2 - betas**2) ** 2
     else:
-        # dkappa/dbeta = 1 / (alpha A'(kappa)), A' = 1 - A^2 - (p-1)A/kappa
-        # with the kappa=0 limit 1/p.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = 1.0 - a_vals * a_vals - (p - 1) * a_vals / kappas
-        dk_db = 1.0 / (alphas * np.where(kappas == 0.0, 1.0 / p, slope))
+        # dkappa/dbeta = 1 / (alpha A'(kappa)), A' = 1 - A^2 - (p-1)A/kappa;
+        # beta > 0 here, so kappa > 0.
+        dk_db = 1.0 / (alphas * (1.0 - a_vals * a_vals - (p - 1) * a_vals / kappas))
 
     clf = BayesClassifier(mus=ms, kappas=kappas, priors=priors)
     z = np.asarray(features, dtype=float)
     probs = np.exp(log_posterior(clf, z))
     probs[np.arange(len(labels)), labels] -= 1.0  # d loss / d logit_k
-    dots = z @ ms.T
-    grads = np.zeros((k, p))
-    for j in range(k):
-        w = probs[:, j]
-        # beta route: scalar per sample times the fixed direction m_j.
-        beta_coef = float(w @ (dots[:, j] - a_vals[j])) * dk_db[j]
-        # m route: kappa_j * (I - m m^T) z / beta_j.
-        zsum = w @ z
-        tangent = (zsum - (zsum @ ms[j]) * ms[j]) * (kappas[j] / betas[j])
-        grads[j] = (beta_coef * ms[j] + tangent) * (beta0[j] / len(labels))
-    return grads
+    # beta route: per class, a scalar times the fixed direction m_k.
+    beta_coef = np.einsum("nk,nk->k", probs, z @ ms.T - a_vals) * dk_db
+    # m route: kappa_k * (I - m_k m_k^T) z / beta_k, summed over samples.
+    zsum = probs.T @ z
+    tangent = (zsum - np.einsum("kp,kp->k", zsum, ms)[:, np.newaxis] * ms) * (kappas / betas)[:, np.newaxis]
+    return (beta_coef[:, np.newaxis] * ms + tangent) * (beta0 / len(labels))[:, np.newaxis]
 
 
 def _fit_bape(train: Dataset, config: ExperimentConfig, seed: int) -> BayesClassifier:
     """Conjugate MAP fit, with the prior frame seeded from `seed` when beta_hat > 0
     and refined by config.m0_steps gradient steps."""
-    feats = np.asarray(train.features, dtype=float)
+    feats = as_unit_vector(train.features)
     k = train.n_classes
+    counts, resultants = class_stats(feats, train.labels, k)
     frame = None
     if config.beta_hat > 0.0:
         # Prior frame seeded independently of the data-generating streams.
         frame_seed = int(substream(seed, 4).integers(2**63 - 1))
         frame = build_etf(k, train.dim, frame_seed)
         if config.m0_steps > 0:
-            stats = class_stats(feats, train.labels, k)
-            priors = ClassPriors.from_counts(train.class_counts)
+            stats = [ClassStats(n, s) for n, s in zip(counts, resultants)]
+            priors = ClassPriors.from_counts(counts)
             for _ in range(config.m0_steps):
-                g = m0_loss_gradients(
-                    frame,
-                    stats,
-                    config.alpha_hat,
-                    config.beta_hat,
-                    priors,
-                    feats,
-                    train.labels,
-                    mode=config.estimation,
-                )
+                g = m0_loss_gradients(frame, stats, config.alpha_hat, config.beta_hat, priors,
+                                      feats, train.labels, mode=config.estimation)
                 frame = grad_step_m0(frame, g, config.m0_lr)
-    return fit(
-        feats,
-        train.labels,
-        k,
-        alpha_hat=config.alpha_hat,
-        beta_hat=config.beta_hat,
-        prior_directions=frame.vectors if frame is not None else None,
-        mode=config.estimation,
-        on_degenerate="exclude",
-    )
+    directions = frame.vectors if frame is not None else None
+    return _fit_stats(counts, resultants, config.alpha_hat, config.beta_hat, directions,
+                      config.estimation, on_degenerate="exclude")
 
 
 def _fit_linear(train_ds: Dataset, config: ExperimentConfig, mode: str, seed: int) -> LinearClassifier:

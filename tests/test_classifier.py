@@ -26,7 +26,7 @@ from spherebayes.classifier import (
     predict,
     to_json,
 )
-from spherebayes.estimation import DegeneratePosteriorError
+from spherebayes.estimation import ConcentrationOverflowError, DegeneratePosteriorError
 from spherebayes.vmf import VmfParams, sample, substream
 
 # Two classes on orthogonal axes, kappa=4 each, uniform priors, z on the first
@@ -387,6 +387,30 @@ class TestFit:
             on_degenerate="exclude",
         )
         assert clf.excluded == (3,)
+
+    def _with_singleton(self):
+        # Class 2 keeps one sample: under alpha_hat = 0 its beta/alpha is 1,
+        # so its concentration is unbounded.
+        z, y, _, _ = self._toy_data()
+        keep = np.concatenate([np.flatnonzero(y < 2), np.flatnonzero(y == 2)[:1]])
+        return z[keep], y[keep]
+
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_singleton_class_raises_naming_it(self, mode):
+        z, y = self._with_singleton()
+        with pytest.raises(ConcentrationOverflowError, match=r"classes \[2\]"):
+            fit(z, y, 3, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_singleton_class_can_be_excluded(self, mode):
+        z, y = self._with_singleton()
+        clf = fit(z, y, 3, mode=mode, on_degenerate="exclude")
+        assert clf.excluded == (2,)
+        assert_array_equal(clf.counts, [400, 400, 1])
+        assert_array_equal(clf.priors.pi, [0.5, 0.5, 0.0])
+        assert clf.kappas[2] == 0.0
+        assert np.all(clf.kappas[:2] > 0.0)
+        assert not np.any(predict(clf, z) == 2)
 
     def test_strong_prior_pulls_small_class(self):
         z, y, _, _ = self._toy_data(n_per=3)

@@ -197,6 +197,32 @@ class TestEval:
                      "--data", str(test)]) == 2
 
 
+    def test_split_counts_with_fewer_classes_is_exit_1(self, workspace, capsys):
+        tmp, train, test = workspace
+        clf = self._fit(workspace)
+        ds = read_features(train)
+        fewer = tmp / "fewer.bin"
+        keep = ds.labels < 3
+        write_features(fewer, Dataset(ds.features[keep], ds.labels[keep], ds.class_counts[:3]))
+        code = main(["eval", "--classifier", str(clf), "--data", str(test),
+                     "--split-counts-from", str(fewer)])
+        assert code == 1
+        assert "4 classes" in capsys.readouterr().err
+
+
+def _train_without_last_class(tmp_path, train_name):
+    """A six-class mixture: train file without class 5 (named by suffix),
+    test file with all six."""
+    full, _ = generate(LongTailSpec(6, 40, 5.0), 6, seed=2)
+    keep = full.labels < 5
+    counts = full.class_counts.copy()
+    counts[5] = 0
+    train_path, test_path = tmp_path / train_name, tmp_path / "test.bin"
+    write_features(train_path, Dataset(full.features[keep], full.labels[keep], counts))
+    write_features(test_path, full)
+    return train_path, test_path
+
+
 class TestCompare:
     def test_full_run_to_file(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -244,13 +270,7 @@ class TestCompare:
     def test_empty_trailing_class_in_train_file(self, tmp_path):
         # Class 5 is declared by the file header but has no training rows:
         # every method must still score all six classes.
-        full, truth = generate(LongTailSpec(6, 40, 5.0), 6, seed=2)
-        keep = full.labels < 5
-        counts = full.class_counts.copy()
-        counts[5] = 0
-        train_path, test_path = tmp_path / "train.bin", tmp_path / "test.bin"
-        write_features(train_path, Dataset(full.features[keep], full.labels[keep], counts))
-        write_features(test_path, full)
+        train_path, test_path = _train_without_last_class(tmp_path, "train.bin")
         methods = ["bape", "bape+adjust", "softmax", "logit_adjusted", "ensemble"]
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({
@@ -262,6 +282,31 @@ class TestCompare:
         rows = json.loads(out.read_text())
         assert sorted(r["method"] for r in rows) == sorted(methods)
         assert all(0.0 <= r["acc_all"] <= 1.0 for r in rows)
+
+
+    def test_train_file_with_fewer_classes_is_exit_1(self, tmp_path, capsys):
+        # A CSV file has no class-count field, so it reads back as 5 classes
+        # while the binary test file holds 6.
+        train_path, test_path = _train_without_last_class(tmp_path, "train.csv")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seeds": [0], "methods": ["bape", "softmax"], "epochs": 2,
+            "train_file": str(train_path), "test_file": str(test_path),
+        }))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert "span 6 classes, the training counts 5" in capsys.readouterr().err
+
+    def test_singleton_tail_class_is_excluded(self, tmp_path, capsys):
+        # At gamma=500 the tail class keeps one training sample, whose
+        # concentration is unbounded under alpha_hat=0; bape excludes it.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seeds": [0], "gamma": 500.0, "methods": ["bape", "bape+adjust"],
+        }))
+        assert main(["compare", "--config", str(cfg)]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert sorted(r["method"] for r in rows) == ["bape", "bape+adjust"]
+        assert all(0.0 < r["acc_all"] < 1.0 for r in rows)
 
 
 class TestDumpEmbeddings:
