@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .classifier import ClassPriors, log_softmax, top_class
 from .vmf import substream
@@ -200,15 +199,14 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             zb, yb = z[idx], y[idx]
-            s = (zb @ w.T + b) / config.temperature + log_pi
-            logz = logsumexp(s, axis=1, keepdims=True)
-            loss = float(np.mean(logz[:, 0] - s[onehot_rows[: len(idx)], yb]))
+            lp = log_softmax((zb @ w.T + b) / config.temperature + log_pi)
+            loss = float(-np.mean(lp[onehot_rows[: len(idx)], yb]))
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, sample offset {start} (lr={lr:.3g})"
                 )
             epoch_loss += loss * len(idx)
-            g = np.exp(s - logz)
+            g = np.exp(lp)
             g[onehot_rows[: len(idx)], yb] -= 1.0
             g /= len(idx) * config.temperature
             gw = config.grad_scale * (g.T @ zb) + config.weight_decay * w

@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .estimation import (
     ConcentrationOverflowError,
@@ -25,7 +24,7 @@ from .estimation import (
     class_posteriors,
     concentrations,
 )
-from .special import log_vmf_normalizer
+from .special import log_vmf_normalizer, logsumexp
 from .vmf import as_unit_vector
 
 __all__ = [
@@ -160,7 +159,7 @@ class BayesClassifier:
         object.__setattr__(self, "kappas", kappas)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "excluded", excluded)
-        log_norm = np.array([log_vmf_normalizer(p, kp) for kp in kappas])
+        log_norm = log_vmf_normalizer(p, kappas)
         object.__setattr__(self, "_log_norm", log_norm)
         # The linear head: logits = W z + b, derived once from the parameters.
         object.__setattr__(self, "W", kappas[:, np.newaxis] * mus)
@@ -300,11 +299,20 @@ def kappa_report(clf: BayesClassifier) -> list[dict]:
 
 
 def class_stats(features: np.ndarray, labels: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class sufficient statistics of a labelled batch of unit rows, as one
-    segment sum: counts (K,) and resultants (K, p)."""
+    """Per-class sufficient statistics of a labelled batch of unit rows:
+    counts (K,) and resultants (K, p).
+
+    The rows are gathered class by class (a stable sort keeps their order)
+    and each class sums one contiguous slice, so every resultant is bitwise
+    the sum of features[labels == y].
+    """
+    counts = np.bincount(labels, minlength=n_classes)
+    grouped = features[np.argsort(labels, kind="stable")]
+    ends = np.cumsum(counts)
     resultants = np.zeros((n_classes, features.shape[1]))
-    np.add.at(resultants, labels, features)
-    return np.bincount(labels, minlength=n_classes), resultants
+    for y in np.flatnonzero(counts):
+        resultants[y] = grouped[ends[y] - counts[y] : ends[y]].sum(axis=0)
+    return counts, resultants
 
 
 def fit(
@@ -352,17 +360,7 @@ def _fit_stats(counts, resultants, alpha_hat, beta_hat, prior_directions, mode, 
         raise ValueError("beta_hat > 0 requires prior_directions")
 
     alphas, betas, mus, _ = class_posteriors(counts, resultants, alpha_hat, beta_hat, prior_directions)
-    excluded = betas == 0.0
-    if excluded.any() and on_degenerate == "error":
-        raise DegeneratePosteriorError(f"class {np.argmax(excluded)} has no samples and no directional prior")
-    ratios = np.divide(betas, alphas, out=np.zeros(k), where=~excluded)
-    try:
-        kappas = concentrations(p, ratios, mode)
-    except ConcentrationOverflowError as exc:
-        if on_degenerate == "error":
-            raise ConcentrationOverflowError(f"classes {list(exc.classes)}: {exc}", exc.classes) from None
-        excluded[list(exc.classes)] = True
-        kappas = concentrations(p, np.where(excluded, 0.0, ratios), mode)
+    kappas, excluded = _degenerate_aware_concentrations(p, alphas, betas, mode, on_degenerate)
     mus[excluded] = np.eye(p)[0]  # placeholder geometry; excluded classes carry no mass
     return BayesClassifier(
         mus=mus,
@@ -371,6 +369,25 @@ def _fit_stats(counts, resultants, alpha_hat, beta_hat, prior_directions, mode, 
         counts=counts,
         excluded=tuple(np.flatnonzero(excluded)),
     )
+
+
+def _degenerate_aware_concentrations(p, alphas, betas, mode, on_degenerate):
+    """kappa per class from the conjugate posteriors (see `class_posteriors`),
+    and the mask of degenerate classes: beta = 0 (no mean direction) or an
+    unbounded kappa (a singleton under alpha_hat = 0). Under "error" either
+    kind raises, naming the class; under "exclude" it gets kappa 0."""
+    excluded = betas == 0.0
+    if excluded.any() and on_degenerate == "error":
+        raise DegeneratePosteriorError(f"class {np.argmax(excluded)} has no samples and no directional prior")
+    ratios = np.divide(betas, alphas, out=np.zeros(len(betas)), where=~excluded)
+    try:
+        kappas = concentrations(p, ratios, mode)
+    except ConcentrationOverflowError as exc:
+        if on_degenerate == "error":
+            raise ConcentrationOverflowError(f"classes {list(exc.classes)}: {exc}", exc.classes) from None
+        excluded[list(exc.classes)] = True
+        kappas = concentrations(p, np.where(excluded, 0.0, ratios), mode)
+    return kappas, excluded
 
 
 def to_json(clf: BayesClassifier) -> str:

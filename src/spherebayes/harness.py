@@ -37,6 +37,7 @@ from .classifier import (
     AdjustmentPolicy,
     BayesClassifier,
     ClassPriors,
+    _degenerate_aware_concentrations,
     _fit_stats,
     adjust,
     class_stats,
@@ -46,7 +47,7 @@ from .classifier import (
     top_class,
 )
 from .datagen import Dataset, LongTailSpec, generate, read_features, sample_dataset
-from .estimation import ClassStats, DegeneratePosteriorError, class_posteriors, concentrations
+from .estimation import ClassStats, class_posteriors
 from .priors import EtfFrame, build_etf, grad_step_m0
 from .special import mean_resultant_ratio
 from .vmf import as_unit_vector, substream
@@ -238,31 +239,42 @@ def m0_loss_gradients(
     logit of class k moves by (m_k.T z - A_p(kappa_k)) dkappa/dbeta against
     beta and by kappa_k z against m_k. Returned gradients live in the ambient
     space; the renormalization in the update step kills radial components.
+
+    Classes that the final fit excludes (beta = 0, or an unbounded kappa) are
+    excluded here too: they carry no posterior mass and get a zero gradient.
+    Their samples, whose loss no m0 can make finite, add nothing to the mean.
     """
     p = frame.dim
     counts = np.array([st.count for st in stats])
     resultants = np.stack([st.resultant for st in stats])
     alphas, betas, ms, beta0 = class_posteriors(counts, resultants, alpha_hat, beta_hat, frame.vectors)
-    if np.any(betas == 0.0):
-        raise DegeneratePosteriorError(f"class {np.argmin(betas)} has no defined mean direction")
-    kappas = concentrations(p, betas / alphas, mode)
+    kappas, excluded = _degenerate_aware_concentrations(p, alphas, betas, mode, "exclude")
+    keep = ~excluded
     a_vals = np.array([mean_resultant_ratio(p, kp) for kp in kappas])
+    alpha, beta, a_val = alphas[keep], betas[keep], a_vals[keep]
+    dk_db = np.zeros(len(stats))
     if mode == "approx":
-        dk_db = p * alphas * (alphas**2 + betas**2) / (alphas**2 - betas**2) ** 2
+        dk_db[keep] = p * alpha * (alpha**2 + beta**2) / (alpha**2 - beta**2) ** 2
     else:
         # dkappa/dbeta = 1 / (alpha A'(kappa)), A' = 1 - A^2 - (p-1)A/kappa;
         # beta > 0 here, so kappa > 0.
-        dk_db = 1.0 / (alphas * (1.0 - a_vals * a_vals - (p - 1) * a_vals / kappas))
+        dk_db[keep] = 1.0 / (alpha * (1.0 - a_val * a_val - (p - 1) * a_val / kappas[keep]))
 
-    clf = BayesClassifier(mus=ms, kappas=kappas, priors=priors)
+    if excluded.any():
+        pi = np.where(excluded, 0.0, priors.pi)
+        priors = ClassPriors(pi / pi.sum(), allow_zero=True)
+    clf = BayesClassifier(mus=np.where(excluded[:, np.newaxis], np.eye(p)[0], ms), kappas=kappas,
+                          priors=priors, excluded=tuple(np.flatnonzero(excluded)))
     z = np.asarray(features, dtype=float)
     probs = np.exp(log_posterior(clf, z))
     probs[np.arange(len(labels)), labels] -= 1.0  # d loss / d logit_k
+    probs[excluded[labels]] = 0.0
     # beta route: per class, a scalar times the fixed direction m_k.
     beta_coef = np.einsum("nk,nk->k", probs, z @ ms.T - a_vals) * dk_db
     # m route: kappa_k * (I - m_k m_k^T) z / beta_k, summed over samples.
     zsum = probs.T @ z
-    tangent = (zsum - np.einsum("kp,kp->k", zsum, ms)[:, np.newaxis] * ms) * (kappas / betas)[:, np.newaxis]
+    scale = np.divide(kappas, betas, out=np.zeros(len(stats)), where=keep)
+    tangent = (zsum - np.einsum("kp,kp->k", zsum, ms)[:, np.newaxis] * ms) * scale[:, np.newaxis]
     return (beta_coef[:, np.newaxis] * ms + tangent) * (beta0 / len(labels))[:, np.newaxis]
 
 

@@ -19,6 +19,7 @@ from spherebayes.classifier import (
     bape_loss,
     bape_loss_grad_z,
     chain_through_normalization,
+    class_stats,
     fit,
     from_json,
     kappa_report,
@@ -334,6 +335,20 @@ class TestKappaReport:
     def test_requires_training_counts(self):
         with pytest.raises(NotFittedError):
             kappa_report(two_class())
+
+
+class TestClassStats:
+    def test_bitwise_equal_to_masked_sums(self):
+        # Shuffled labels, empty classes in the middle and at the end.
+        rng = np.random.default_rng(9)
+        z = rng.standard_normal((500, 7))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        y = rng.choice([0, 1, 3, 4, 6], size=500, p=[0.5, 0.3, 0.1, 0.07, 0.03])
+        counts, resultants = class_stats(z, y, 9)
+        assert_array_equal(counts, [np.sum(y == c) for c in range(9)])
+        expected = np.stack([z[y == c].sum(axis=0) for c in range(9)])
+        assert np.array_equal(resultants, expected)
+        assert np.all(resultants[[2, 5, 7, 8]] == 0.0)
 
 
 class TestFit:

@@ -283,6 +283,21 @@ class TestCompare:
         assert sorted(r["method"] for r in rows) == sorted(methods)
         assert all(0.0 <= r["acc_all"] <= 1.0 for r in rows)
 
+    @pytest.mark.parametrize("estimation", ["approx", "exact"])
+    def test_empty_trailing_class_with_prior_direction_steps(self, tmp_path, estimation):
+        # The m0 gradient steps skip class 5 just as the final fit excludes it.
+        train_path, test_path = _train_without_last_class(tmp_path, "train.bin")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seeds": [0], "methods": ["bape", "bape+adjust"], "alpha_hat": 1.0, "beta_hat": 0.5,
+            "m0_steps": 2, "estimation": estimation,
+            "train_file": str(train_path), "test_file": str(test_path),
+        }))
+        out = tmp_path / "report.json"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())
+        assert sorted(r["method"] for r in rows) == ["bape", "bape+adjust"]
+        assert all(0.0 < r["acc_all"] < 1.0 for r in rows)
 
     def test_train_file_with_fewer_classes_is_exit_1(self, tmp_path, capsys):
         # A CSV file has no class-count field, so it reads back as 5 classes

@@ -31,7 +31,7 @@ from spherebayes.harness import (
     run_experiment,
     split_accuracy,
 )
-from spherebayes.priors import build_etf
+from spherebayes.priors import EtfFrame, build_etf
 from spherebayes.special import log_vmf_normalizer
 from spherebayes.vmf import substream
 
@@ -185,6 +185,30 @@ class TestM0Gradients:
                 )
                 fd[j, d] = (hi - lo) / (2 * h)
         assert_allclose(grads, fd, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    @pytest.mark.parametrize("degenerate", ["empty", "singleton"])
+    def test_degenerate_class_is_excluded(self, mode, degenerate):
+        # A fourth class the final fit would exclude: an empty one (beta = 0)
+        # or a single sample on its own prior direction under alpha_hat =
+        # beta_hat (beta/alpha = 1, unbounded kappa). Its gradient is zero,
+        # and the other classes get those of the problem without it and its
+        # samples (scaled by the sample count, since the loss is a mean).
+        frame, stats, priors, feats, labels = self._setup()
+        extra = np.eye(4)[:1]
+        wide = EtfFrame(np.vstack([frame.vectors, extra]))
+        n = len(labels)
+        if degenerate == "empty":
+            extra_stats, wide_feats, wide_labels = ClassStats.empty(4), feats, labels
+        else:
+            extra_stats = ClassStats(1, extra[0])
+            wide_feats, wide_labels = np.vstack([feats, extra]), np.append(labels, 3)
+        counts = [st.count for st in stats] + [extra_stats.count]
+        grads = m0_loss_gradients(wide, stats + [extra_stats], 0.5, 0.5, ClassPriors.from_counts(counts),
+                                  wide_feats, wide_labels, mode=mode)
+        assert np.all(grads[3] == 0.0)
+        expected = m0_loss_gradients(frame, stats, 0.5, 0.5, priors, feats, labels, mode=mode)
+        assert_allclose(grads[:3], expected * n / len(wide_labels), rtol=1e-12, atol=0)
 
     def test_gradient_step_reduces_the_loss(self):
         frame, stats, priors, feats, labels = self._setup()

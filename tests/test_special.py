@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import ive
+from scipy.special import logsumexp as scipy_logsumexp
 
 from spherebayes.special import (
     MAX_DIM,
@@ -20,6 +21,7 @@ from spherebayes.special import (
     log_bessel_i,
     log_sphere_area,
     log_vmf_normalizer,
+    logsumexp,
     mean_resultant_ratio,
 )
 
@@ -218,3 +220,68 @@ class TestLogVmfNormalizer:
             log_vmf_normalizer(3, -1.0)
         with pytest.raises(ValueError):
             log_sphere_area(0)
+
+    @pytest.mark.parametrize("p", [2, 3, 32, 128, 256, 4096])
+    def test_array_matches_scalar_calls(self, p):
+        # Entries either side of the series/asymptotic switch at max(50, nu)
+        # share one call with the uniform and extreme ends.
+        edge = max(50.0, p / 2.0 - 1.0)
+        kappas = np.array([0.0, 1e-12, 0.5, edge * (1 - 1e-9), edge, edge * (1 + 1e-9),
+                           3.0 * edge, 1e6, 7.25, edge * 0.9])
+        out = log_vmf_normalizer(p, kappas)
+        assert out.shape == kappas.shape
+        expected = np.array([log_vmf_normalizer(p, float(k)) for k in kappas])
+        assert_allclose(out, expected, rtol=1e-15, atol=0)
+        assert isinstance(log_vmf_normalizer(p, 1.0), float)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-300, MAX_KAPPA * (1 + 1e-12), math.inf])
+    def test_array_domain_errors(self, bad):
+        with pytest.raises(ValueError):
+            log_vmf_normalizer(8, np.array([1.0, bad, 2.0]))
+
+
+class TestLogSumExp:
+    """Bitwise agreement with scipy.special.logsumexp, the reference."""
+
+    def _same(self, a, axis, keepdims):
+        expected = scipy_logsumexp(a, axis=axis, keepdims=keepdims)
+        out = logsumexp(a, axis=axis, keepdims=keepdims)
+        assert np.shape(out) == np.shape(expected)
+        assert np.array_equal(out, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_random_batches(self, keepdims):
+        rng = np.random.default_rng(3)
+        for shape, scale in (((64, 20), 1.0), ((64, 20), 30.0), ((7, 1000), 5.0), ((3, 1), 1.0)):
+            a = rng.standard_normal(shape) * scale
+            self._same(a, -1, keepdims)
+            self._same(a, 0, keepdims)
+
+    def test_one_dimensional(self):
+        a = np.random.default_rng(4).standard_normal(181) * 40.0
+        self._same(a, -1, False)
+        self._same(a, -1, True)
+
+    def test_ties_and_minus_inf_columns(self):
+        a = np.array([
+            [1.0, 1.0, 0.5, -2.0],
+            [3.0, 3.0, 3.0, 3.0],
+            [-math.inf, 0.25, -math.inf, 0.25],
+            [2.0, -math.inf, -math.inf, -math.inf],
+        ])
+        self._same(a, -1, True)
+        self._same(a, -1, False)
+
+    def test_non_finite_rows(self):
+        # All -inf, +inf (alone and with -inf), and nan rows give scipy's
+        # values; the error::RuntimeWarning filter catches any new warning.
+        a = np.array([
+            [-math.inf, -math.inf, -math.inf],
+            [math.inf, 0.0, 1.0],
+            [math.inf, -math.inf, math.inf],
+            [math.nan, 0.0, 1.0],
+            [0.0, 1.0, 2.0],
+        ])
+        self._same(a, -1, True)
+        self._same(a, -1, False)
+        assert logsumexp(np.full(4, -math.inf)) == -math.inf
