@@ -7,8 +7,9 @@ length beta0 and direction m0 combines with the statistics into a posterior
     alpha = alpha0 + n,    beta = ||beta0*m0 + s||,    m = (beta0*m0 + s)/beta,
 
 and the MAP point estimate is mu = m together with the concentration kappa
-solving A_p(kappa) = beta/alpha (exact mode) or its closed-form approximation
-kappa = p*beta*alpha / (alpha^2 - beta^2) (approx mode, the default).
+solving A_p(kappa) = beta/alpha (exact mode, by safeguarded Newton) or its
+closed-form approximation kappa = p*beta*alpha / (alpha^2 - beta^2) (approx
+mode, the default).
 `class_posteriors` and `concentrations` run this update for all K classes of
 a fit at once; the spec types below are its one-class form.
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .special import MAX_KAPPA, mean_resultant_ratio
 from .vmf import VmfParams, as_unit_vector
@@ -174,33 +174,59 @@ def posterior(prior: PriorSpec, stats: ClassStats) -> PosteriorSpec:
     return PosteriorSpec(prior.alpha0 + stats.count, beta, v / beta)
 
 
-def _solve_concentration(p: int, r: float, hi: float) -> float:
-    """Root of A_p(kappa) = r, bracketed by r(p-2)/(1-r^2) and the approx value."""
-    lo = max(r * (p - 2) / (1.0 - r * r), 0.0)
-    f = lambda k: mean_resultant_ratio(p, k) - r
-    # The closed-form approximation overshoots the root, so [lo, hi] brackets it;
-    # widen defensively in case of float slop at the endpoints.
-    while f(hi) < 0.0:
-        hi = min(hi * 2.0, MAX_KAPPA)
-        if hi == MAX_KAPPA and f(hi) < 0.0:
-            raise ConcentrationOverflowError(f"A_p(kappa)={r} has no root below {MAX_KAPPA:g}")
-    while lo > 0.0 and f(lo) > 0.0:
-        lo *= 0.5
-        if lo < 1e-300:
-            lo = 0.0
-    root = float(brentq(f, lo, hi, xtol=1e-12, rtol=1e-14))
-    if abs(mean_resultant_ratio(p, root) - r) > 1e-10:
-        raise RuntimeError(f"concentration solve did not converge at p={p}, ratio={r}")
-    return root
+def _newton_concentrations(p: int, r: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Roots of A_p(kappa) = r for an array of r > 0, by safeguarded Newton.
+
+    Each root lies in [max(r(p-2)/(1-r^2), 0), hi], hi the approx-mode
+    value, and the iteration starts from the Banerjee et al. (2005) value
+    r(p - r^2)/(1 - r^2), clipped into that bracket. Every A evaluation
+    moves one end of its entry's bracket, by the sign of A - r. A Newton
+    step on A' = 1 - A^2 - (p-1)A/kappa that would leave the bracket, or
+    that is not half the step before it, is replaced by bisection (the
+    rule of Numerical Recipes' rtsafe). An entry stops at the point it last
+    evaluated, so its residual is known, once its Newton step is a few ulps
+    or once the steps stall with the residual at the rounding noise of A.
+    """
+    lo = np.maximum(r * (p - 2) / (1.0 - r * r), 0.0)
+    kappa = np.clip(r * (p - r * r) / (1.0 - r * r), lo, hi)
+    ratios, roots, residuals = r, np.empty_like(r), np.empty_like(r)
+    idx = np.arange(r.size)
+    step = hi - lo
+    for _ in range(100):  # bisection alone gets to an ulp in about 60
+        a = mean_resultant_ratio(p, kappa)
+        f = a - r
+        lo = np.where(f < 0.0, kappa, lo)
+        hi = np.where(f > 0.0, kappa, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = f / (1.0 - a * a - (p - 1) * a / kappa)
+            slow = ~((kappa - newton > lo) & (kappa - newton < hi)) | (np.abs(newton) > 0.5 * np.abs(step))
+            done = (
+                (np.abs(newton) <= 4.0 * np.finfo(float).eps * kappa)
+                | (f == 0.0)
+                | (slow & (np.abs(f) <= 1e-12 * r))
+            )
+        roots[idx[done]], residuals[idx[done]] = kappa[done], f[done]
+        step = np.where(slow, kappa - (lo + 0.5 * (hi - lo)), newton)
+        keep = ~done
+        if not keep.any():
+            break
+        idx, r, lo, hi, step = idx[keep], r[keep], lo[keep], hi[keep], step[keep]
+        kappa = kappa[keep] - step
+    else:
+        roots[idx], residuals[idx] = kappa, mean_resultant_ratio(p, kappa) - r
+    bad = np.abs(residuals) > 1e-10
+    if bad.any():
+        raise RuntimeError(f"concentration solve did not converge at p={p}, ratio={ratios[bad][0]}")
+    return roots
 
 
 def concentrations(p: int, r, mode: str) -> np.ndarray:
     """MAP kappa per class from r = beta/alpha. Mode "approx" takes p*r/(1 - r^2)
     (= p*beta*alpha/(alpha^2 - beta^2)), which lands at or above the exact root,
-    badly so at small p; mode "exact" solves A_p(kappa) = r by bracketed root
-    finding from there (residual below 1e-10). r = 0 gives kappa = 0. Classes
-    whose kappa is unbounded (r >= 1 by float slop) or above MAX_KAPPA raise
-    one ConcentrationOverflowError that lists them all."""
+    badly so at small p; mode "exact" solves A_p(kappa) = r for all classes at
+    once by safeguarded Newton below that value (residual below 1e-10). r = 0
+    gives kappa = 0. Classes whose kappa is unbounded (r >= 1 by float slop) or
+    above MAX_KAPPA raise one ConcentrationOverflowError that lists them all."""
     if mode not in ("approx", "exact"):
         raise ValueError(f"unknown estimation mode {mode!r}")
     r = np.asarray(r, dtype=float)
@@ -213,7 +239,9 @@ def concentrations(p: int, r, mode: str) -> np.ndarray:
             np.flatnonzero(unbounded),
         )
     if mode == "exact":
-        kappa = np.array([_solve_concentration(p, ri, ki) if ri > 0.0 else 0.0 for ri, ki in zip(r, kappa)])
+        pos = r > 0.0
+        if pos.any():
+            kappa[pos] = _newton_concentrations(p, r[pos], kappa[pos])
     return kappa
 
 

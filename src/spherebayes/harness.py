@@ -41,15 +41,13 @@ from .classifier import (
     _fit_stats,
     adjust,
     class_stats,
-    log_posterior,
     log_softmax,
-    predict,
     top_class,
 )
 from .datagen import Dataset, LongTailSpec, generate, read_features, sample_dataset
 from .estimation import ClassStats, class_posteriors
 from .priors import EtfFrame, build_etf, grad_step_m0
-from .special import mean_resultant_ratio
+from .special import log_vmf_normalizer, mean_resultant_ratio
 from .vmf import as_unit_vector, substream
 
 __all__ = [
@@ -201,7 +199,9 @@ def split_accuracy(predictions, labels, class_counts, thresholds=(20, 100)) -> d
     class_counts = np.asarray(class_counts)
     if predictions.shape != labels.shape:
         raise ValueError("predictions and labels must align")
-    if labels.size and labels.max() >= len(class_counts):
+    if labels.size == 0:
+        raise ValueError("evaluation set is empty")
+    if labels.max() >= len(class_counts):
         raise ValueError(f"evaluation labels span {labels.max() + 1} classes, the training counts {len(class_counts)}")
     counts = class_counts[labels]
     hit = predictions == labels
@@ -244,15 +244,21 @@ def m0_loss_gradients(
     excluded here too: they carry no posterior mass and get a zero gradient.
     Their samples, whose loss no m0 can make finite, add nothing to the mean.
     """
-    p = frame.dim
+    z = as_unit_vector(features, dim=frame.dim)
     counts = np.array([st.count for st in stats])
     resultants = np.stack([st.resultant for st in stats])
+    return _m0_gradients(frame, counts, resultants, alpha_hat, beta_hat, priors, z, labels, mode)
+
+
+def _m0_gradients(frame, counts, resultants, alpha_hat, beta_hat, priors, z, labels, mode):
+    """`m0_loss_gradients` from per-class statistics, on validated unit rows z."""
+    p = frame.dim
     alphas, betas, ms, beta0 = class_posteriors(counts, resultants, alpha_hat, beta_hat, frame.vectors)
     kappas, excluded = _degenerate_aware_concentrations(p, alphas, betas, mode, "exclude")
     keep = ~excluded
-    a_vals = np.array([mean_resultant_ratio(p, kp) for kp in kappas])
+    a_vals = mean_resultant_ratio(p, kappas)
     alpha, beta, a_val = alphas[keep], betas[keep], a_vals[keep]
-    dk_db = np.zeros(len(stats))
+    dk_db = np.zeros(len(kappas))
     if mode == "approx":
         dk_db[keep] = p * alpha * (alpha**2 + beta**2) / (alpha**2 - beta**2) ** 2
     else:
@@ -263,17 +269,19 @@ def m0_loss_gradients(
     if excluded.any():
         pi = np.where(excluded, 0.0, priors.pi)
         priors = ClassPriors(pi / pi.sum(), allow_zero=True)
-    clf = BayesClassifier(mus=np.where(excluded[:, np.newaxis], np.eye(p)[0], ms), kappas=kappas,
-                          priors=priors, excluded=tuple(np.flatnonzero(excluded)))
-    z = np.asarray(features, dtype=float)
-    probs = np.exp(log_posterior(clf, z))
+    # The bape logits kappa_k m_k.T z + ln pi_k - ln C_p(kappa_k), from one
+    # product z @ ms.T that the beta route below reuses; excluded classes
+    # score -inf.
+    b = priors.log() - log_vmf_normalizer(p, kappas)
+    zm = z @ ms.T
+    probs = np.exp(log_softmax(zm * kappas + b))
     probs[np.arange(len(labels)), labels] -= 1.0  # d loss / d logit_k
     probs[excluded[labels]] = 0.0
     # beta route: per class, a scalar times the fixed direction m_k.
-    beta_coef = np.einsum("nk,nk->k", probs, z @ ms.T - a_vals) * dk_db
+    beta_coef = np.einsum("nk,nk->k", probs, zm - a_vals) * dk_db
     # m route: kappa_k * (I - m_k m_k^T) z / beta_k, summed over samples.
     zsum = probs.T @ z
-    scale = np.divide(kappas, betas, out=np.zeros(len(stats)), where=keep)
+    scale = np.divide(kappas, betas, out=np.zeros(len(kappas)), where=keep)
     tangent = (zsum - np.einsum("kp,kp->k", zsum, ms)[:, np.newaxis] * ms) * scale[:, np.newaxis]
     return (beta_coef[:, np.newaxis] * ms + tangent) * (beta0 / len(labels))[:, np.newaxis]
 
@@ -290,11 +298,10 @@ def _fit_bape(train: Dataset, config: ExperimentConfig, seed: int) -> BayesClass
         frame_seed = int(substream(seed, 4).integers(2**63 - 1))
         frame = build_etf(k, train.dim, frame_seed)
         if config.m0_steps > 0:
-            stats = [ClassStats(n, s) for n, s in zip(counts, resultants)]
             priors = ClassPriors.from_counts(counts)
             for _ in range(config.m0_steps):
-                g = m0_loss_gradients(frame, stats, config.alpha_hat, config.beta_hat, priors,
-                                      feats, train.labels, mode=config.estimation)
+                g = _m0_gradients(frame, counts, resultants, config.alpha_hat, config.beta_hat, priors,
+                                  feats, train.labels, config.estimation)
                 frame = grad_step_m0(frame, g, config.m0_lr)
     directions = frame.vectors if frame is not None else None
     return _fit_stats(counts, resultants, config.alpha_hat, config.beta_hat, directions,
@@ -355,7 +362,16 @@ class _BuiltOnFirstUse(dict):
 
 def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
     train_ds, test_ds, truth = _load_data(config, seed)
+    # The linear heads score the test rows as given; the bape heads score
+    # unit rows, validated here once for all of them. A failure is charged
+    # to the first method, which is where it would surface otherwise.
     test_z = np.asarray(test_ds.features, dtype=float)
+    try:
+        if test_ds.dim != train_ds.dim:
+            raise ValueError(f"test features have dimension {test_ds.dim}, training features {train_ds.dim}")
+        unit_z = test_z if set(config.methods) <= {"softmax", "logit_adjusted"} else as_unit_vector(test_z)
+    except ValueError as exc:
+        raise ExperimentError(f"method {config.methods[0]!r}, seed {seed}: {exc}") from exc
     tail_at = config.thresholds[0]
 
     # What each method scores with, built on first use and shared after:
@@ -374,8 +390,8 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
         ),
         "softmax": lambda _: _fit_linear(train_ds, config, "softmax", seed),
         "logit_adjusted": lambda _: _fit_linear(train_ds, config, "logit_adjusted", seed),
-        "oracle": lambda _: predict(
-            truth.classifier(ClassPriors.from_counts(test_ds.class_counts)), test_z
+        "oracle": lambda _: top_class(
+            truth.classifier(ClassPriors.from_counts(test_ds.class_counts))._logits(unit_z)
         ),
     })
 
@@ -383,7 +399,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
     # is taken on mus, not W: W rows of kappa=0 classes have no direction.
     def bayes(name):
         clf = built[name]
-        return predict(clf, test_z), _tail_collapse(clf.mus, train_ds.class_counts, tail_at)
+        return top_class(clf._logits(unit_z)), _tail_collapse(clf.mus, train_ds.class_counts, tail_at)
 
     def linear(name):
         clf = built[name]
@@ -392,7 +408,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
     def ensemble(_):
         lin = built["logit_adjusted"]
         lp_lin = log_softmax((test_z @ lin.W.T + lin.b) / config.temperature)
-        return top_class(0.5 * (log_posterior(built["bape"], test_z) + lp_lin)), None
+        return top_class(0.5 * (log_softmax(built["bape"]._logits(unit_z)) + lp_lin)), None
 
     scorers = {
         "bape": bayes,

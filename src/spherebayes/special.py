@@ -12,7 +12,9 @@ Three regimes cover orders nu in [0, 2048] and arguments x in [0, 1e6]:
 
 `log_vmf_normalizer` takes one kappa or an array of them (one per class);
 an array runs each regime once over all of its entries, through the same
-kernel that serves the scalar `log_bessel_i`. `logsumexp` is a numpy
+kernel that serves the scalar `log_bessel_i`. `mean_resultant_ratio` takes
+an array too: one vectorised continued fraction over its entries, each
+bitwise equal to the scalar call. `logsumexp` is a numpy
 rendering of scipy's real-float algorithm, without scipy's per-call
 array-API dispatch, which dominates at the batch sizes used here.
 
@@ -250,15 +252,61 @@ def _check_kappa(kappa: float) -> float:
     return kappa
 
 
-def mean_resultant_ratio(p: int, kappa: float) -> float:
+def _ratio_continued_fraction_array(nu: float, x: np.ndarray) -> np.ndarray:
+    # `_ratio_continued_fraction` over an array of x in (0, 2e4]: each entry
+    # takes the scalar loop's float operations in the same order and leaves
+    # the loop at its own convergence point, so each result is bitwise the
+    # scalar one. Converged entries drop out of the working arrays. Every b
+    # is positive here, so c and d stay positive and the scalar loop's
+    # zero guards never fire.
+    out = np.empty(x.shape)
+    idx = np.arange(x.size)
+    f = np.full(x.shape, 1e-300)
+    c = f.copy()
+    d = np.zeros(x.shape)
+    for k in range(1, 20000):
+        b = 2.0 * (nu + k) / x
+        d = 1.0 / (b + d)
+        c = b + 1.0 / c
+        delta = c * d
+        f *= delta
+        done = np.abs(delta - 1.0) < 4e-16
+        if done.any():
+            out[idx[done]] = f[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            idx, x, f, c, d = idx[keep], x[keep], f[keep], c[keep], d[keep]
+    raise RuntimeError(f"Bessel ratio continued fraction failed to converge (nu={nu}, x={x[0]})")
+
+
+def mean_resultant_ratio(p: int, kappa):
     """Mean resultant length A_p(kappa) = I_{p/2}(kappa) / I_{p/2-1}(kappa).
 
     Strictly increasing in kappa, with A_p(0) = 0 and A_p -> 1 as kappa grows.
     This is the expected length of the mean of unit vectors drawn with
     concentration kappa, and the quantity inverted for concentration fits.
+
+    kappa is one value (a float is returned) or an array, e.g. one entry per
+    class (an array of the same shape is returned, each entry bitwise equal
+    to the scalar call): the continued fraction runs once over all entries
+    up to 2e4, and the differenced asymptotic serves the ones above.
     """
     p = _check_dim(p)
-    return bessel_ratio(p / 2.0 - 1.0, _check_kappa(kappa))
+    nu = p / 2.0 - 1.0
+    if np.ndim(kappa) == 0:
+        return bessel_ratio(nu, _check_kappa(kappa))
+    k = np.asarray(kappa, dtype=float)
+    out_of_range = ~((k >= 0.0) & (k <= MAX_KAPPA))
+    if out_of_range.any():
+        _check_kappa(k[out_of_range][0])  # raises, naming the first bad entry
+    out = np.zeros(k.shape)
+    cf = (k > 0.0) & (k <= _RATIO_CF_MAX_X)
+    if cf.any():
+        out[cf] = _ratio_continued_fraction_array(nu, k[cf])
+    for i in zip(*np.nonzero(k > _RATIO_CF_MAX_X)):
+        out[i] = _ratio_differenced_asymptotic(nu, float(k[i]))
+    return out
 
 
 def log_sphere_area(p: int) -> float:

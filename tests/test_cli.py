@@ -210,6 +210,16 @@ class TestEval:
         assert "4 classes" in capsys.readouterr().err
 
 
+    def test_empty_data_file_is_exit_1(self, workspace, capsys):
+        tmp, train, test = workspace
+        clf = self._fit(workspace)
+        empty = tmp / "empty.bin"
+        write_features(empty, Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int), np.zeros(4, dtype=int)))
+        out = tmp / "scores.json"
+        assert main(["eval", "--classifier", str(clf), "--data", str(empty), "--out", str(out)]) == 1
+        assert "evaluation set is empty" in capsys.readouterr().err
+        assert not out.exists()
+
 def _train_without_last_class(tmp_path, train_name):
     """A six-class mixture: train file without class 5 (named by suffix),
     test file with all six."""
@@ -310,6 +320,38 @@ class TestCompare:
         }))
         assert main(["compare", "--config", str(cfg)]) == 1
         assert "span 6 classes, the training counts 5" in capsys.readouterr().err
+
+    def test_empty_test_file_is_exit_1(self, workspace, capsys):
+        tmp, train, test = workspace
+        empty = tmp / "empty.bin"
+        write_features(empty, Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int), np.zeros(4, dtype=int)))
+        cfg = tmp / "config.json"
+        cfg.write_text(json.dumps({
+            "seeds": [0], "methods": ["bape", "softmax"], "epochs": 2,
+            "train_file": str(train), "test_file": str(empty),
+        }))
+        out = tmp / "report.json"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "evaluation set is empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_test_file_of_another_dimension_is_exit_1(self, tmp_path, capsys):
+        # softmax runs first, so the dimensions must be checked before any
+        # method scores: one message naming both, not a matmul error.
+        train_ds, _ = generate(LongTailSpec(3, 30, 5.0), 8, seed=0)
+        test_ds, _ = generate(LongTailSpec(3, 30, 5.0), 6, seed=0)
+        train_path, test_path = tmp_path / "train.bin", tmp_path / "test.bin"
+        write_features(train_path, train_ds)
+        write_features(test_path, test_ds)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seeds": [0], "methods": ["softmax", "bape"], "epochs": 2,
+            "train_file": str(train_path), "test_file": str(test_path),
+        }))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "test features have dimension 6, training features 8" in err
+        assert "matmul" not in err
 
     def test_singleton_tail_class_is_excluded(self, tmp_path, capsys):
         # At gamma=500 the tail class keeps one training sample, whose

@@ -1,12 +1,16 @@
 """Tests for streaming class statistics, conjugate posteriors, MAP estimates."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
 from spherebayes.estimation import (
     ClassStats,
@@ -14,12 +18,13 @@ from spherebayes.estimation import (
     DegeneratePosteriorError,
     PosteriorSpec,
     PriorSpec,
+    concentrations,
     map_estimate,
     posterior,
     scale_prior,
     update_stats,
 )
-from spherebayes.special import mean_resultant_ratio
+from spherebayes.special import MAX_KAPPA, mean_resultant_ratio
 from spherebayes.vmf import VmfParams, sample, substream
 
 
@@ -233,6 +238,74 @@ class TestMapEstimate:
         )
         assert_allclose(rotated.mu, q @ base.mu, atol=1e-9)
         assert_allclose(rotated.kappa, base.kappa, rtol=1e-9)
+
+
+def _brentq_concentration(p, r):
+    """Reference root of A_p(kappa) = r by scalar brentq, as the solver did
+    before it was vectorised: bracketed by r(p-2)/(1-r^2) and the approx
+    value, widened where float slop at an end calls for it."""
+    lo, hi = max(r * (p - 2) / (1.0 - r * r), 0.0), p * r / (1.0 - r * r)
+    while mean_resultant_ratio(p, hi) < r:
+        hi = min(hi * (1.0 + 1e-12), MAX_KAPPA)
+    while lo > 0.0 and mean_resultant_ratio(p, lo) > r:
+        lo *= 0.5
+    return brentq(lambda k: mean_resultant_ratio(p, k) - r, lo, hi, xtol=1e-300, rtol=8.9e-16)
+
+
+class TestExactConcentrations:
+    DIMS = [2, 3, 8, 32, 128, 256, 1024, 4096]
+
+    @staticmethod
+    def _ratios(p):
+        # r from 1e-8 up to the largest r whose approx-mode kappa p r/(1-r^2)
+        # stays within MAX_KAPPA, so the largest root lies near MAX_KAPPA.
+        r_top = 2.0 * MAX_KAPPA / (p + math.sqrt(p * p + 4.0 * MAX_KAPPA**2)) * (1.0 - 1e-15)
+        kappas = [1e-12, 1e-6, 0.5, 30.0, 2e3, np.nextafter(2e4, 0.0), np.nextafter(2e4, 1e6), 2e5]
+        r = np.array([1e-8] + [mean_resultant_ratio(p, k) for k in kappas] + [r_top])
+        return r[p * r / (1.0 - r * r) <= MAX_KAPPA]
+
+    @pytest.mark.parametrize("p", DIMS)
+    def test_residual(self, p):
+        r = self._ratios(p)
+        kappas = concentrations(p, r, "exact")
+        assert kappas.max() > 0.45 * MAX_KAPPA
+        assert np.max(np.abs(mean_resultant_ratio(p, kappas) - r)) <= 1e-10
+
+    @pytest.mark.parametrize("p", DIMS)
+    def test_agrees_with_brentq(self, p):
+        # Within 1e-10 relative, or within the width the ratio's own rounding
+        # (~1e-14 absolute) gives the root through the slope A'(kappa), if that
+        # is wider: at p = 2 just below kappa = 2e4 it is about 2.5e-10.
+        r = self._ratios(p)
+        got = concentrations(p, r, "exact")
+        ref = np.array([_brentq_concentration(p, ri) for ri in r])
+        a = mean_resultant_ratio(p, ref)
+        slope = 1.0 - a * a - (p - 1) * a / ref
+        assert np.all(np.abs(got - ref) <= 1e-10 * ref + 2e-14 / slope)
+
+    @pytest.mark.parametrize("p", DIMS)
+    def test_round_trip_and_zero(self, p):
+        kappas = np.array([0.0, 1e-12, 5.0, 0.0, 300.0])
+        got = concentrations(p, mean_resultant_ratio(p, kappas), "exact")
+        assert got[0] == 0.0 and got[3] == 0.0
+        assert_allclose(got, kappas, rtol=1e-10, atol=0)
+
+    def test_approx_is_upper_bracket(self):
+        r = np.array([0.0, 1e-8, 0.3, 0.9, 0.99])
+        for p in self.DIMS:
+            assert np.all(concentrations(p, r, "exact") <= concentrations(p, r, "approx"))
+
+
+def test_import_leaves_out_scipy_optimize():
+    # The exact solve is in-house; importing the package must not pay for
+    # scipy.optimize (about 0.3 s of a fresh process).
+    import spherebayes
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spherebayes.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, spherebayes; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestScalePrior:

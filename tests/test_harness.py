@@ -12,7 +12,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import logsumexp
 
 from spherebayes.baselines import TrainConfig, predict_linear, train
-from spherebayes.classifier import ClassPriors
+from spherebayes.classifier import (
+    BayesClassifier,
+    ClassPriors,
+    _degenerate_aware_concentrations,
+    log_posterior,
+    predict,
+)
 from spherebayes.datagen import (
     LongTailSpec,
     generate,
@@ -20,7 +26,7 @@ from spherebayes.datagen import (
     sample_dataset,
     write_features,
 )
-from spherebayes.estimation import ClassStats, PosteriorSpec, map_estimate, update_stats
+from spherebayes.estimation import ClassStats, PosteriorSpec, class_posteriors, map_estimate, update_stats
 from spherebayes.harness import (
     METHODS,
     ExperimentConfig,
@@ -32,7 +38,7 @@ from spherebayes.harness import (
     split_accuracy,
 )
 from spherebayes.priors import EtfFrame, build_etf
-from spherebayes.special import log_vmf_normalizer
+from spherebayes.special import log_vmf_normalizer, mean_resultant_ratio
 from spherebayes.vmf import substream
 
 
@@ -76,6 +82,10 @@ class TestSplitAccuracy:
         assert out["many"] == 1.0  # 10 > 5
         assert out["medium"] == 1.0  # 2 <= 3 <= 5
         assert out["few"] is None
+
+    def test_empty_evaluation_set(self):
+        with pytest.raises(ValueError, match="evaluation set is empty"):
+            split_accuracy(np.array([], dtype=int), np.array([], dtype=int), [5, 5])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -210,6 +220,58 @@ class TestM0Gradients:
         expected = m0_loss_gradients(frame, stats, 0.5, 0.5, priors, feats, labels, mode=mode)
         assert_allclose(grads[:3], expected * n / len(wide_labels), rtol=1e-12, atol=0)
 
+    @staticmethod
+    def _log_posterior_gradient(frame, stats, alpha_hat, beta_hat, priors, feats, labels, mode):
+        # The gradient scored through a BayesClassifier and log_posterior,
+        # with A_p(kappa) one class at a time.
+        p = frame.dim
+        counts = np.array([st.count for st in stats])
+        alphas, betas, ms, beta0 = class_posteriors(
+            counts, np.stack([st.resultant for st in stats]), alpha_hat, beta_hat, frame.vectors
+        )
+        kappas, excluded = _degenerate_aware_concentrations(p, alphas, betas, mode, "exclude")
+        keep = ~excluded
+        a_vals = np.array([mean_resultant_ratio(p, float(kp)) for kp in kappas])
+        alpha, beta, a_val = alphas[keep], betas[keep], a_vals[keep]
+        dk_db = np.zeros(len(stats))
+        if mode == "approx":
+            dk_db[keep] = p * alpha * (alpha**2 + beta**2) / (alpha**2 - beta**2) ** 2
+        else:
+            dk_db[keep] = 1.0 / (alpha * (1.0 - a_val * a_val - (p - 1) * a_val / kappas[keep]))
+        if excluded.any():
+            pi = np.where(excluded, 0.0, priors.pi)
+            priors = ClassPriors(pi / pi.sum(), allow_zero=True)
+        clf = BayesClassifier(mus=np.where(excluded[:, np.newaxis], np.eye(p)[0], ms), kappas=kappas,
+                              priors=priors, excluded=tuple(np.flatnonzero(excluded)))
+        probs = np.exp(log_posterior(clf, feats))
+        probs[np.arange(len(labels)), labels] -= 1.0
+        probs[excluded[labels]] = 0.0
+        beta_coef = np.einsum("nk,nk->k", probs, feats @ ms.T - a_vals) * dk_db
+        zsum = probs.T @ feats
+        scale = np.divide(kappas, betas, out=np.zeros(len(stats)), where=keep)
+        tangent = (zsum - np.einsum("kp,kp->k", zsum, ms)[:, np.newaxis] * ms) * scale[:, np.newaxis]
+        return (beta_coef[:, np.newaxis] * ms + tangent) * (beta0 / len(labels))[:, np.newaxis]
+
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    @pytest.mark.parametrize("with_excluded", [False, True])
+    def test_matches_log_posterior_route(self, mode, with_excluded):
+        frame, stats, priors, feats, labels = self._setup()
+        if with_excluded:  # a fourth, empty class: beta = 0
+            frame = EtfFrame(np.vstack([frame.vectors, np.eye(4)[:1]]))
+            stats = stats + [ClassStats.empty(4)]
+            priors = ClassPriors.from_counts([st.count for st in stats])
+        args = (frame, stats, 2.0, 0.5, priors, feats, labels)
+        got = m0_loss_gradients(*args, mode=mode)
+        expected = self._log_posterior_gradient(*args, mode)
+        if with_excluded:
+            assert np.all(got[3] == 0.0)
+        assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
+
+    def test_rows_off_the_sphere_raise(self):
+        frame, stats, priors, feats, labels = self._setup()
+        with pytest.raises(ValueError, match="off the unit sphere"):
+            m0_loss_gradients(frame, stats, 2.0, 0.5, priors, feats * 1.01, labels)
+
     def test_gradient_step_reduces_the_loss(self):
         frame, stats, priors, feats, labels = self._setup()
         alpha_hat, beta_hat = 4.0, 3.5  # strong directional prior: m0 matters
@@ -341,6 +403,40 @@ class TestRunExperiment:
         )
         rows = run_experiment(cfg)
         assert len(rows) == 1 and 0.0 <= rows[0].acc_all <= 1.0
+
+    def test_closed_form_predictions_equal_predict_on_raw_rows(self, monkeypatch):
+        # The test rows are validated once per seed and scored through the
+        # linear head; each closed-form method's predictions must be bitwise
+        # what predict() gives on the raw rows.
+        import spherebayes.harness as harness
+
+        seen = {}
+
+        def record(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name] = out = fn(*args, **kwargs)
+                return out
+            monkeypatch.setattr(harness, fn.__name__, wrapper)
+
+        record("data", harness._load_data)
+        record("bape", harness._fit_bape)
+        record("bape+adjust", harness.adjust)
+        preds = []
+
+        def scored(predictions, *args, **kwargs):
+            preds.append(predictions)
+            return split_accuracy(predictions, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "split_accuracy", scored)
+        methods = ("bape", "bape+adjust", "oracle")
+        run_experiment(small_config(seeds=(3,), methods=methods, alpha_hat=2.0, beta_hat=0.5,
+                                    estimation="exact", m0_steps=1))
+        train_ds, test_ds, truth = seen["data"]
+        raw = np.asarray(test_ds.features, dtype=float)
+        oracle = truth.classifier(ClassPriors.from_counts(test_ds.class_counts))
+        assert len(preds) == 3
+        for got, clf in zip(preds, (seen["bape"], seen["bape+adjust"], oracle)):
+            assert_array_equal(got, predict(clf, raw))
 
     def test_failures_carry_method_and_seed(self, tmp_path):
         train_ds, truth = generate(LongTailSpec(3, 30, 5.0), 4, seed=0)

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 from scipy.special import ive
 from scipy.special import logsumexp as scipy_logsumexp
@@ -169,6 +169,36 @@ class TestBesselRatio:
             mean_resultant_ratio(MAX_DIM + 2, 1.0)
         with pytest.raises(ValueError):
             mean_resultant_ratio(3, MAX_KAPPA * 1.01)
+
+
+class TestMeanResultantRatioArray:
+    KAPPAS = [0.0, 1e-12, 0.3, 1.0, 40.0, 900.0, np.nextafter(2e4, 0.0), 2e4, np.nextafter(2e4, 1e6), 2.5e4, 1e6]
+
+    @pytest.mark.parametrize("p", [2, 3, 8, 32, 128, 256, 1024, 4096])
+    def test_bitwise_equal_to_scalar_calls(self, p):
+        kappas = np.array(self.KAPPAS)
+        got = mean_resultant_ratio(p, kappas)
+        expected = np.array([mean_resultant_ratio(p, float(k)) for k in kappas])
+        assert got.dtype == np.float64 and got.shape == kappas.shape
+        assert_array_equal(got, expected)
+        # Entries converge at their own iteration: order and company do not matter.
+        shuffled = np.random.default_rng(p).permutation(len(kappas))
+        assert_array_equal(mean_resultant_ratio(p, kappas[shuffled]), expected[shuffled])
+
+    def test_shapes(self):
+        assert isinstance(mean_resultant_ratio(8, 3.0), float)
+        assert isinstance(mean_resultant_ratio(8, np.float64(3.0)), float)
+        grid = np.array(self.KAPPAS[:10]).reshape(2, 5)
+        got = mean_resultant_ratio(8, grid)
+        assert got.shape == (2, 5)
+        assert_array_equal(got.ravel(), [mean_resultant_ratio(8, float(k)) for k in grid.ravel()])
+        assert mean_resultant_ratio(8, [1.0]).shape == (1,)
+        assert mean_resultant_ratio(8, np.array([])).shape == (0,)
+
+    def test_bad_entries_raise(self):
+        for bad in (-0.1, math.nan, math.inf, MAX_KAPPA * 1.01):
+            with pytest.raises(ValueError):
+                mean_resultant_ratio(8, np.array([1.0, bad]))
 
 
 class TestLogVmfNormalizer:
