@@ -362,23 +362,21 @@ class _BuiltOnFirstUse(dict):
 
 def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
     train_ds, test_ds, truth = _load_data(config, seed)
-    # The linear heads score the test rows as given; the bape heads score
-    # unit rows, validated here once for all of them. A failure is charged
-    # to the first method, which is where it would surface otherwise.
     test_z = np.asarray(test_ds.features, dtype=float)
-    try:
-        if test_ds.dim != train_ds.dim:
-            raise ValueError(f"test features have dimension {test_ds.dim}, training features {train_ds.dim}")
-        unit_z = test_z if set(config.methods) <= {"softmax", "logit_adjusted"} else as_unit_vector(test_z)
-    except ValueError as exc:
-        raise ExperimentError(f"method {config.methods[0]!r}, seed {seed}: {exc}") from exc
+    if test_ds.dim != train_ds.dim:  # charged to the first method, where it would surface otherwise
+        raise ExperimentError(
+            f"method {config.methods[0]!r}, seed {seed}: test features have dimension "
+            f"{test_ds.dim}, training features {train_ds.dim}"
+        )
     tail_at = config.thresholds[0]
 
     # What each method scores with, built on first use and shared after:
     # bape+adjust and ensemble reuse the bape fit, ensemble the
-    # logit_adjusted one. The oracle entry holds its predictions, which
-    # also give every row's oracle_accuracy.
+    # logit_adjusted one. The linear heads score the test rows as given; the
+    # bape heads score the unit rows, validated once. The oracle entry holds
+    # its predictions, which also give every row's oracle_accuracy.
     built = _BuiltOnFirstUse({
+        "unit_z": lambda _: as_unit_vector(test_z),
         "bape": lambda _: _fit_bape(train_ds, config, seed),
         "bape+adjust": lambda deps: adjust(
             deps["bape"],
@@ -390,8 +388,8 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
         ),
         "softmax": lambda _: _fit_linear(train_ds, config, "softmax", seed),
         "logit_adjusted": lambda _: _fit_linear(train_ds, config, "logit_adjusted", seed),
-        "oracle": lambda _: top_class(
-            truth.classifier(ClassPriors.from_counts(test_ds.class_counts))._logits(unit_z)
+        "oracle": lambda deps: top_class(
+            truth.classifier(ClassPriors.from_counts(test_ds.class_counts))._logits(deps["unit_z"])
         ),
     })
 
@@ -399,7 +397,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
     # is taken on mus, not W: W rows of kappa=0 classes have no direction.
     def bayes(name):
         clf = built[name]
-        return top_class(clf._logits(unit_z)), _tail_collapse(clf.mus, train_ds.class_counts, tail_at)
+        return top_class(clf._logits(built["unit_z"])), _tail_collapse(clf.mus, train_ds.class_counts, tail_at)
 
     def linear(name):
         clf = built[name]
@@ -408,7 +406,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
     def ensemble(_):
         lin = built["logit_adjusted"]
         lp_lin = log_softmax((test_z @ lin.W.T + lin.b) / config.temperature)
-        return top_class(0.5 * (log_softmax(built["bape"]._logits(unit_z)) + lp_lin)), None
+        return top_class(0.5 * (log_softmax(built["bape"]._logits(built["unit_z"])) + lp_lin)), None
 
     scorers = {
         "bape": bayes,

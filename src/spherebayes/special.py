@@ -184,81 +184,14 @@ def log_bessel_i(nu: float, x: float) -> float:
     return float(_log_bessel_i(nu, np.array([x]))[0])
 
 
-def _ratio_continued_fraction(nu: float, x: float) -> float:
+def _ratio_continued_fraction(nu: float, x: np.ndarray) -> np.ndarray:
     # Gauss CF: I_{nu+1}/I_nu = 1/(b_1 + 1/(b_2 + ...)), b_k = 2(nu+k)/x,
-    # evaluated with the modified Lentz algorithm. Convergence takes
+    # evaluated with the modified Lentz algorithm over a 1-D array of x in
+    # (0, 2e4]. Each entry leaves the loop at its own convergence point, so
+    # its value does not depend on the other entries; converged entries drop
+    # out of the working arrays. Every b is positive, so c and d stay
+    # positive and Lentz's zero guards are not needed. Convergence takes
     # O(sqrt(x)) iterations (~860 at x = 2e4, measured), always < maxiter.
-    tiny = 1e-300
-    f = tiny
-    c = f
-    d = 0.0
-    for k in range(1, 20000):
-        b = 2.0 * (nu + k) / x
-        d = b + d
-        if d == 0.0:
-            d = tiny
-        c = b + 1.0 / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 4e-16:
-            return f
-    raise RuntimeError(f"Bessel ratio continued fraction failed to converge (nu={nu}, x={x})")
-
-
-def _ratio_differenced_asymptotic(nu: float, x: float) -> float:
-    # exp(ln I_{nu+1} - ln I_nu) with the difference assembled term by term so
-    # that no two O(x)-sized quantities are ever subtracted.
-    w0 = math.hypot(nu, x)
-    w1 = math.hypot(nu + 1.0, x)
-    dw = (2.0 * nu + 1.0) / (w0 + w1)  # equals w1 - w0
-    mid = nu * math.log1p(-(1.0 + dw) / (nu + 1.0 + w1)) + math.log(x / (nu + 1.0 + w1))
-    pref = -0.25 * math.log1p((2.0 * nu + 1.0) / (w0 * w0))
-    corr = math.log1p(_debye_correction(nu + 1.0, w1)) - math.log1p(_debye_correction(nu, w0))
-    return math.exp(dw + mid + pref + corr)
-
-
-def bessel_ratio(nu: float, x: float) -> float:
-    """The ratio I_{nu+1}(x) / I_nu(x), in [0, 1).
-
-    Computed directly (continued fraction, or a differenced asymptotic form
-    at very large x) rather than as a quotient of two log values, which would
-    lose precision once both logs are large.
-    """
-    nu, x = _check_order_arg(nu, x)
-    if x == 0.0:
-        return 0.0
-    if x <= _RATIO_CF_MAX_X:
-        return _ratio_continued_fraction(nu, x)
-    return _ratio_differenced_asymptotic(nu, x)
-
-
-def _check_dim(p: int) -> int:
-    if not float(p).is_integer() or p < 2:
-        raise ValueError(f"dimension p must be an integer >= 2, got {p}")
-    if p > MAX_DIM:
-        raise ValueError(f"dimension p={p} exceeds the supported maximum {MAX_DIM}")
-    return int(p)
-
-
-def _check_kappa(kappa: float) -> float:
-    kappa = float(kappa)
-    if not math.isfinite(kappa) or kappa < 0.0:
-        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
-    if kappa > MAX_KAPPA:
-        raise ValueError(f"kappa={kappa:g} exceeds the supported maximum {MAX_KAPPA:g}")
-    return kappa
-
-
-def _ratio_continued_fraction_array(nu: float, x: np.ndarray) -> np.ndarray:
-    # `_ratio_continued_fraction` over an array of x in (0, 2e4]: each entry
-    # takes the scalar loop's float operations in the same order and leaves
-    # the loop at its own convergence point, so each result is bitwise the
-    # scalar one. Converged entries drop out of the working arrays. Every b
-    # is positive here, so c and d stay positive and the scalar loop's
-    # zero guards never fire.
     out = np.empty(x.shape)
     idx = np.arange(x.size)
     f = np.full(x.shape, 1e-300)
@@ -280,6 +213,59 @@ def _ratio_continued_fraction_array(nu: float, x: np.ndarray) -> np.ndarray:
     raise RuntimeError(f"Bessel ratio continued fraction failed to converge (nu={nu}, x={x[0]})")
 
 
+def _ratio_differenced_asymptotic(nu: float, x: float) -> float:
+    # exp(ln I_{nu+1} - ln I_nu) with the difference assembled term by term so
+    # that no two O(x)-sized quantities are ever subtracted.
+    w0 = math.hypot(nu, x)
+    w1 = math.hypot(nu + 1.0, x)
+    dw = (2.0 * nu + 1.0) / (w0 + w1)  # equals w1 - w0
+    mid = nu * math.log1p(-(1.0 + dw) / (nu + 1.0 + w1)) + math.log(x / (nu + 1.0 + w1))
+    pref = -0.25 * math.log1p((2.0 * nu + 1.0) / (w0 * w0))
+    corr = math.log1p(_debye_correction(nu + 1.0, w1)) - math.log1p(_debye_correction(nu, w0))
+    return math.exp(dw + mid + pref + corr)
+
+
+def _bessel_ratio(nu: float, x: np.ndarray) -> np.ndarray:
+    """I_{nu+1}/I_nu over a 1-D array of checked arguments: the continued
+    fraction runs once over the entries up to 2e4, and the differenced
+    asymptotic serves the ones above."""
+    out = np.zeros(x.shape)  # the x = 0 entries
+    cf = (x > 0.0) & (x <= _RATIO_CF_MAX_X)
+    if cf.any():
+        out[cf] = _ratio_continued_fraction(nu, x[cf])
+    for i in np.flatnonzero(x > _RATIO_CF_MAX_X):
+        out[i] = _ratio_differenced_asymptotic(nu, float(x[i]))
+    return out
+
+
+def bessel_ratio(nu: float, x: float) -> float:
+    """The ratio I_{nu+1}(x) / I_nu(x), in [0, 1).
+
+    Computed directly (continued fraction, or a differenced asymptotic form
+    at very large x) rather than as a quotient of two log values, which would
+    lose precision once both logs are large.
+    """
+    nu, x = _check_order_arg(nu, x)
+    return float(_bessel_ratio(nu, np.array([x]))[0])
+
+
+def _check_dim(p: int) -> int:
+    if not float(p).is_integer() or p < 2:
+        raise ValueError(f"dimension p must be an integer >= 2, got {p}")
+    if p > MAX_DIM:
+        raise ValueError(f"dimension p={p} exceeds the supported maximum {MAX_DIM}")
+    return int(p)
+
+
+def _check_kappa(kappa: float) -> float:
+    kappa = float(kappa)
+    if not math.isfinite(kappa) or kappa < 0.0:
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
+    if kappa > MAX_KAPPA:
+        raise ValueError(f"kappa={kappa:g} exceeds the supported maximum {MAX_KAPPA:g}")
+    return kappa
+
+
 def mean_resultant_ratio(p: int, kappa):
     """Mean resultant length A_p(kappa) = I_{p/2}(kappa) / I_{p/2-1}(kappa).
 
@@ -289,24 +275,15 @@ def mean_resultant_ratio(p: int, kappa):
 
     kappa is one value (a float is returned) or an array, e.g. one entry per
     class (an array of the same shape is returned, each entry bitwise equal
-    to the scalar call): the continued fraction runs once over all entries
-    up to 2e4, and the differenced asymptotic serves the ones above.
+    to the scalar call). Both run through the kernel of `bessel_ratio`.
     """
     p = _check_dim(p)
-    nu = p / 2.0 - 1.0
-    if np.ndim(kappa) == 0:
-        return bessel_ratio(nu, _check_kappa(kappa))
     k = np.asarray(kappa, dtype=float)
     out_of_range = ~((k >= 0.0) & (k <= MAX_KAPPA))
     if out_of_range.any():
         _check_kappa(k[out_of_range][0])  # raises, naming the first bad entry
-    out = np.zeros(k.shape)
-    cf = (k > 0.0) & (k <= _RATIO_CF_MAX_X)
-    if cf.any():
-        out[cf] = _ratio_continued_fraction_array(nu, k[cf])
-    for i in zip(*np.nonzero(k > _RATIO_CF_MAX_X)):
-        out[i] = _ratio_differenced_asymptotic(nu, float(k[i]))
-    return out
+    out = _bessel_ratio(p / 2.0 - 1.0, k.ravel()).reshape(k.shape)
+    return float(out) if k.ndim == 0 else out
 
 
 def log_sphere_area(p: int) -> float:

@@ -353,6 +353,24 @@ class TestCompare:
         assert "test features have dimension 6, training features 8" in err
         assert "matmul" not in err
 
+    def test_off_sphere_test_file_is_charged_to_bape(self, tmp_path, capsys):
+        # softmax scores the rows as given and runs first; only bape needs
+        # unit rows, so the error must name bape.
+        train_ds, _ = generate(LongTailSpec(3, 30, 5.0), 8, seed=0)
+        test_ds, _ = generate(LongTailSpec(3, 30, 5.0), 8, seed=1)
+        test_ds = Dataset(2.0 * test_ds.features, test_ds.labels, test_ds.class_counts)
+        train_path, test_path = tmp_path / "train.bin", tmp_path / "test.bin"
+        write_features(train_path, train_ds)
+        write_features(test_path, test_ds)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seeds": [0], "methods": ["softmax", "bape"], "epochs": 2,
+            "train_file": str(train_path), "test_file": str(test_path),
+        }))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "method 'bape', seed 0: vector is off the unit sphere" in err
+
     def test_singleton_tail_class_is_excluded(self, tmp_path, capsys):
         # At gamma=500 the tail class keeps one training sample, whose
         # concentration is unbounded under alpha_hat=0; bape excludes it.

@@ -153,7 +153,7 @@ class TestBesselRatio:
 
         for nu in (0.0, 1.5, 31.0, 511.0):
             assert_allclose(
-                _ratio_continued_fraction(nu, 2e4),
+                _ratio_continued_fraction(nu, np.array([2e4]))[0],
                 _ratio_differenced_asymptotic(nu, 2e4),
                 rtol=1e-13,
             )
