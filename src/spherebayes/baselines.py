@@ -36,7 +36,11 @@ __all__ = [
 
 
 class TrainingDivergedError(RuntimeError):
-    """The training loss left the finite range."""
+    """The training loss left the finite range; mode names the head that did."""
+
+    def __init__(self, message: str, mode: str | None = None):
+        super().__init__(message)
+        self.mode = mode
 
 
 @dataclass(frozen=True)
@@ -168,56 +172,92 @@ def train(
     n_classes defaults to max(label)+1; pass it when the highest classes may
     have no training samples (their rows then see no cross-entropy signal).
     """
-    z = np.asarray(features, dtype=float)
-    y = np.asarray(labels)
+    (clf, history), = _train_heads(features, labels, n_classes, config, [(config.mode, config.grad_scale)])
+    if loss_history is not None:
+        loss_history.extend(history)
+    return clf
+
+
+def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClassifier, list[float]]]:
+    """The SGD loop of `train`, run for several heads at once.
+
+    heads are (mode, grad_scale) pairs; every other setting comes from
+    schedule, whose own mode and grad_scale are not read. The heads share
+    the initialization, the shuffle order and the lr schedule, so they are
+    stacked as one (H, K, p) problem: each step runs one gather, one batched
+    product, one log_softmax and one batched gradient for all of them. Each
+    head adds its own log-prior row (0 for softmax, ln pi for logit_adjusted)
+    and its own grad_scale, and its arithmetic is that of a one-head run, so
+    its W, b and loss history are bitwise those of `train` in its mode.
+    Returns one (classifier, per-epoch mean losses) pair per head.
+    """
+    z = np.asarray(z, dtype=float)
+    y = np.asarray(y)
     if z.ndim != 2 or z.shape[0] == 0:
         raise ValueError("features must be a nonempty (n, p) array")
     if y.shape != (z.shape[0],):
         raise ValueError("labels length does not match features")
     n, p = z.shape
-    k = int(y.max()) + 1 if n_classes is None else int(n_classes)
+    k = int(y.max()) + 1 if k is None else int(k)
     if k < 2:
         raise ValueError("need at least 2 classes present")
     if y.min() < 0 or y.max() >= k:
         raise ValueError(f"label out of range [0, {k})")
-    if config.normalize:
+    if schedule.normalize:
         z = z / np.linalg.norm(z, axis=1, keepdims=True)
-    priors = ClassPriors.from_counts(np.bincount(y, minlength=k)) if config.mode == "logit_adjusted" else None
-    log_pi = priors.log() if priors is not None else 0.0
+    modes = [mode for mode, _ in heads]
+    scale = np.array([s for _, s in heads])[:, np.newaxis, np.newaxis]
+    counts = np.bincount(y, minlength=k)
+    log_pi = np.stack([
+        ClassPriors.from_counts(counts).log() if mode == "logit_adjusted" else np.zeros(k) for mode in modes
+    ])[:, np.newaxis, :]
 
-    w = substream(config.rng_seed, 0).standard_normal((k, p)) / np.sqrt(p)
-    b = np.zeros(k)
+    w = substream(schedule.rng_seed, 0).standard_normal((k, p)) / np.sqrt(p)
+    w = np.repeat(w[np.newaxis], len(heads), axis=0)
+    b = np.zeros((len(heads), 1, k))
     vel_w = np.zeros_like(w)
     vel_b = np.zeros_like(b)
-    shuffler = substream(config.rng_seed, 1)
-    onehot_rows = np.arange(config.batch_size)
+    shuffler = substream(schedule.rng_seed, 1)
+    row_offsets = np.arange(schedule.batch_size) * k  # of each batch row in a head's flat (B*K,) logits
+    histories = np.zeros((schedule.epochs, len(heads)))
 
-    for epoch in range(config.epochs):
-        lr = config.lr * 0.5 * (1.0 + np.cos(np.pi * epoch / config.epochs))
-        order = shuffler.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            zb, yb = z[idx], y[idx]
-            lp = log_softmax((zb @ w.T + b) / config.temperature + log_pi)
-            loss = float(-np.mean(lp[onehot_rows[: len(idx)], yb]))
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, sample offset {start} (lr={lr:.3g})"
-                )
-            epoch_loss += loss * len(idx)
-            g = np.exp(lp)
-            g[onehot_rows[: len(idx)], yb] -= 1.0
-            g /= len(idx) * config.temperature
-            gw = config.grad_scale * (g.T @ zb) + config.weight_decay * w
-            gb = config.grad_scale * g.sum(axis=0)
-            vel_w = config.momentum * vel_w - lr * gw
-            vel_b = config.momentum * vel_b - lr * gb
-            w = w + vel_w
-            b = b + vel_b
-        if loss_history is not None:
-            loss_history.append(epoch_loss / n)
-    return LinearClassifier(w, b)
+    # Divergence ends in inf or nan, which the finite checks below report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(schedule.epochs):
+            lr = schedule.lr * 0.5 * (1.0 + np.cos(np.pi * epoch / schedule.epochs))
+            order = shuffler.permutation(n)
+            for start in range(0, n, schedule.batch_size):
+                idx = order[start : start + schedule.batch_size]
+                zb, yb = z[idx], y[idx]
+                lp = log_softmax((zb @ w.transpose(0, 2, 1) + b) / schedule.temperature + log_pi)
+                # The (H, B) true-class entries, gathered C-contiguous so that
+                # each head's sum runs as over a one-head (B,) vector.
+                target = row_offsets[: len(idx)] + yb
+                loss = -(np.take(lp.reshape(len(heads), -1), target, axis=1).sum(axis=1) / len(idx))
+                finite = np.isfinite(loss)
+                if not finite.all():
+                    raise _diverged(finite, modes, f"non-finite loss at epoch {epoch}, sample offset {start} (lr={lr:.3g})")
+                histories[epoch] += loss * len(idx)
+                g = np.exp(lp)
+                g.reshape(len(heads), -1)[:, target] -= 1.0
+                g /= len(idx) * schedule.temperature
+                gw = scale * (g.transpose(0, 2, 1) @ zb) + schedule.weight_decay * w
+                gb = scale * g.sum(axis=1, keepdims=True)
+                vel_w = schedule.momentum * vel_w - lr * gw
+                vel_b = schedule.momentum * vel_b - lr * gb
+                w = w + vel_w
+                b = b + vel_b
+    finite = np.isfinite(w).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
+    if not finite.all():
+        raise _diverged(finite, modes, "non-finite weights after the last step")
+    histories /= n
+    return [(LinearClassifier(w[h], b[h, 0]), histories[:, h].tolist()) for h in range(len(heads))]
+
+
+def _diverged(finite, modes, what) -> TrainingDivergedError:
+    """The error for the first head whose entry of finite is False."""
+    mode = modes[int(np.argmin(finite))]
+    return TrainingDivergedError(f"{mode} head: {what}", mode=mode)
 
 
 def predict_linear(clf: LinearClassifier, z) -> int | np.ndarray:

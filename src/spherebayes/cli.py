@@ -147,7 +147,7 @@ def _cmd_fit(args) -> int:
     if args.model == "bape":
         text = to_json(_fit_bape(ds, config, args.seed))
     else:
-        text = linear_to_json(_fit_linear(ds, config, args.model, args.seed))
+        text = linear_to_json(_fit_linear(ds, config, (args.model,), args.seed)[args.model])
     with open(args.out, "w") as fh:
         fh.write(text + "\n")
     return 0

@@ -27,12 +27,20 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .baselines import LinearClassifier, TrainConfig, minority_collapse_metric, predict_linear, train
+from .baselines import (
+    LinearClassifier,
+    TrainConfig,
+    TrainingDivergedError,
+    _train_heads,
+    minority_collapse_metric,
+    predict_linear,
+)
 from .classifier import (
     AdjustmentPolicy,
     BayesClassifier,
@@ -100,6 +108,10 @@ class ReportRow:
         return {name: getattr(self, name) for name in _REPORT_FIELDS}
 
 
+# ExperimentConfig fields that count something; seeds holds a list of them.
+_INTEGER_FIELDS = ("seeds", "n_classes", "dim", "head_size", "test_per_class", "m0_steps", "epochs", "batch_size")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one `run_experiment` call needs; JSON-loadable for the CLI.
@@ -145,6 +157,12 @@ class ExperimentConfig:
     thresholds: tuple[int, int] = (20, 100)
 
     def __post_init__(self):
+        if not isinstance(self.seeds, (list, tuple)):
+            raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
+        for key in _INTEGER_FIELDS:
+            for value in self.seeds if key == "seeds" else (getattr(self, key),):
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{key} must be an integer, got {value!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "kappa_range", tuple(self.kappa_range))
@@ -308,20 +326,21 @@ def _fit_bape(train: Dataset, config: ExperimentConfig, seed: int) -> BayesClass
                       config.estimation, on_degenerate="exclude")
 
 
-def _fit_linear(train_ds: Dataset, config: ExperimentConfig, mode: str, seed: int) -> LinearClassifier:
-    """SGD baseline; eta scales the gradients of the logit_adjusted loss only."""
+def _fit_linear(train_ds: Dataset, config: ExperimentConfig, modes, seed: int) -> dict[str, LinearClassifier]:
+    """The SGD baselines of the given modes, trained together in one loop;
+    eta scales the gradients of the logit_adjusted loss only."""
     schedule = TrainConfig(
         lr=config.lr,
         epochs=config.epochs,
         batch_size=config.batch_size,
         weight_decay=config.weight_decay,
-        mode=mode,
         temperature=config.temperature,
         rng_seed=seed,
         normalize=config.normalize,
-        grad_scale=config.eta if mode == "logit_adjusted" else 1.0,
     )
-    return train(train_ds.features, train_ds.labels, schedule, n_classes=train_ds.n_classes)
+    heads = [(mode, config.eta if mode == "logit_adjusted" else 1.0) for mode in modes]
+    fitted = _train_heads(train_ds.features, train_ds.labels, train_ds.n_classes, schedule, heads)
+    return {mode: clf for mode, (clf, _) in zip(modes, fitted)}
 
 
 def _load_data(config: ExperimentConfig, seed: int):
@@ -334,6 +353,10 @@ def _load_data(config: ExperimentConfig, seed: int):
     test_counts = np.full(config.n_classes, config.test_per_class)
     test_ds = sample_dataset(truth, test_counts, seed, stream=3)
     return train_ds, test_ds, truth
+
+
+# Each linear head and the methods that score with it, its own first.
+_LINEAR_HEADS = {"softmax": ("softmax",), "logit_adjusted": ("logit_adjusted", "ensemble")}
 
 
 def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
@@ -369,10 +392,13 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
             f"{test_ds.dim}, training features {train_ds.dim}"
         )
     tail_at = config.thresholds[0]
+    # The linear heads this run needs; the ensemble scores with logit_adjusted.
+    heads = tuple(mode for mode, users in _LINEAR_HEADS.items() if set(users) & set(config.methods))
 
     # What each method scores with, built on first use and shared after:
     # bape+adjust and ensemble reuse the bape fit, ensemble the
-    # logit_adjusted one. The linear heads score the test rows as given; the
+    # logit_adjusted one, and the linear heads are trained together on the
+    # first use of either. The linear heads score the test rows as given; the
     # bape heads score the unit rows, validated once. The oracle entry holds
     # its predictions, which also give every row's oracle_accuracy.
     built = _BuiltOnFirstUse({
@@ -386,8 +412,9 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
                 fixed_kappa=config.fixed_kappa,
             ),
         ),
-        "softmax": lambda _: _fit_linear(train_ds, config, "softmax", seed),
-        "logit_adjusted": lambda _: _fit_linear(train_ds, config, "logit_adjusted", seed),
+        "linear": lambda _: _fit_linear(train_ds, config, heads, seed),
+        "softmax": lambda deps: deps["linear"]["softmax"],
+        "logit_adjusted": lambda deps: deps["linear"]["logit_adjusted"],
         "oracle": lambda deps: top_class(
             truth.classifier(ClassPriors.from_counts(test_ds.class_counts))._logits(deps["unit_z"])
         ),
@@ -423,6 +450,8 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
         try:
             preds, collapse = scorers[method](method)
         except Exception as exc:
+            if isinstance(exc, TrainingDivergedError):  # charged to its head, not to the first user of the stack
+                method = next(m for m in _LINEAR_HEADS[exc.mode] if m in config.methods)
             raise ExperimentError(f"method {method!r}, seed {seed}: {exc}") from exc
         acc = split_accuracy(preds, test_ds.labels, train_ds.class_counts, config.thresholds)
         scored.append((method, acc, collapse, time.perf_counter() - started))

@@ -17,6 +17,7 @@ from spherebayes.baselines import (
     linear_to_json,
     minority_collapse_metric,
     norm_report,
+    _train_heads,
     predict_linear,
     train,
 )
@@ -254,6 +255,68 @@ class TestTrain:
             TrainConfig(lr=0.1, epochs=1, batch_size=4, mode="hinge")
         with pytest.raises(ValueError):
             TrainConfig(lr=0.1, epochs=1, batch_size=4, temperature=0.0)
+
+
+def sorted_labels(n, k, seed):
+    """n labels over k classes, every class present, sorted as generated data's are."""
+    y = np.sort(substream(seed, 61).integers(0, k, n))
+    y[:k] = np.arange(k)
+    return np.sort(y)
+
+
+class TestTrainHeads:
+    """The stacked loop that trains several heads at once."""
+
+    @pytest.mark.parametrize("k, p", [(20, 32), (50, 64), (100, 128), (7, 5)])
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
+    def test_bitwise_equal_to_one_head_calls(self, k, p, eta):
+        # n is no multiple of the batch size, so the last batch is short;
+        # two empty trailing classes get -inf log-priors in the adjusted head.
+        n = 6 * k + 37
+        z, y = unit_rows(n, p, k + p), sorted_labels(n, k, p)
+        shared = dict(lr=0.5, epochs=3, batch_size=64, temperature=0.7, weight_decay=1e-3, rng_seed=5)
+        heads = [("softmax", 1.0), ("logit_adjusted", eta)]
+        fused = _train_heads(z, y, k + 2, TrainConfig(**shared), heads)
+        for (mode, scale), (clf, history) in zip(heads, fused):
+            alone_history = []
+            alone = train(z, y, TrainConfig(mode=mode, grad_scale=scale, **shared), alone_history, n_classes=k + 2)
+            assert_array_equal(clf.W, alone.W)
+            assert_array_equal(clf.b, alone.b)
+            assert history == alone_history
+            assert len(history) == 3
+
+    # The divergence tests run without an np.errstate wrapper: under the
+    # error::RuntimeWarning filter any leaked warning fails them.
+    def test_softmax_head_diverges_alone(self):
+        # eta = 0 freezes the adjusted head at its initialization, while the
+        # softmax head's steps of ~lr overflow within a few epochs.
+        z, y = blob_data(n_per=40)
+        with pytest.raises(TrainingDivergedError, match="softmax head: non-finite loss") as err:
+            _train_heads(z, y, None, TrainConfig(lr=1e308, epochs=6, batch_size=64),
+                         [("softmax", 1.0), ("logit_adjusted", 0.0)])
+        assert err.value.mode == "softmax"
+
+    def test_adjusted_head_diverges_alone(self):
+        z, y = blob_data(n_per=40)
+        with pytest.raises(TrainingDivergedError, match="logit_adjusted head: non-finite loss") as err:
+            _train_heads(z, y, None, TrainConfig(lr=1e300, epochs=2, batch_size=64),
+                         [("softmax", 1.0), ("logit_adjusted", 1e300)])
+        assert err.value.mode == "logit_adjusted"
+
+    def test_overflow_on_the_last_step_is_divergence(self):
+        # One batch, one epoch: the only loss is taken at the initialization,
+        # and the one update overflows the scaled head.
+        z, y = blob_data(n_per=10)
+        with pytest.raises(TrainingDivergedError, match="logit_adjusted head: non-finite weights") as err:
+            _train_heads(z, y, None, TrainConfig(lr=1.7e308, epochs=1, batch_size=64),
+                         [("softmax", 1.0), ("logit_adjusted", 1e10)])
+        assert err.value.mode == "logit_adjusted"
+
+    def test_train_names_its_mode(self):
+        z, y = blob_data(n_per=40)
+        cfg = TrainConfig(lr=1e300, epochs=2, batch_size=64, mode="logit_adjusted", grad_scale=1e300)
+        with pytest.raises(TrainingDivergedError, match="logit_adjusted head"):
+            train(z, y, cfg)
 
 
 class TestPredictLinear:

@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -382,6 +385,54 @@ class TestCompare:
         rows = json.loads(capsys.readouterr().out)
         assert sorted(r["method"] for r in rows) == ["bape", "bape+adjust"]
         assert all(0.0 < r["acc_all"] < 1.0 for r in rows)
+
+    # A small generated run; the divergence tests carry no np.errstate
+    # wrapper, so a leaked RuntimeWarning fails them.
+    SMALL = {"seeds": [0], "n_classes": 4, "dim": 6, "head_size": 40, "gamma": 10.0,
+             "test_per_class": 20, "epochs": 2}
+
+    @pytest.mark.parametrize("overrides, culprit", [
+        ({"methods": ["ensemble"], "eta": 1e300, "lr": 1e300}, "'ensemble', seed 0: logit_adjusted head"),
+        ({"methods": ["softmax", "logit_adjusted"], "eta": 1e300, "lr": 1e300},
+         "'logit_adjusted', seed 0: logit_adjusted head"),
+        ({"methods": ["ensemble", "softmax"], "eta": 0.0, "lr": 1e308, "epochs": 6},
+         "'softmax', seed 0: softmax head"),
+    ])
+    def test_diverging_head_is_exit_1_and_named(self, tmp_path, capsys, overrides, culprit):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**self.SMALL, **overrides}))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: method {culprit}: non-finite loss" in err
+        assert "RuntimeWarning" not in err
+
+    def test_diverging_head_prints_no_warning(self, tmp_path):
+        # Outside pytest's warning filter numpy would print a RuntimeWarning
+        # line to stderr; the training step must raise none.
+        import spherebayes
+
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**self.SMALL, "methods": ["ensemble"], "eta": 1e300, "lr": 1e300}))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(spherebayes.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-W", "default", "-m", "spherebayes.cli", "compare", "--config", str(cfg)],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 1
+        assert out.stderr == ("error: method 'ensemble', seed 0: logit_adjusted head: non-finite loss "
+                              "at epoch 0, sample offset 64 (lr=1e+300)\n")
+
+    @pytest.mark.parametrize("key, value", [("epochs", 2.5), ("seeds", [0.5]), ("epochs", True), ("head_size", 2.5)])
+    def test_non_integer_config_value_is_exit_1_before_any_data(self, tmp_path, capsys, monkeypatch, key, value):
+        import spherebayes.harness as harness
+
+        def no_data(*args):
+            raise AssertionError("data generated for an invalid config")
+
+        monkeypatch.setattr(harness, "_load_data", no_data)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**self.SMALL, key: value}))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert f"{key} must be an integer" in capsys.readouterr().err
 
 
 class TestDumpEmbeddings:

@@ -292,6 +292,23 @@ class TestExactConcentrations:
         assert got[0] == 0.0 and got[3] == 0.0
         assert_allclose(got, kappas, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("p", [2, 3, 128, 4096])
+    def test_tiny_ratio_root_is_p_r(self, p, monkeypatch):
+        # A_p(kappa) = kappa/p to rounding for tiny kappa, so the root is p r;
+        # Newton's first step from the Banerjee start p r lands there.
+        import spherebayes.estimation as estimation
+
+        calls = []
+
+        def counted(p, kappa):
+            calls.append(kappa)
+            return mean_resultant_ratio(p, kappa)
+
+        monkeypatch.setattr(estimation, "mean_resultant_ratio", counted)
+        r = np.array([1e-300, 1e-200])
+        assert_allclose(concentrations(p, r, "exact"), p * r, rtol=4 * np.finfo(float).eps, atol=0)
+        assert len(calls) <= 2
+
     def test_approx_is_upper_bracket(self):
         r = np.array([0.0, 1e-8, 0.3, 0.9, 0.99])
         for p in self.DIMS:

@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import logsumexp
 
-from spherebayes.baselines import TrainConfig, predict_linear, train
+from spherebayes.baselines import TrainConfig, _train_heads, predict_linear, train
 from spherebayes.classifier import (
     BayesClassifier,
     ClassPriors,
@@ -131,6 +131,28 @@ class TestExperimentConfig:
         ExperimentConfig(
             train_file="x.bin", test_file="y.bin", methods=("bape", "softmax")
         )
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("seeds", [0.5]),
+        ("seeds", [True]),
+        ("n_classes", 2.5),
+        ("dim", 32.0),
+        ("head_size", 2.5),
+        ("test_per_class", "200"),
+        ("m0_steps", True),
+        ("epochs", 2.5),
+        ("batch_size", False),
+    ])
+    def test_integer_fields_reject_other_values(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            ExperimentConfig.from_dict({key: value})
+
+    def test_integer_fields_take_numpy_integers(self):
+        cfg = ExperimentConfig(seeds=(np.int64(3),), epochs=np.int32(4))
+        assert cfg.seeds == (3,) and type(cfg.seeds[0]) is int
+        with pytest.raises(ValueError, match="seeds must be a list"):
+            ExperimentConfig.from_dict({"seeds": 3})
 
 
 class TestM0Gradients:
@@ -437,6 +459,63 @@ class TestRunExperiment:
         assert len(preds) == 3
         for got, clf in zip(preds, (seen["bape"], seen["bape+adjust"], oracle)):
             assert_array_equal(got, predict(clf, raw))
+
+    @pytest.mark.parametrize("methods, heads", [
+        (("softmax",), [("softmax", 1.0)]),
+        (("ensemble",), [("logit_adjusted", 0.5)]),
+        (("bape", "logit_adjusted", "softmax", "ensemble"), [("softmax", 1.0), ("logit_adjusted", 0.5)]),
+        (("bape", "oracle"), None),
+    ])
+    def test_trains_the_heads_the_run_needs_once(self, monkeypatch, methods, heads):
+        import spherebayes.harness as harness
+
+        calls = []
+
+        def counted(z, y, k, schedule, heads):
+            calls.append(list(heads))
+            return _train_heads(z, y, k, schedule, heads)
+
+        monkeypatch.setattr(harness, "_train_heads", counted)
+        run_experiment(small_config(methods=methods, eta=0.5))
+        assert calls == ([heads] if heads else [])
+
+    def test_linear_rows_equal_one_head_train_calls(self, monkeypatch):
+        import spherebayes.harness as harness
+
+        preds = []
+
+        def scored(predictions, *args, **kwargs):
+            preds.append(predictions)
+            return split_accuracy(predictions, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "split_accuracy", scored)
+        cfg = small_config(seeds=(2,), methods=("logit_adjusted", "softmax"), eta=2.0, temperature=0.7,
+                           weight_decay=1e-3, lr=0.3, epochs=4, batch_size=16)
+        run_experiment(cfg)
+        train_ds, test_ds, _ = harness._load_data(cfg, 2)
+        for got, mode, scale in zip(preds, ("logit_adjusted", "softmax"), (2.0, 1.0)):
+            alone = train(train_ds.features, train_ds.labels, TrainConfig(
+                lr=0.3, epochs=4, batch_size=16, weight_decay=1e-3, mode=mode, temperature=0.7,
+                rng_seed=2, grad_scale=scale), n_classes=train_ds.n_classes)
+            assert_array_equal(got, predict_linear(alone, np.asarray(test_ds.features, dtype=float)))
+
+    # No np.errstate wrapper below: a leaked RuntimeWarning would fail them.
+    @pytest.mark.parametrize("methods, culprit", [
+        (("softmax", "ensemble"), "ensemble"),
+        (("softmax", "logit_adjusted", "ensemble"), "logit_adjusted"),
+        (("ensemble", "logit_adjusted"), "logit_adjusted"),
+    ])
+    def test_adjusted_head_divergence_names_its_method(self, methods, culprit):
+        cfg = small_config(methods=methods, eta=1e300, lr=1e300)
+        with pytest.raises(ExperimentError, match=rf"^method '{culprit}', seed 0: logit_adjusted head: non-finite"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("methods", [("ensemble", "softmax"), ("logit_adjusted", "softmax")])
+    def test_softmax_head_divergence_names_softmax(self, methods):
+        # eta = 0 freezes the adjusted head; the softmax head overflows.
+        cfg = small_config(methods=methods, eta=0.0, lr=1e308, epochs=6, batch_size=64)
+        with pytest.raises(ExperimentError, match=r"^method 'softmax', seed 0: softmax head: non-finite"):
+            run_experiment(cfg)
 
     def test_failures_carry_method_and_seed(self, tmp_path):
         train_ds, truth = generate(LongTailSpec(3, 30, 5.0), 4, seed=0)

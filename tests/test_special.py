@@ -201,6 +201,43 @@ class TestMeanResultantRatioArray:
                 mean_resultant_ratio(8, np.array([1.0, bad]))
 
 
+def _mp_ratio(nu, x):
+    """I_{nu+1}(x)/I_nu(x) from mpmath at 40 digits, as an mpf."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(x))
+        return mpmath.besseli(nu + 1, x) / mpmath.besseli(nu, x)
+
+
+class TestRatioEdges:
+    @pytest.mark.parametrize("p", [2, 3, 128, 4096])
+    @pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-300, 1e-200, 1e-9])
+    def test_tiny_arguments(self, p, x):
+        # Below ~1e-8 the ratio is its leading term x/p; the continued
+        # fraction's Lentz start would swamp it, or overflow on subnormals.
+        ref = float(_mp_ratio(p / 2.0 - 1.0, x))
+        got = mean_resultant_ratio(p, x)
+        assert abs(got - ref) <= np.spacing(ref)
+        assert bessel_ratio(p / 2.0 - 1.0, x) == got
+        assert_array_equal(mean_resultant_ratio(p, np.array([x, 1.0])), [got, mean_resultant_ratio(p, 1.0)])
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
+    def test_small_order_near_2e4(self, nu):
+        # Here the continued fraction carried ~8e-15 of rounding; the
+        # differenced asymptotic, which serves x > max(50, nu), carries
+        # less than 1e-15.
+        for x in (1.5e4, np.nextafter(2e4, 0.0), 2e4, 2.3e4):
+            ref = _mp_ratio(nu, x)
+            assert abs(float((bessel_ratio(nu, x) - ref) / ref)) <= 1e-15
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 15.0, 63.0, 2047.0])
+    def test_regime_seam(self, nu):
+        edge = max(50.0, nu)
+        for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf), 1.5 * edge):
+            ref = _mp_ratio(nu, x)
+            assert abs(float((bessel_ratio(nu, x) - ref) / ref)) <= 2e-15
+
+
 class TestLogVmfNormalizer:
     def test_p3_closed_form(self):
         # C_3(kappa) = 4 pi sinh(kappa) / kappa; write sinh in log form so the
