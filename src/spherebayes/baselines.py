@@ -13,11 +13,13 @@ minority-collapse diagnostic (tail classifier directions crowding together).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classifier import ClassPriors, log_softmax, top_class
+from .special import logsumexp
 from .vmf import substream
 
 __all__ = [
@@ -95,6 +97,10 @@ class TrainConfig:
     def __post_init__(self):
         if not np.isfinite(self.lr) or self.lr < 0.0:
             raise ValueError(f"lr must be >= 0 and finite, got {self.lr}")
+        for key in ("epochs", "batch_size"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.weight_decay < 0.0:
@@ -184,11 +190,20 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     heads are (mode, grad_scale) pairs; every other setting comes from
     schedule, whose own mode and grad_scale are not read. The heads share
     the initialization, the shuffle order and the lr schedule, so they are
-    stacked as one (H, K, p) problem: each step runs one gather, one batched
-    product, one log_softmax and one batched gradient for all of them. Each
-    head adds its own log-prior row (0 for softmax, ln pi for logit_adjusted)
-    and its own grad_scale, and its arithmetic is that of a one-head run, so
-    its W, b and loss history are bitwise those of `train` in its mode.
+    stacked as one (H, K, p) problem: each step runs one batched product,
+    one log-softmax and one batched gradient for all of them. Each head adds
+    its own log-prior row (0 for softmax, ln pi for logit_adjusted) and its
+    own grad_scale, and its arithmetic is that of a one-head run, so its W,
+    b and loss history are bitwise those of `train` in its mode.
+
+    The step is bound by numpy call overhead at the sizes used here, so it
+    saves calls and temporaries wherever that changes no bit: the flat
+    true-class indices are gathered once per epoch, each batch takes a
+    slice of them, and the forward pass, log-softmax and momentum updates
+    run in place. Each step's mean loss goes into a buffer that is
+    checked for non-finite values once per epoch; a divergence raises
+    TrainingDivergedError naming the first step and head that went
+    non-finite, as a per-step check would.
     Returns one (classifier, per-epoch mean losses) pair per head.
     """
     z = np.asarray(z, dtype=float)
@@ -214,39 +229,72 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
 
     w = substream(schedule.rng_seed, 0).standard_normal((k, p)) / np.sqrt(p)
     w = np.repeat(w[np.newaxis], len(heads), axis=0)
+    wt = w.transpose(0, 2, 1)  # a view: w is only ever updated in place
     b = np.zeros((len(heads), 1, k))
     vel_w = np.zeros_like(w)
     vel_b = np.zeros_like(b)
     shuffler = substream(schedule.rng_seed, 1)
-    row_offsets = np.arange(schedule.batch_size) * k  # of each batch row in a head's flat (B*K,) logits
+    size = schedule.batch_size
+    starts = range(0, n, size)
+    # Each sample's flat index in the (H, m, K) logits of its batch of m
+    # rows, less its label: head h's block starts at h*m*K, and the sample's
+    # row at (i % size)*K. Only the last batch can have m < size.
+    position = np.arange(n)
+    batch_of = np.where(position < starts[-1], size, n - starts[-1])
+    offsets = np.arange(len(heads))[:, np.newaxis] * batch_of * k + position % size * k
+    # Row 0 stays 0, the start of each epoch's running total of loss * m;
+    # row i + 1 takes step i's mean loss, and batch_sizes[i + 1] its m.
+    losses = np.zeros((len(starts) + 1, len(heads)))
+    batch_sizes = np.diff([*starts, n], prepend=0)[:, np.newaxis]
     histories = np.zeros((schedule.epochs, len(heads)))
 
-    # Divergence ends in inf or nan, which the finite checks below report.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Divergence ends in inf or nan, which the finite checks below report;
+    # the rest of a diverging epoch runs on, silently, before the check.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(schedule.epochs):
             lr = schedule.lr * 0.5 * (1.0 + np.cos(np.pi * epoch / schedule.epochs))
             order = shuffler.permutation(n)
-            for start in range(0, n, schedule.batch_size):
-                idx = order[start : start + schedule.batch_size]
-                zb, yb = z[idx], y[idx]
-                lp = log_softmax((zb @ w.transpose(0, 2, 1) + b) / schedule.temperature + log_pi)
-                # The (H, B) true-class entries, gathered C-contiguous so that
-                # each head's sum runs as over a one-head (B,) vector.
-                target = row_offsets[: len(idx)] + yb
-                loss = -(np.take(lp.reshape(len(heads), -1), target, axis=1).sum(axis=1) / len(idx))
-                finite = np.isfinite(loss)
-                if not finite.all():
-                    raise _diverged(finite, modes, f"non-finite loss at epoch {epoch}, sample offset {start} (lr={lr:.3g})")
-                histories[epoch] += loss * len(idx)
-                g = np.exp(lp)
-                g.reshape(len(heads), -1)[:, target] -= 1.0
-                g /= len(idx) * schedule.temperature
-                gw = scale * (g.transpose(0, 2, 1) @ zb) + schedule.weight_decay * w
-                gb = scale * g.sum(axis=1, keepdims=True)
-                vel_w = schedule.momentum * vel_w - lr * gw
-                vel_b = schedule.momentum * vel_b - lr * gb
-                w = w + vel_w
-                b = b + vel_b
+            # The true-class indices are gathered once per epoch. The features
+            # are not: a shuffled copy of z per epoch measured no faster than
+            # the per-batch gathers and held about 1 MB more at peak.
+            targets = offsets + y[order]
+            for step, start in enumerate(starts):
+                zb = z[order[start : start + size]]
+                target = targets[:, start : start + size]
+                m = len(zb)
+                s = np.matmul(zb, wt)
+                s += b
+                s /= schedule.temperature
+                s += log_pi
+                s -= logsumexp(s, axis=-1, keepdims=True)  # log_softmax, in place
+                # The (H, m) true-class entries, gathered C-contiguous so that
+                # each head's sum runs as over a one-head (m,) vector.
+                loss = np.add.reduce(np.take(s, target), axis=1)
+                np.divide(loss, -m, out=losses[step + 1])
+                g = np.exp(s, out=s)
+                g.reshape(-1)[target] -= 1.0
+                g /= m * schedule.temperature
+                gw = np.matmul(g.transpose(0, 2, 1), zb)
+                gw *= scale
+                gw += schedule.weight_decay * w
+                gw *= lr
+                gb = np.add.reduce(g, axis=1, keepdims=True)
+                gb *= scale
+                gb *= lr
+                vel_w *= schedule.momentum
+                vel_w -= gw
+                vel_b *= schedule.momentum
+                vel_b -= gb
+                w += vel_w
+                b += vel_b
+            finite = np.isfinite(losses)
+            if not finite.all():
+                row = int(np.argmin(finite.all(axis=1)))  # the losses row of the first step to diverge
+                raise _diverged(
+                    finite[row], modes, f"non-finite loss at epoch {epoch}, sample offset {starts[row - 1]} (lr={lr:.3g})"
+                )
+            # Added in step order, as a running total of loss * m would be.
+            histories[epoch] = np.add.accumulate(losses * batch_sizes)[-1]
     finite = np.isfinite(w).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
     if not finite.all():
         raise _diverged(finite, modes, "non-finite weights after the last step")
@@ -265,6 +313,9 @@ def predict_linear(clf: LinearClassifier, z) -> int | np.ndarray:
     return top_class(np.asarray(z, dtype=float) @ clf.W.T + clf.b)
 
 
+_MIN_NORMAL_NORM = np.sqrt(np.finfo(float).tiny)  # a smaller norm's sum of squares is subnormal
+
+
 def minority_collapse_metric(clf: LinearClassifier, tail_classes) -> float:
     """Mean pairwise cosine similarity among the tail-class weight rows.
 
@@ -276,10 +327,19 @@ def minority_collapse_metric(clf: LinearClassifier, tail_classes) -> float:
         raise ValueError("need at least 2 tail classes")
     if tail[0] < 0 or tail[-1] >= clf.n_classes:
         raise ValueError("tail class index out of range")
-    rows = clf.W[tail]
-    norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("zero weight row has no direction")
+    rows = clf.W[tail]  # a copy
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    # A sum of squares that overflows, or falls below the normal range, loses
+    # the row's norm; such rows are first divided by their largest |entry|,
+    # which leaves their direction as it was.
+    lost = (norms < _MIN_NORMAL_NORM) | (norms == np.inf)
+    if lost.any():
+        peak = np.abs(rows[lost]).max(axis=1)
+        if np.any(peak == 0.0):
+            raise ValueError("zero weight row has no direction")
+        rows[lost] /= peak[:, np.newaxis]
+        norms[lost] = np.linalg.norm(rows[lost], axis=1)
     unit = rows / norms[:, np.newaxis]
     cos = unit @ unit.T
     m = len(tail)

@@ -102,15 +102,28 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> np.ndarray:
     with n the number of entries equal to the maximum. Rows of -inf give
     -inf, rows holding +inf give +inf and rows holding nan give nan, all
     without floating-point warnings.
+
+    When every row has exactly one maximum (the usual case for real-valued
+    logits), n = 1 and the result is log1p(sum) + top: the sum is >= +0, so
+    this is bitwise the general form without the tie count, ln n and the
+    divide. A nan row counts no maximum, so a nan anywhere sends the call to
+    the general form, where it cannot hide a tie in another row.
     """
     a = np.asarray(a, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
-        top = a.max(axis=axis, keepdims=True)
+        top = np.maximum.reduce(a, axis=axis, keepdims=True)
         at_top = a == top
-        n = at_top.sum(axis=axis, keepdims=True, dtype=float)
-        terms = np.exp(a - top)
+        terms = np.subtract(a, top)
+        np.exp(terms, out=terms)
         terms[at_top] = 0.0
-        out = np.log1p(terms.sum(axis=axis, keepdims=True) / n) + np.log(n) + top
+        total = np.add.reduce(terms, axis=axis, keepdims=True)
+        if np.count_nonzero(at_top) == top.size and not np.count_nonzero(np.isnan(top)):
+            out = np.log1p(total)
+        else:
+            n = np.add.reduce(at_top, axis=axis, keepdims=True, dtype=float)
+            out = np.log1p(total / n)
+            out += np.log(n)
+        out += top
     return out if keepdims else np.squeeze(out, axis=axis)
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import logsumexp as scipy_logsumexp
 
 from spherebayes.baselines import (
     LinearClassifier,
@@ -256,6 +257,17 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(lr=0.1, epochs=1, batch_size=4, temperature=0.0)
 
+    @pytest.mark.parametrize("key", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, True, np.float64(2.0)])
+    def test_integer_fields_reject_other_numbers(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            TrainConfig(**{"lr": 0.1, "epochs": 2, "batch_size": 4, key: value})
+
+    def test_integer_fields_take_numpy_integers(self):
+        z, y = blob_data(n_per=10)
+        cfg = TrainConfig(lr=0.1, epochs=np.int64(2), batch_size=np.int32(4))
+        assert_array_equal(train(z, y, cfg).W, train(z, y, TrainConfig(lr=0.1, epochs=2, batch_size=4)).W)
+
 
 def sorted_labels(n, k, seed):
     """n labels over k classes, every class present, sorted as generated data's are."""
@@ -264,8 +276,99 @@ def sorted_labels(n, k, seed):
     return np.sort(y)
 
 
+def reference_heads(z, y, k, schedule, heads):
+    """The stacked SGD loop written plainly: a gather, an out-of-place
+    log-softmax (scipy's logsumexp) and momentum update per batch, and a
+    finite-loss check after every step. Returns (W, b, histories) per head."""
+    z = np.asarray(z, dtype=float)
+    if schedule.normalize:
+        z = z / np.linalg.norm(z, axis=1, keepdims=True)
+    n, p = z.shape
+    modes = [mode for mode, _ in heads]
+    scale = np.array([s for _, s in heads])[:, np.newaxis, np.newaxis]
+    counts = np.bincount(y, minlength=k)
+    log_pi = np.stack([
+        ClassPriors.from_counts(counts).log() if mode == "logit_adjusted" else np.zeros(k) for mode in modes
+    ])[:, np.newaxis, :]
+    w = substream(schedule.rng_seed, 0).standard_normal((k, p)) / np.sqrt(p)
+    w = np.repeat(w[np.newaxis], len(heads), axis=0)
+    b = np.zeros((len(heads), 1, k))
+    vel_w = np.zeros_like(w)
+    vel_b = np.zeros_like(b)
+    shuffler = substream(schedule.rng_seed, 1)
+    row_offsets = np.arange(schedule.batch_size) * k
+    histories = np.zeros((schedule.epochs, len(heads)))
+    with np.errstate(all="ignore"):
+        for epoch in range(schedule.epochs):
+            lr = schedule.lr * 0.5 * (1.0 + np.cos(np.pi * epoch / schedule.epochs))
+            order = shuffler.permutation(n)
+            for start in range(0, n, schedule.batch_size):
+                idx = order[start : start + schedule.batch_size]
+                zb, yb = z[idx], y[idx]
+                s = (zb @ w.transpose(0, 2, 1) + b) / schedule.temperature + log_pi
+                lp = s - scipy_logsumexp(s, axis=-1, keepdims=True)
+                target = row_offsets[: len(idx)] + yb
+                loss = -(np.take(lp.reshape(len(heads), -1), target, axis=1).sum(axis=1) / len(idx))
+                finite = np.isfinite(loss)
+                if not finite.all():
+                    mode = modes[int(np.argmin(finite))]
+                    raise TrainingDivergedError(
+                        f"{mode} head: non-finite loss at epoch {epoch}, sample offset {start} (lr={lr:.3g})", mode=mode
+                    )
+                histories[epoch] += loss * len(idx)
+                g = np.exp(lp)
+                g.reshape(len(heads), -1)[:, target] -= 1.0
+                g /= len(idx) * schedule.temperature
+                gw = scale * (g.transpose(0, 2, 1) @ zb) + schedule.weight_decay * w
+                gb = scale * g.sum(axis=1, keepdims=True)
+                vel_w = schedule.momentum * vel_w - lr * gw
+                vel_b = schedule.momentum * vel_b - lr * gb
+                w = w + vel_w
+                b = b + vel_b
+    histories /= n
+    return [(w[h], b[h, 0], histories[:, h].tolist()) for h in range(len(heads))]
+
+
 class TestTrainHeads:
     """The stacked loop that trains several heads at once."""
+
+    @pytest.mark.parametrize("k, p, batch_size", [(2, 3, 17), (7, 5, 64), (20, 32, 64), (5, 4, 13)])
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_bitwise_equal_to_the_reference_loop(self, k, p, batch_size, eta, normalize):
+        # n = 6k + 37 is no multiple of 17 or 64 (the last batch is short),
+        # but is of 13 at k = 5; two empty trailing classes get -inf
+        # log-priors in the adjusted head; the features are not unit rows.
+        n = 6 * k + 37
+        z, y = 1.7 * unit_rows(n, p, k + p) + 0.1, sorted_labels(n, k, p)
+        cfg = TrainConfig(lr=0.5, epochs=3, batch_size=batch_size, temperature=0.7, weight_decay=1e-3,
+                          rng_seed=5, normalize=normalize)
+        heads = [("softmax", 1.0), ("logit_adjusted", eta)]
+        for (clf, history), (w, b, expected) in zip(_train_heads(z, y, k + 2, cfg, heads),
+                                                   reference_heads(z, y, k + 2, cfg, heads)):
+            assert_array_equal(clf.W, w)
+            assert_array_equal(clf.b, b)
+            assert np.array_equal(history, expected)
+            assert np.signbit(history).tolist() == np.signbit(expected).tolist()
+
+    # Each run diverges after its first step, all but one part-way through
+    # an epoch (the loop runs on to the epoch's end before it checks); the
+    # full message, epoch and sample offset included, is the reference's.
+    @pytest.mark.parametrize("lr, eta, batch_size, epochs", [
+        (1e150, 1.0, 7, 5), (1e200, 1.0, 64, 3), (3e5, 1.0, 7, 4), (1e308, 0.0, 64, 6), (1e300, 1e300, 7, 2),
+    ])
+    def test_divergence_message_is_the_reference_loops(self, lr, eta, batch_size, epochs):
+        z, y = blob_data(n_per=40)
+        z = 3.0 * z
+        cfg = TrainConfig(lr=lr, epochs=epochs, batch_size=batch_size, weight_decay=1.0)
+        heads = [("softmax", 1.0), ("logit_adjusted", eta)]
+        with pytest.raises(TrainingDivergedError) as expected:
+            reference_heads(z, y, 3, cfg, heads)
+        assert "epoch 0, sample offset 0 " not in str(expected.value)
+        with pytest.raises(TrainingDivergedError) as err:
+            _train_heads(z, y, None, cfg, heads)
+        assert str(err.value) == str(expected.value)
+        assert err.value.mode == expected.value.mode
 
     @pytest.mark.parametrize("k, p", [(20, 32), (50, 64), (100, 128), (7, 5)])
     @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
@@ -360,6 +463,20 @@ class TestMinorityCollapse:
         zero_row = LinearClassifier(np.vstack([np.eye(2, 3), np.zeros((1, 3))]), np.zeros(3))
         with pytest.raises(ValueError):
             minority_collapse_metric(zero_row, [0, 2])
+        with pytest.raises(ValueError, match="zero weight row"):
+            minority_collapse_metric(LinearClassifier(zero_row.W * 1e-200, np.zeros(3)), [0, 2])
+
+    # The squares of these rows overflow or underflow; the error::RuntimeWarning
+    # filter fails the test on any overflow warning.
+    @pytest.mark.parametrize("factor", [1e300, 1e-200])
+    def test_scale_invariant_at_extreme_weights(self, factor):
+        w = substream(8, 0).standard_normal((4, 6))
+        plain = minority_collapse_metric(LinearClassifier(w, np.zeros(4)), range(4))
+        scaled = minority_collapse_metric(LinearClassifier(w * factor, np.zeros(4)), range(4))
+        assert abs(scaled - plain) <= 1e-15
+        mixed = w.copy()
+        mixed[1] *= factor
+        assert abs(minority_collapse_metric(LinearClassifier(mixed, np.zeros(4)), range(4)) - plain) <= 1e-15
 
 
 class TestNormReport:

@@ -406,20 +406,35 @@ class TestCompare:
         assert f"error: method {culprit}: non-finite loss" in err
         assert "RuntimeWarning" not in err
 
-    def test_diverging_head_prints_no_warning(self, tmp_path):
+    def _compare_in_subprocess(self, tmp_path, config):
         # Outside pytest's warning filter numpy would print a RuntimeWarning
-        # line to stderr; the training step must raise none.
+        # line to stderr, so these runs show any warning the CLI leaks.
         import spherebayes
 
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({**self.SMALL, "methods": ["ensemble"], "eta": 1e300, "lr": 1e300}))
+        cfg.write_text(json.dumps(config))
         src = os.path.dirname(os.path.dirname(os.path.abspath(spherebayes.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-W", "default", "-m", "spherebayes.cli", "compare", "--config", str(cfg)],
-                             env=env, capture_output=True, text=True)
+        return subprocess.run([sys.executable, "-W", "default", "-m", "spherebayes.cli", "compare", "--config", str(cfg)],
+                              env=env, capture_output=True, text=True)
+
+    def test_diverging_head_prints_no_warning(self, tmp_path):
+        out = self._compare_in_subprocess(tmp_path, {**self.SMALL, "methods": ["ensemble"], "eta": 1e300, "lr": 1e300})
         assert out.returncode == 1
         assert out.stderr == ("error: method 'ensemble', seed 0: logit_adjusted head: non-finite loss "
                               "at epoch 0, sample offset 64 (lr=1e+300)\n")
+
+    def test_huge_finite_weights_print_nothing(self, tmp_path):
+        # lr = 1e300 trains without diverging to weights near 1e300, whose
+        # squares overflow in the minority-collapse norms. Rows divided by
+        # an infinite norm were zero and read -1/(m - 1) = -0.5 for the m = 3
+        # tail classes.
+        out = self._compare_in_subprocess(tmp_path, {"methods": ["softmax"], "lr": 1e300, "n_classes": 4, "dim": 6,
+                                                     "head_size": 50})
+        assert out.returncode == 0
+        assert out.stderr == ""
+        (row,) = json.loads(out.stdout)
+        assert -0.5 < row["minority_collapse"] <= 1.0
 
     @pytest.mark.parametrize("key, value", [("epochs", 2.5), ("seeds", [0.5]), ("epochs", True), ("head_size", 2.5)])
     def test_non_integer_config_value_is_exit_1_before_any_data(self, tmp_path, capsys, monkeypatch, key, value):

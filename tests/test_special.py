@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 from scipy.special import ive
@@ -352,3 +354,33 @@ class TestLogSumExp:
         self._same(a, -1, True)
         self._same(a, -1, False)
         assert logsumexp(np.full(4, -math.inf)) == -math.inf
+
+    def test_nan_row_does_not_hide_a_tie(self):
+        # Row 0 has two maxima and row 1 none (nan), so the maxima count
+        # equals the row count although not every row has one maximum.
+        self._same(np.array([[1.0, 1.0, 0.0], [math.nan, 0.0, 1.0]]), -1, False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 8),
+        cols=st.integers(1, 12),
+        ties=st.integers(0, 8),
+        planted=st.lists(st.sampled_from(["-inf row", "-inf", "+inf", "nan"]), max_size=3),
+        axis=st.sampled_from([0, -1]),
+        keepdims=st.booleans(),
+    )
+    def test_matches_scipy_on_every_path(self, seed, rows, cols, ties, planted, axis, keepdims):
+        # Rows (taken along axis) with one maximum each take the fast path;
+        # a tie, a -inf row or a nan sends the call to the general one.
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((rows, cols)) * 10.0
+        for r in range(min(ties, rows) if cols > 1 else 0):
+            a[r, (np.argmax(a[r]) + 1 + rng.integers(cols - 1)) % cols] = a[r].max()
+        for what in planted:
+            r, c = rng.integers(rows), rng.integers(cols)
+            if what == "-inf row":
+                a[r] = -math.inf
+            else:
+                a[r, c] = {"-inf": -math.inf, "+inf": math.inf, "nan": math.nan}[what]
+        self._same(a if axis == -1 else a.T, axis, keepdims)
