@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import ClassPriors, log_softmax, top_class
+from .classifier import ClassPriors, _check_labels, log_softmax, logits, top_class
 from .special import logsumexp
 from .vmf import substream
 
@@ -80,7 +80,8 @@ class TrainConfig:
     training label frequencies. grad_scale multiplies every gradient: it is
     the weight of this loss inside a larger objective (0 freezes training at
     the initialization). Features are consumed as given unless normalize=True
-    projects them onto the unit sphere first.
+    projects them onto the unit sphere first; `compare` then scores its linear
+    heads, the ensemble's included, on test rows projected the same way.
     """
 
     lr: float
@@ -116,7 +117,9 @@ class TrainConfig:
 
 
 def _adjusted_logits(clf, z, mode, priors, temperature):
-    s = (z @ clf.W.T + clf.b) / temperature
+    if mode not in ("softmax", "logit_adjusted"):
+        raise ValueError(f"unknown mode {mode!r}")
+    s = logits(clf, z) / temperature
     if mode == "logit_adjusted":
         if priors is None:
             raise ValueError("logit_adjusted mode needs class priors")
@@ -133,12 +136,8 @@ def ce_loss(
     temperature: float = 1.0,
 ) -> float | np.ndarray:
     """Cross-entropy of the (optionally prior-weighted) softmax; scalar or batch."""
-    if mode not in ("softmax", "logit_adjusted"):
-        raise ValueError(f"unknown mode {mode!r}")
     z = np.asarray(z, dtype=float)
-    y = np.asarray(y)
-    if np.any(y < 0) or np.any(y >= clf.n_classes):
-        raise ValueError(f"label out of range [0, {clf.n_classes})")
+    y = _check_labels(y, clf.n_classes)
     logp = log_softmax(_adjusted_logits(clf, z, mode, priors, temperature))
     if logp.ndim == 1:
         return float(-logp[int(y)])
@@ -157,8 +156,9 @@ def ce_loss_grad(
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise ValueError("gradient is defined for a single input vector")
+    y = int(_check_labels(y, clf.n_classes))
     p = np.exp(log_softmax(_adjusted_logits(clf, z, mode, priors, temperature)))
-    p[int(y)] -= 1.0
+    p[y] -= 1.0
     p /= temperature
     return np.outer(p, z), p
 
@@ -207,7 +207,7 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     Returns one (classifier, per-epoch mean losses) pair per head.
     """
     z = np.asarray(z, dtype=float)
-    y = np.asarray(y)
+    y = _check_labels(y, None)
     if z.ndim != 2 or z.shape[0] == 0:
         raise ValueError("features must be a nonempty (n, p) array")
     if y.shape != (z.shape[0],):
@@ -216,10 +216,8 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     k = int(y.max()) + 1 if k is None else int(k)
     if k < 2:
         raise ValueError("need at least 2 classes present")
-    if y.min() < 0 or y.max() >= k:
-        raise ValueError(f"label out of range [0, {k})")
-    if schedule.normalize:
-        z = z / np.linalg.norm(z, axis=1, keepdims=True)
+    _check_labels(y, k)
+    z = _linear_rows(z, schedule.normalize)
     modes = [mode for mode, _ in heads]
     scale = np.array([s for _, s in heads])[:, np.newaxis, np.newaxis]
     counts = np.bincount(y, minlength=k)
@@ -302,6 +300,18 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     return [(LinearClassifier(w[h], b[h, 0]), histories[:, h].tolist()) for h in range(len(heads))]
 
 
+def _linear_rows(z: np.ndarray, normalize: bool) -> np.ndarray:
+    """The rows a linear head is trained and scored on: z as given, or under
+    normalize z projected onto the sphere; a zero row raises ValueError."""
+    if not normalize:
+        return z
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"row {zero[0]} has zero norm and cannot be normalized")
+    return z / norms
+
+
 def _diverged(finite, modes, what) -> TrainingDivergedError:
     """The error for the first head whose entry of finite is False."""
     mode = modes[int(np.argmin(finite))]
@@ -310,10 +320,25 @@ def _diverged(finite, modes, what) -> TrainingDivergedError:
 
 def predict_linear(clf: LinearClassifier, z) -> int | np.ndarray:
     """Argmax of W z + b; ties break to the lowest index."""
-    return top_class(np.asarray(z, dtype=float) @ clf.W.T + clf.b)
+    return top_class(logits(clf, np.asarray(z, dtype=float)))
 
 
 _MIN_NORMAL_NORM = np.sqrt(np.finfo(float).tiny)  # a smaller norm's sum of squares is subnormal
+
+
+def _row_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's Euclidean norm as scale * norm. Where the sum of squares
+    overflows or leaves the normal range, the norm is that of the row divided
+    by its largest |entry|, its scale; other rows, zero rows too, have scale 1."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    scale = np.ones(len(rows))
+    lost = np.flatnonzero((norms < _MIN_NORMAL_NORM) | (norms == np.inf))
+    peak = np.abs(rows[lost]).max(axis=1, initial=0.0)
+    lost, peak = lost[peak > 0.0], peak[peak > 0.0]
+    scale[lost] = peak
+    norms[lost] = np.linalg.norm(rows[lost] / peak[:, np.newaxis], axis=1)
+    return scale, norms
 
 
 def minority_collapse_metric(clf: LinearClassifier, tail_classes) -> float:
@@ -327,20 +352,11 @@ def minority_collapse_metric(clf: LinearClassifier, tail_classes) -> float:
         raise ValueError("need at least 2 tail classes")
     if tail[0] < 0 or tail[-1] >= clf.n_classes:
         raise ValueError("tail class index out of range")
-    rows = clf.W[tail]  # a copy
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(rows, axis=1)
-    # A sum of squares that overflows, or falls below the normal range, loses
-    # the row's norm; such rows are first divided by their largest |entry|,
-    # which leaves their direction as it was.
-    lost = (norms < _MIN_NORMAL_NORM) | (norms == np.inf)
-    if lost.any():
-        peak = np.abs(rows[lost]).max(axis=1)
-        if np.any(peak == 0.0):
-            raise ValueError("zero weight row has no direction")
-        rows[lost] /= peak[:, np.newaxis]
-        norms[lost] = np.linalg.norm(rows[lost], axis=1)
-    unit = rows / norms[:, np.newaxis]
+    rows = clf.W[tail]
+    scale, norms = _row_norms(rows)
+    if np.any(norms == 0.0):
+        raise ValueError("zero weight row has no direction")
+    unit = rows / scale[:, np.newaxis] / norms[:, np.newaxis]
     cos = unit @ unit.T
     m = len(tail)
     return float((cos.sum() - m) / (m * (m - 1)))
@@ -350,17 +366,12 @@ def norm_report(clf: LinearClassifier, features, labels) -> list[dict]:
     """Per-class rows of (class, count, ||w_y|| * mean feature norm of the class)."""
     z = np.asarray(features, dtype=float)
     y = np.asarray(labels)
+    weight_norms = np.multiply(*_row_norms(clf.W))
     rows = []
     for c in range(clf.n_classes):
         zc = z[y == c]
         mean_norm = float(np.linalg.norm(zc, axis=1).mean()) if len(zc) else 0.0
-        rows.append(
-            {
-                "class": c,
-                "count": int(len(zc)),
-                "weight_feature_norm": float(np.linalg.norm(clf.W[c])) * mean_norm,
-            }
-        )
+        rows.append({"class": c, "count": int(len(zc)), "weight_feature_norm": float(weight_norms[c]) * mean_norm})
     return rows
 
 

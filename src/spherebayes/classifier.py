@@ -173,8 +173,10 @@ class BayesClassifier:
     def dim(self) -> int:
         return self.mus.shape[1]
 
-    def _logits(self, z: np.ndarray) -> np.ndarray:
-        return z @ self.W.T + self.b
+
+def logits(head, z: np.ndarray) -> np.ndarray:
+    """z @ W.T + b: the logits of a BayesClassifier's or a LinearClassifier's head."""
+    return z @ head.W.T + head.b
 
 
 def log_softmax(s: np.ndarray) -> np.ndarray:
@@ -194,19 +196,20 @@ def log_posterior(clf: BayesClassifier, z) -> np.ndarray:
     Accepts one unit vector (returns shape (K,)) or a batch (n, p) (returns
     (n, K)). Rows exponentiate to probability vectors summing to 1.
     """
-    return log_softmax(clf._logits(as_unit_vector(z, dim=clf.dim)))
+    return log_softmax(logits(clf, as_unit_vector(z, dim=clf.dim)))
 
 
 def predict(clf: BayesClassifier, z) -> int | np.ndarray:
     """Most probable class; ties break to the lowest index."""
-    return top_class(clf._logits(as_unit_vector(z, dim=clf.dim)))
+    return top_class(logits(clf, as_unit_vector(z, dim=clf.dim)))
 
 
-def _check_labels(y, n_classes: int) -> np.ndarray:
+def _check_labels(y, n_classes: int | None) -> np.ndarray:
+    """y as integer labels in [0, n_classes); n_classes None checks the dtype only."""
     y = np.asarray(y)
     if not np.issubdtype(y.dtype, np.integer):
         raise ValueError(f"labels must be integers, got dtype {y.dtype}")
-    if np.any(y < 0) or np.any(y >= n_classes):
+    if n_classes is not None and (np.any(y < 0) or np.any(y >= n_classes)):
         raise ValueError(f"label out of range [0, {n_classes})")
     return y
 

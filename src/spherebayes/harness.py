@@ -13,6 +13,10 @@ from the same mixture, per seed. Methods:
                   logit_adjusted baseline (a naive combination rule)
   oracle          the true-parameter Bayes rule (generated data only)
 
+Each head scores the test rows in the form it was fitted on: the Bayes heads
+the rows validated as unit vectors, the linear heads the rows their SGD loop
+saw (projected onto the sphere under `normalize`, as given otherwise).
+
 Accuracy is reported overall and over class-frequency splits: many-shot
 (train count > 100), medium-shot (20..100), few-shot (< 20).
 
@@ -37,9 +41,9 @@ from .baselines import (
     LinearClassifier,
     TrainConfig,
     TrainingDivergedError,
+    _linear_rows,
     _train_heads,
     minority_collapse_metric,
-    predict_linear,
 )
 from .classifier import (
     AdjustmentPolicy,
@@ -50,6 +54,7 @@ from .classifier import (
     adjust,
     class_stats,
     log_softmax,
+    logits,
     top_class,
 )
 from .datagen import Dataset, LongTailSpec, generate, read_features, sample_dataset
@@ -70,18 +75,6 @@ __all__ = [
 ]
 
 METHODS = ("bape", "bape+adjust", "softmax", "logit_adjusted", "ensemble", "oracle")
-
-_REPORT_FIELDS = (
-    "method",
-    "seed",
-    "acc_all",
-    "acc_many",
-    "acc_medium",
-    "acc_few",
-    "oracle_accuracy",
-    "minority_collapse",
-    "wall_time",
-)
 
 
 class ExperimentError(RuntimeError):
@@ -105,7 +98,8 @@ class ReportRow:
     wall_time: float
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _REPORT_FIELDS}
+        """The report columns, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ExperimentConfig fields that count something; seeds holds a list of them.
@@ -233,13 +227,6 @@ def split_accuracy(predictions, labels, class_counts, thresholds=(20, 100)) -> d
     return out
 
 
-def _tail_collapse(weights: np.ndarray, train_counts, threshold: int) -> float | None:
-    tail = np.flatnonzero(np.asarray(train_counts) < threshold)
-    if tail.size < 2:
-        return None
-    return minority_collapse_metric(LinearClassifier(weights, np.zeros(len(weights))), tail)
-
-
 def m0_loss_gradients(
     frame: EtfFrame,
     stats: list[ClassStats],
@@ -358,6 +345,32 @@ def _load_data(config: ExperimentConfig, seed: int):
 # Each linear head and the methods that score with it, its own first.
 _LINEAR_HEADS = {"softmax": ("softmax",), "logit_adjusted": ("logit_adjusted", "ensemble")}
 
+# The test rows each head scores, in the form it was fitted on.
+_ROWS = {"bape": "unit_z", "bape+adjust": "unit_z", "oracle": "unit_z", "softmax": "linear_z", "logit_adjusted": "linear_z"}
+
+# The weight directions each method's minority collapse is taken on. bape's
+# are mus, not W: W rows of kappa=0 classes have no direction. The oracle and
+# the ensemble have none.
+_COLLAPSE_ON = {"bape": "mus", "bape+adjust": "mus", "softmax": "W", "logit_adjusted": "W"}
+
+
+def _scores(built, method: str, temperature: float) -> np.ndarray:
+    """A method's class scores on the test rows: its head's logits on the rows
+    it was fitted on, or the ensemble's mean of the bape and logit_adjusted
+    log-posteriors (the latter at the training temperature)."""
+    if method == "ensemble":
+        lp_linear = log_softmax(_scores(built, "logit_adjusted", temperature) / temperature)
+        return 0.5 * (log_softmax(_scores(built, "bape", temperature)) + lp_linear)
+    return logits(built[method], built[_ROWS[method]])
+
+
+def _tail_collapse(built, method: str, train_counts, threshold: int) -> float | None:
+    tail = np.flatnonzero(np.asarray(train_counts) < threshold)
+    if method not in _COLLAPSE_ON or tail.size < 2:
+        return None
+    weights = getattr(built[method], _COLLAPSE_ON[method])
+    return minority_collapse_metric(LinearClassifier(weights, np.zeros(len(weights))), tail)
+
 
 def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
     """All configured methods on all seeds; rows sorted by (method, seed)."""
@@ -391,18 +404,16 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
             f"method {config.methods[0]!r}, seed {seed}: test features have dimension "
             f"{test_ds.dim}, training features {train_ds.dim}"
         )
-    tail_at = config.thresholds[0]
     # The linear heads this run needs; the ensemble scores with logit_adjusted.
     heads = tuple(mode for mode, users in _LINEAR_HEADS.items() if set(users) & set(config.methods))
 
-    # What each method scores with, built on first use and shared after:
-    # bape+adjust and ensemble reuse the bape fit, ensemble the
+    # The heads and the test rows they score, built on first use and shared
+    # after: bape+adjust and ensemble reuse the bape fit, ensemble the
     # logit_adjusted one, and the linear heads are trained together on the
-    # first use of either. The linear heads score the test rows as given; the
-    # bape heads score the unit rows, validated once. The oracle entry holds
-    # its predictions, which also give every row's oracle_accuracy.
+    # first use of either. The unit rows are validated once.
     built = _BuiltOnFirstUse({
         "unit_z": lambda _: as_unit_vector(test_z),
+        "linear_z": lambda _: _linear_rows(test_z, config.normalize),
         "bape": lambda _: _fit_bape(train_ds, config, seed),
         "bape+adjust": lambda deps: adjust(
             deps["bape"],
@@ -415,47 +426,26 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
         "linear": lambda _: _fit_linear(train_ds, config, heads, seed),
         "softmax": lambda deps: deps["linear"]["softmax"],
         "logit_adjusted": lambda deps: deps["linear"]["logit_adjusted"],
-        "oracle": lambda deps: top_class(
-            truth.classifier(ClassPriors.from_counts(test_ds.class_counts))._logits(deps["unit_z"])
-        ),
+        "oracle": lambda _: truth.classifier(ClassPriors.from_counts(test_ds.class_counts)),
     })
 
-    # Each scorer returns (predictions, minority_collapse). bape's collapse
-    # is taken on mus, not W: W rows of kappa=0 classes have no direction.
-    def bayes(name):
-        clf = built[name]
-        return top_class(clf._logits(built["unit_z"])), _tail_collapse(clf.mus, train_ds.class_counts, tail_at)
-
-    def linear(name):
-        clf = built[name]
-        return predict_linear(clf, test_z), _tail_collapse(clf.W, train_ds.class_counts, tail_at)
-
-    def ensemble(_):
-        lin = built["logit_adjusted"]
-        lp_lin = log_softmax((test_z @ lin.W.T + lin.b) / config.temperature)
-        return top_class(0.5 * (log_softmax(built["bape"]._logits(built["unit_z"])) + lp_lin)), None
-
-    scorers = {
-        "bape": bayes,
-        "bape+adjust": bayes,
-        "softmax": linear,
-        "logit_adjusted": linear,
-        "ensemble": ensemble,
-        "oracle": lambda name: (built[name], None),
-    }
-
-    scored = []
+    oracle_preds, scored = None, []
     for method in config.methods:
         started = time.perf_counter()
         try:
-            preds, collapse = scorers[method](method)
+            preds = top_class(_scores(built, method, config.temperature))
+            collapse = _tail_collapse(built, method, train_ds.class_counts, config.thresholds[0])
         except Exception as exc:
             if isinstance(exc, TrainingDivergedError):  # charged to its head, not to the first user of the stack
                 method = next(m for m in _LINEAR_HEADS[exc.mode] if m in config.methods)
             raise ExperimentError(f"method {method!r}, seed {seed}: {exc}") from exc
+        if method == "oracle":  # they give every row's oracle_accuracy
+            oracle_preds = preds
         acc = split_accuracy(preds, test_ds.labels, train_ds.class_counts, config.thresholds)
         scored.append((method, acc, collapse, time.perf_counter() - started))
-    oracle_acc = float(np.mean(built["oracle"] == test_ds.labels)) if truth is not None else None
+    if truth is not None and oracle_preds is None:
+        oracle_preds = top_class(_scores(built, "oracle", config.temperature))
+    oracle_acc = float(np.mean(oracle_preds == test_ds.labels)) if truth is not None else None
     return [
         ReportRow(
             method=method,
@@ -480,10 +470,9 @@ def emit_report(rows: list[ReportRow], fmt: str = "json", path=None) -> str:
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_REPORT_FIELDS)
+        writer.writerow(f.name for f in fields(ReportRow))
         for r in rows:
-            d = r.as_dict()
-            writer.writerow(["" if d[f] is None else repr(d[f]) if isinstance(d[f], float) else d[f] for f in _REPORT_FIELDS])
+            writer.writerow("" if v is None else repr(v) if isinstance(v, float) else v for v in r.as_dict().values())
         text = buf.getvalue()
     else:
         raise ValueError(f"unknown report format {fmt!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import MAX_KAPPA, log_vmf_normalizer
+from .special import _check_kappa, log_vmf_normalizer
 
 __all__ = ["UNIT_NORM_TOL", "as_unit_vector", "substream", "VmfParams", "log_density", "sample"]
 
@@ -72,12 +72,7 @@ class VmfParams:
         object.__setattr__(self, "dim", int(self.dim) if self.dim else mu.shape[0])
         if self.dim != mu.shape[0]:
             raise ValueError(f"mu has dimension {mu.shape[0]}, declared dim={self.dim}")
-        kappa = float(self.kappa)
-        if not np.isfinite(kappa) or kappa < 0.0:
-            raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
-        if kappa > MAX_KAPPA:
-            raise ValueError(f"kappa={kappa:g} exceeds the supported maximum {MAX_KAPPA:g}")
-        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "kappa", _check_kappa(self.kappa))
 
 
 def log_density(params: VmfParams, z) -> float | np.ndarray:

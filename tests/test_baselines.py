@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,11 @@ class TestCeLoss:
         with pytest.raises(ValueError):
             ce_loss(clf, z, 0, mode="logit_adjusted")  # priors missing
 
+    def test_float_labels_are_rejected(self):
+        clf = LinearClassifier(np.zeros((2, 3)), np.zeros(2))
+        with pytest.raises(ValueError, match="labels must be integers"):
+            ce_loss(clf, unit_rows(2, 3, 9), np.array([0.0, 1.0]))
+
 
 class TestCeLossGrad:
     def _fd(self, clf, z, y, mode, priors, temperature, h=1e-6):
@@ -157,6 +163,16 @@ class TestCeLossGrad:
         clf = LinearClassifier(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError):
             ce_loss_grad(clf, unit_rows(4, 3, 11), 0)
+
+    def test_float_label_is_rejected(self):
+        clf = LinearClassifier(np.zeros((2, 3)), np.zeros(2))
+        with pytest.raises(ValueError, match="labels must be integers"):
+            ce_loss_grad(clf, np.eye(3)[0], 1.0)
+
+    def test_unknown_mode_is_rejected(self):
+        clf = LinearClassifier(np.zeros((2, 3)), np.zeros(2))
+        with pytest.raises(ValueError, match="unknown mode 'focal'"):
+            ce_loss_grad(clf, np.eye(3)[0], 1, mode="focal")
 
 
 class TestTrain:
@@ -422,6 +438,24 @@ class TestTrainHeads:
             train(z, y, cfg)
 
 
+class TestTrainInputs:
+    def test_float_labels_are_rejected(self):
+        z, y = blob_data(n_per=10)
+        with pytest.raises(ValueError, match="labels must be integers"):
+            train(z, y.astype(float), TrainConfig(lr=0.1, epochs=1, batch_size=8))
+
+    def test_zero_row_under_normalize_is_named(self):
+        z = unit_rows(30, 4, 21)
+        z[3] = 0.0
+        y = np.arange(30) % 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="row 3 has zero norm"):
+                train(z, y, TrainConfig(lr=0.1, epochs=2, batch_size=8, normalize=True))
+        # As given, a zero row is just an input with zero logits.
+        train(z, y, TrainConfig(lr=0.1, epochs=2, batch_size=8))
+
+
 class TestPredictLinear:
     def test_tie_breaks_to_lowest_index(self):
         clf = LinearClassifier(np.zeros((3, 2)), np.zeros(3))
@@ -497,6 +531,17 @@ class TestNormReport:
         a = [r["weight_feature_norm"] for r in norm_report(clf, z, y)]
         b = [r["weight_feature_norm"] for r in norm_report(doubled, z, y)]
         assert_allclose(b, np.array(a) * 2.0, rtol=1e-12)
+
+    # The squares of these rows overflow or underflow; the error::RuntimeWarning
+    # filter fails the test on any overflow warning.
+    @pytest.mark.parametrize("factor", [1e300, 1e-200])
+    def test_extreme_weights_scale_the_report(self, factor):
+        w = np.random.default_rng(1).standard_normal((3, 4))
+        z = unit_rows(12, 4, 17)
+        y = np.arange(12) % 3
+        plain = [r["weight_feature_norm"] for r in norm_report(LinearClassifier(w, np.zeros(3)), z, y)]
+        scaled = [r["weight_feature_norm"] for r in norm_report(LinearClassifier(w * factor, np.zeros(3)), z, y)]
+        assert_allclose(scaled, np.array(plain) * factor, rtol=1e-15)
 
     def test_absent_class_reports_zero(self):
         clf = LinearClassifier(np.eye(3, 4), np.zeros(3))

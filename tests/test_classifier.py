@@ -24,9 +24,11 @@ from spherebayes.classifier import (
     from_json,
     kappa_report,
     log_posterior,
+    logits,
     predict,
     to_json,
 )
+from spherebayes.baselines import LinearClassifier
 from spherebayes.estimation import ConcentrationOverflowError, DegeneratePosteriorError
 from spherebayes.vmf import VmfParams, sample, substream
 
@@ -134,6 +136,16 @@ class TestPredict:
         clf = two_class(pi0=0.1)
         mid = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
         assert predict(clf, mid) == 1
+
+
+class TestLogits:
+    def test_one_formula_for_both_heads(self):
+        clf = random_classifier(6, 10, 5)
+        zs = random_units(50, 10, 6)
+        assert_array_equal(logits(clf, zs), zs @ clf.W.T + clf.b)
+        lin = LinearClassifier(clf.W, clf.b)
+        assert_array_equal(logits(lin, zs), logits(clf, zs))
+        assert_array_equal(predict(clf, zs), np.argmax(logits(clf, zs), axis=1))
 
 
 class TestBapeLoss:

@@ -374,6 +374,27 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "method 'bape', seed 0: vector is off the unit sphere" in err
 
+    @pytest.mark.parametrize("zero_in", ["train", "test"])
+    def test_zero_row_under_normalize_is_exit_1(self, tmp_path, capsys, zero_in):
+        # The linear heads train and score the projected rows; a zero row has
+        # none, and is named as bad input rather than read as a divergence.
+        data = {"train": generate(LongTailSpec(3, 30, 5.0), 8, seed=0)[0],
+                "test": generate(LongTailSpec(3, 30, 5.0), 8, seed=1)[0]}
+        ds = data[zero_in]
+        features = ds.features.copy()
+        features[3] = 0.0
+        data[zero_in] = Dataset(features, ds.labels, ds.class_counts)
+        for name, ds in data.items():
+            write_features(tmp_path / f"{name}.bin", ds)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seeds": [0], "methods": ["softmax"], "epochs": 2, "normalize": True,
+            "train_file": str(tmp_path / "train.bin"), "test_file": str(tmp_path / "test.bin"),
+        }))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "method 'softmax', seed 0: row 3 has zero norm" in err
+
     def test_singleton_tail_class_is_excluded(self, tmp_path, capsys):
         # At gamma=500 the tail class keeps one training sample, whose
         # concentration is unbounded under alpha_hat=0; bape excludes it.

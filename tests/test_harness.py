@@ -11,18 +11,21 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import logsumexp
 
-from spherebayes.baselines import TrainConfig, _train_heads, predict_linear, train
+from spherebayes.baselines import LinearClassifier, TrainConfig, _train_heads, predict_linear, train
 from spherebayes.classifier import (
     BayesClassifier,
     ClassPriors,
     _degenerate_aware_concentrations,
     log_posterior,
+    logits,
     predict,
 )
 from spherebayes.datagen import (
+    Dataset,
     LongTailSpec,
     generate,
     make_truth,
+    read_features,
     sample_dataset,
     write_features,
 )
@@ -498,6 +501,48 @@ class TestRunExperiment:
                 lr=0.3, epochs=4, batch_size=16, weight_decay=1e-3, mode=mode, temperature=0.7,
                 rng_seed=2, grad_scale=scale), n_classes=train_ds.n_classes)
             assert_array_equal(got, predict_linear(alone, np.asarray(test_ds.features, dtype=float)))
+
+    def test_normalize_scores_the_projected_test_rows(self, tmp_path, monkeypatch):
+        # Rows scaled off the sphere: under normalize each linear head trains
+        # on rows / ||rows||, so it must score the test rows projected the
+        # same way, not as given.
+        import spherebayes.harness as harness
+
+        train_ds, truth = generate(LongTailSpec(4, 60, 10.0), 6, (8.0, 25.0), seed=3)
+        test_ds = sample_dataset(truth, [50] * 4, seed=3, stream=3)
+        paths = [str(tmp_path / "tr.bin"), str(tmp_path / "te.bin")]
+        for key, (path, ds) in enumerate(zip(paths, (train_ds, test_ds))):
+            scale = substream(99, key).uniform(0.2, 5.0, (ds.n, 1))
+            write_features(path, Dataset(ds.features * scale, ds.labels, ds.class_counts))
+        preds = []
+
+        def scored(predictions, *args, **kwargs):
+            preds.append(predictions)
+            return split_accuracy(predictions, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "split_accuracy", scored)
+        run_experiment(ExperimentConfig(seeds=(3,), methods=("logit_adjusted", "softmax"), train_file=paths[0],
+                                        test_file=paths[1], normalize=True, eta=0.5, epochs=5))
+        train_ds, test_ds = read_features(paths[0]), read_features(paths[1])
+        rows = np.asarray(test_ds.features, dtype=float)
+        projected = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        for got, mode, scale in zip(preds, ("logit_adjusted", "softmax"), (0.5, 1.0)):
+            alone = train(train_ds.features, train_ds.labels, TrainConfig(
+                lr=0.5, epochs=5, batch_size=64, mode=mode, rng_seed=3, normalize=True, grad_scale=scale),
+                n_classes=train_ds.n_classes)
+            assert_array_equal(got, predict_linear(alone, projected))
+
+    def test_ensemble_linear_half_scores_the_projected_rows(self, monkeypatch):
+        import spherebayes.harness as harness
+
+        seen = []
+        monkeypatch.setattr(harness, "logits", lambda head, z: seen.append((head, z)) or logits(head, z))
+        cfg = small_config(seeds=(2,), methods=("ensemble",), normalize=True)
+        run_experiment(cfg)
+        rows = np.asarray(harness._load_data(cfg, 2)[1].features, dtype=float)
+        (linear_z,) = [z for head, z in seen if isinstance(head, LinearClassifier)]
+        assert not np.array_equal(linear_z, rows)  # the float32 rows are off the sphere in their last bits
+        assert_array_equal(linear_z, rows / np.linalg.norm(rows, axis=1, keepdims=True))
 
     # No np.errstate wrapper below: a leaked RuntimeWarning would fail them.
     @pytest.mark.parametrize("methods, culprit", [
