@@ -375,12 +375,14 @@ def norm_report(clf: LinearClassifier, features, labels) -> list[dict]:
     return rows
 
 
-def linear_to_json(clf: LinearClassifier) -> str:
-    """Serialize as {p, K, W, b} with full-precision floats."""
-    return json.dumps(
-        {"p": clf.dim, "K": clf.n_classes, "W": clf.W.tolist(), "b": clf.b.tolist()},
-        indent=2,
-    )
+def linear_to_json(clf: LinearClassifier, normalize: bool = False) -> str:
+    """Serialize as {p, K, W, b} with full-precision floats, plus
+    "normalize": true when the head was trained on rows projected onto the
+    sphere (see `TrainConfig`), so that its scorer projects its rows too."""
+    doc = {"p": clf.dim, "K": clf.n_classes, "W": clf.W.tolist(), "b": clf.b.tolist()}
+    if normalize:
+        doc["normalize"] = True
+    return json.dumps(doc, indent=2)
 
 
 def linear_from_json(text: str) -> LinearClassifier:

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .baselines import linear_from_json, linear_to_json, predict_linear
+from .baselines import _linear_rows, linear_from_json, linear_to_json, predict_linear
 from .classifier import AdjustmentPolicy, ClassPriors, adjust, from_json, predict, to_json
 from .datagen import (
     FeatureFileError,
@@ -121,6 +121,8 @@ def _parse_kappa_range(text: str) -> tuple[float, float]:
 
 
 def _cmd_generate(args) -> int:
+    if args.test_out and args.test_per_class < 1:
+        raise ValueError(f"--test-per-class must be >= 1, got {args.test_per_class}")
     spec = LongTailSpec(args.classes, args.head_size, args.gamma)
     train_ds, truth = generate(
         spec, args.dim, _parse_kappa_range(args.kappa_range), args.center_mode, args.seed
@@ -147,7 +149,7 @@ def _cmd_fit(args) -> int:
     if args.model == "bape":
         text = to_json(_fit_bape(ds, config, args.seed))
     else:
-        text = linear_to_json(_fit_linear(ds, config, (args.model,), args.seed)[args.model])
+        text = linear_to_json(_fit_linear(ds, config, (args.model,), args.seed)[args.model], args.normalize)
     with open(args.out, "w") as fh:
         fh.write(text + "\n")
     return 0
@@ -187,16 +189,24 @@ def _cmd_eval(args) -> int:
     with open(args.classifier) as fh:
         text = fh.read()
     ds = read_features(args.data)
-    if "classes" in json.loads(text):
-        clf, scorer = from_json(text), predict
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("malformed classifier document: expected a JSON object")
+    if "classes" in doc:
+        clf = from_json(text)
         policy = _parse_adjustment(args, clf.n_classes)
         if policy is not None:
             clf = adjust(clf, policy)
+        preds = predict(clf, ds.features)
     else:
         if args.adjust_priors or args.kappa_mode != "keep":
             raise ValueError("adjustment flags only apply to bape classifier documents")
-        clf, scorer = linear_from_json(text), predict_linear
-    preds = scorer(clf, np.asarray(ds.features, dtype=float))
+        clf = linear_from_json(text)
+        normalize = doc.get("normalize", False)
+        if not isinstance(normalize, bool):
+            raise ValueError(f"malformed classifier document: normalize must be true or false, got {normalize!r}")
+        # The rows the head was trained on: projected onto the sphere under `fit --normalize`.
+        preds = predict_linear(clf, _linear_rows(np.asarray(ds.features, dtype=float), normalize))
     counts = ds.class_counts
     if args.split_counts_from:
         counts = read_features(args.split_counts_from).class_counts

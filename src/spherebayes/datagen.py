@@ -198,15 +198,18 @@ def sample_dataset(truth: MixtureGroundTruth, counts, seed: int, stream: int = 2
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape != (truth.n_classes,) or np.any(counts < 0):
         raise ValueError("counts must give one non-negative size per class")
-    blocks, labels = [], []
-    for j, cnt in enumerate(counts):
-        if cnt == 0:
-            continue
-        blocks.append(sample(truth.components[j], int(cnt), substream(seed, stream, j)))
-        labels.append(np.full(int(cnt), j, dtype=np.int64))
+    if not counts.any():
+        raise ValueError("counts are all zero: a dataset needs at least one sample")
+    # Each block is cast to float32 as it is written, bitwise as astype would.
+    features = np.empty((int(counts.sum()), truth.dim), dtype=np.float32)
+    start = 0
+    for j, cnt in enumerate(counts.tolist()):
+        if cnt:
+            features[start : start + cnt] = sample(truth.components[j], cnt, substream(seed, stream, j))
+            start += cnt
     return Dataset(
-        features=np.concatenate(blocks).astype(np.float32),
-        labels=np.concatenate(labels),
+        features=features,
+        labels=np.repeat(np.arange(truth.n_classes, dtype=np.int64), counts),
         class_counts=counts,
     )
 
@@ -244,7 +247,7 @@ def oracle_accuracy(truth: MixtureGroundTruth, test: Dataset) -> float:
     if test.dim != truth.dim:
         raise ValueError(f"dimension mismatch: truth {truth.dim}, test {test.dim}")
     clf = truth.classifier(ClassPriors.from_counts(test.class_counts))
-    pred = predict(clf, np.asarray(test.features, dtype=float))
+    pred = predict(clf, test.features)
     return float(np.mean(pred == test.labels))
 
 

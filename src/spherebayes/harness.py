@@ -60,7 +60,7 @@ from .classifier import (
 from .datagen import Dataset, LongTailSpec, generate, read_features, sample_dataset
 from .estimation import ClassStats, class_posteriors
 from .priors import EtfFrame, build_etf, grad_step_m0
-from .special import log_vmf_normalizer, mean_resultant_ratio
+from .special import log_vmf_normalizer, logsumexp, mean_resultant_ratio
 from .vmf import as_unit_vector, substream
 
 __all__ = [
@@ -276,14 +276,19 @@ def _m0_gradients(frame, counts, resultants, alpha_hat, beta_hat, priors, z, lab
         priors = ClassPriors(pi / pi.sum(), allow_zero=True)
     # The bape logits kappa_k m_k.T z + ln pi_k - ln C_p(kappa_k), from one
     # product z @ ms.T that the beta route below reuses; excluded classes
-    # score -inf.
+    # score -inf. The posteriors are built in one (n, K) buffer.
     b = priors.log() - log_vmf_normalizer(p, kappas)
     zm = z @ ms.T
-    probs = np.exp(log_softmax(zm * kappas + b))
+    probs = zm * kappas
+    probs += b
+    probs -= logsumexp(probs, axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
     probs[np.arange(len(labels)), labels] -= 1.0  # d loss / d logit_k
-    probs[excluded[labels]] = 0.0
+    if excluded.any():
+        probs[excluded[labels]] = 0.0
     # beta route: per class, a scalar times the fixed direction m_k.
-    beta_coef = np.einsum("nk,nk->k", probs, zm - a_vals) * dk_db
+    zm -= a_vals
+    beta_coef = np.einsum("nk,nk->k", probs, zm) * dk_db
     # m route: kappa_k * (I - m_k m_k^T) z / beta_k, summed over samples.
     zsum = probs.T @ z
     scale = np.divide(kappas, betas, out=np.zeros(len(kappas)), where=keep)
@@ -345,8 +350,9 @@ def _load_data(config: ExperimentConfig, seed: int):
 # Each linear head and the methods that score with it, its own first.
 _LINEAR_HEADS = {"softmax": ("softmax",), "logit_adjusted": ("logit_adjusted", "ensemble")}
 
-# The test rows each head scores, in the form it was fitted on.
-_ROWS = {"bape": "unit_z", "bape+adjust": "unit_z", "oracle": "unit_z", "softmax": "linear_z", "logit_adjusted": "linear_z"}
+# The test rows each head scores with its own `logits` call, in the form it
+# was fitted on (bape scores through "bape_product", taken on "unit_z").
+_ROWS = {"bape+adjust": "unit_z", "oracle": "unit_z", "softmax": "linear_z", "logit_adjusted": "linear_z"}
 
 # The weight directions each method's minority collapse is taken on. bape's
 # are mus, not W: W rows of kappa=0 classes have no direction. The oracle and
@@ -354,13 +360,22 @@ _ROWS = {"bape": "unit_z", "bape+adjust": "unit_z", "oracle": "unit_z", "softmax
 _COLLAPSE_ON = {"bape": "mus", "bape+adjust": "mus", "softmax": "W", "logit_adjusted": "W"}
 
 
-def _scores(built, method: str, temperature: float) -> np.ndarray:
+def _scores(built, method: str, config: ExperimentConfig) -> np.ndarray:
     """A method's class scores on the test rows: its head's logits on the rows
     it was fitted on, or the ensemble's mean of the bape and logit_adjusted
-    log-posteriors (the latter at the training temperature)."""
+    log-posteriors (the latter at the training temperature).
+
+    bape, and bape+adjust under kappa_mode "keep", add their own b to one
+    shared product of the unit rows with bape's W. "keep" changes only b:
+    the adjusted W is bape's up to the last bits of its renormalized mus, so
+    bape+adjust's logits equal its own `logits` call to rounding (within
+    1e-12 of the largest |logit|), not bitwise.
+    """
     if method == "ensemble":
-        lp_linear = log_softmax(_scores(built, "logit_adjusted", temperature) / temperature)
-        return 0.5 * (log_softmax(_scores(built, "bape", temperature)) + lp_linear)
+        lp_linear = log_softmax(_scores(built, "logit_adjusted", config) / config.temperature)
+        return 0.5 * (log_softmax(_scores(built, "bape", config)) + lp_linear)
+    if method == "bape" or (method == "bape+adjust" and config.kappa_mode == "keep"):
+        return built["bape_product"] + built[method].b
     return logits(built[method], built[_ROWS[method]])
 
 
@@ -398,7 +413,6 @@ class _BuiltOnFirstUse(dict):
 
 def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
     train_ds, test_ds, truth = _load_data(config, seed)
-    test_z = np.asarray(test_ds.features, dtype=float)
     if test_ds.dim != train_ds.dim:  # charged to the first method, where it would surface otherwise
         raise ExperimentError(
             f"method {config.methods[0]!r}, seed {seed}: test features have dimension "
@@ -410,11 +424,14 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
     # The heads and the test rows they score, built on first use and shared
     # after: bape+adjust and ensemble reuse the bape fit, ensemble the
     # logit_adjusted one, and the linear heads are trained together on the
-    # first use of either. The unit rows are validated once.
+    # first use of either. The unit rows are validated once, straight from
+    # the float32 features; the float64 rows of the linear heads are made
+    # only when one scores.
     built = _BuiltOnFirstUse({
-        "unit_z": lambda _: as_unit_vector(test_z),
-        "linear_z": lambda _: _linear_rows(test_z, config.normalize),
+        "unit_z": lambda _: as_unit_vector(test_ds.features),
+        "linear_z": lambda _: _linear_rows(np.asarray(test_ds.features, dtype=float), config.normalize),
         "bape": lambda _: _fit_bape(train_ds, config, seed),
+        "bape_product": lambda deps: deps["unit_z"] @ deps["bape"].W.T,
         "bape+adjust": lambda deps: adjust(
             deps["bape"],
             AdjustmentPolicy(
@@ -433,7 +450,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
     for method in config.methods:
         started = time.perf_counter()
         try:
-            preds = top_class(_scores(built, method, config.temperature))
+            preds = top_class(_scores(built, method, config))
             collapse = _tail_collapse(built, method, train_ds.class_counts, config.thresholds[0])
         except Exception as exc:
             if isinstance(exc, TrainingDivergedError):  # charged to its head, not to the first user of the stack
@@ -444,7 +461,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
         acc = split_accuracy(preds, test_ds.labels, train_ds.class_counts, config.thresholds)
         scored.append((method, acc, collapse, time.perf_counter() - started))
     if truth is not None and oracle_preds is None:
-        oracle_preds = top_class(_scores(built, "oracle", config.temperature))
+        oracle_preds = top_class(_scores(built, "oracle", config))
     oracle_acc = float(np.mean(oracle_preds == test_ds.labels)) if truth is not None else None
     return [
         ReportRow(

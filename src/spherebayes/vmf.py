@@ -28,22 +28,47 @@ def as_unit_vector(v, dim: int | None = None) -> np.ndarray:
 
     Accepts norm deviations up to `UNIT_NORM_TOL` and rescales; anything
     further off the sphere raises ValueError, as does a dimension mismatch
-    when `dim` is given.
+    when `dim` is given. The result is bitwise v / ||v||. When the float64
+    conversion had to copy v (float32 rows, a list), the copy is divided in
+    place; memory shared with the caller is never written.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim not in (1, 2):
-        raise ValueError(f"expected a vector or a batch of vectors, got ndim={v.ndim}")
-    if v.shape[-1] < 2:
-        raise ValueError(f"unit vectors must have dimension >= 2, got {v.shape[-1]}")
-    if dim is not None and v.shape[-1] != dim:
-        raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[-1]}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("unit vector has non-finite components")
-    norms = np.linalg.norm(v, axis=-1)
-    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+    u = np.asarray(v, dtype=float)
+    if u.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or a batch of vectors, got ndim={u.ndim}")
+    if u.shape[-1] < 2:
+        raise ValueError(f"unit vectors must have dimension >= 2, got {u.shape[-1]}")
+    if dim is not None and u.shape[-1] != dim:
+        raise ValueError(f"dimension mismatch: expected {dim}, got {u.shape[-1]}")
+    norms = _norms(u)
+    # A nan or inf component makes its norm nan or inf, which fails this test.
+    if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
+        if not np.all(np.isfinite(u)):
+            raise ValueError("unit vector has non-finite components")
         worst = float(np.max(np.abs(norms - 1.0)))
         raise ValueError(f"vector is off the unit sphere by {worst:.3e} (> {UNIT_NORM_TOL:.0e})")
-    return v / norms[..., np.newaxis] if v.ndim == 2 else v / norms
+    if u.ndim == 2:
+        norms = norms[:, np.newaxis]
+    if np.may_share_memory(u, v):
+        return u / norms
+    u /= norms
+    return u
+
+
+# Entries per block of `_norms`: 512 KiB of float64 squares at a time.
+_NORM_BLOCK = 1 << 16
+
+
+def _norms(u: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(u, axis=-1), taken a block of rows at a time so that the
+    squares never fill a full-size temporary; each row's norm is the same
+    reduction over the same row, so bitwise the one-call result."""
+    rows = max(1, _NORM_BLOCK // u.shape[-1])
+    if u.ndim == 1 or u.shape[0] <= rows:
+        return np.linalg.norm(u, axis=-1)
+    norms = np.empty(u.shape[0])
+    for start in range(0, u.shape[0], rows):
+        norms[start : start + rows] = np.linalg.norm(u[start : start + rows], axis=-1)
+    return norms
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -122,17 +147,21 @@ def sample(params: VmfParams, n: int, rng: int | np.random.Generator) -> np.ndar
     p = params.dim
     if params.kappa == 0.0:
         g = rng.standard_normal((n, p))
-        return g / np.linalg.norm(g, axis=1, keepdims=True)
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        return g
     w = _sample_cosines(params.kappa, p, n, rng)
     v = rng.standard_normal((n, p - 1))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     x = np.empty((n, p))
     x[:, 0] = w
-    x[:, 1:] = np.sqrt(np.clip(1.0 - w * w, 0.0, None))[:, np.newaxis] * v
+    np.multiply(np.sqrt(np.clip(1.0 - w * w, 0.0, None))[:, np.newaxis], v, out=x[:, 1:])
     # Reflect e_1 onto mu: H = I - 2 u u^T / (u^T u) with u = e_1 - mu.
     u = -params.mu.copy()
     u[0] += 1.0
     uu = float(u @ u)
     if uu > 1e-24:
-        x -= (2.0 / uu) * np.outer(x @ u, u)
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+        reflected = np.multiply.outer(x @ u, u)
+        reflected *= 2.0 / uu
+        x -= reflected
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,30 @@ class TestLogits:
         lin = LinearClassifier(clf.W, clf.b)
         assert_array_equal(logits(lin, zs), logits(clf, zs))
         assert_array_equal(predict(clf, zs), np.argmax(logits(clf, zs), axis=1))
+
+    @pytest.mark.parametrize("rows", ["vector", "batch", "empty"])
+    def test_bitwise_equal_to_out_of_place_sum(self, rows):
+        # The parent formula, z @ W.T + b; the bias is now added in place.
+        clf = random_classifier(7, 9, 6)
+        zs = {"vector": random_units(1, 9, 7)[0], "batch": random_units(50, 9, 7), "empty": np.empty((0, 9))}[rows]
+        for head in (clf, LinearClassifier(clf.W * 1.7, clf.b - 0.3)):
+            got = logits(head, zs)
+            assert_array_equal(got, zs @ head.W.T + head.b)
+            assert got.shape == np.shape(zs @ head.W.T)
+
+    def test_makes_one_full_size_array(self):
+        # The (n, K) product is the only large allocation: an out-of-place
+        # bias would make a second one.
+        clf = random_classifier(100, 128, 8)
+        zs = random_units(20000, 128, 9)
+        tracemalloc.start()
+        try:
+            s = logits(clf, zs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.shape == (20000, 100)
+        assert peak <= 1.1 * s.nbytes
 
 
 class TestBapeLoss:
@@ -361,6 +386,35 @@ class TestClassStats:
         expected = np.stack([z[y == c].sum(axis=0) for c in range(9)])
         assert np.array_equal(resultants, expected)
         assert np.all(resultants[[2, 5, 7, 8]] == 0.0)
+
+    @staticmethod
+    def _gathered(features, labels, n_classes):
+        # The parent formula: always a stable argsort gather, then one slice per class.
+        counts = np.bincount(labels, minlength=n_classes)
+        grouped = features[np.argsort(labels, kind="stable")]
+        ends = np.cumsum(counts)
+        resultants = np.zeros((n_classes, features.shape[1]))
+        for y in np.flatnonzero(counts):
+            resultants[y] = grouped[ends[y] - counts[y] : ends[y]].sum(axis=0)
+        return counts, resultants
+
+    @pytest.mark.parametrize("order", ["sorted", "shuffled", "one_swap"])
+    def test_bitwise_equal_to_gathered_sums(self, order):
+        # Sorted labels (every generated dataset's) skip the gather; the
+        # others, one swapped pair included, take it.
+        rng = np.random.default_rng(10)
+        z = rng.standard_normal((3000, 33))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        y = np.sort(rng.choice([0, 1, 2, 4, 7], size=3000, p=[0.4, 0.3, 0.2, 0.07, 0.03]))
+        if order == "shuffled":
+            y = rng.permutation(y)
+        elif order == "one_swap":
+            y[[10, 2990]] = y[[2990, 10]]
+        counts, resultants = class_stats(z, y, 9)
+        expected_counts, expected = self._gathered(z, y, 9)
+        assert_array_equal(counts, expected_counts)
+        assert np.array_equal(resultants, expected)
+        assert np.array_equal(resultants, np.stack([z[y == c].sum(axis=0) for c in range(9)]))
 
 
 class TestFit:

@@ -14,6 +14,7 @@ from spherebayes.classifier import from_json
 from spherebayes.baselines import linear_from_json
 from spherebayes.cli import main
 from spherebayes.datagen import Dataset, LongTailSpec, generate, read_features, write_features
+from spherebayes.vmf import substream
 
 
 @pytest.fixture()
@@ -64,6 +65,14 @@ class TestGenerate:
     def test_unwritable_path_is_exit_2(self, tmp_path):
         out = tmp_path / "missing" / "dir" / "x.bin"
         assert main(["generate", "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_empty_test_size_is_exit_1_and_named(self, tmp_path, capsys, size):
+        code = main(["generate", "--classes", "3", "--dim", "4", "--head-size", "10", "--out", str(tmp_path / "tr.bin"),
+                     "--test-out", str(tmp_path / "te.bin"), "--test-per-class", size])
+        assert code == 1
+        assert f"--test-per-class must be >= 1, got {size}" in capsys.readouterr().err
+        assert not (tmp_path / "tr.bin").exists() and not (tmp_path / "te.bin").exists()
 
 
 class TestFit:
@@ -185,6 +194,48 @@ class TestEval:
         # adjustment flags are a bape-only feature
         assert main(["eval", "--classifier", str(clf), "--data", str(test),
                      "--adjust-priors", "uniform"]) == 1
+
+    def test_linear_document_records_normalize_only_when_set(self, workspace):
+        plain = json.loads(self._fit(workspace, model="softmax", extra=("--epochs", "2")).read_text())
+        assert "normalize" not in plain
+        projected = json.loads(self._fit(workspace, model="logit_adjusted",
+                                         extra=("--epochs", "2", "--normalize")).read_text())
+        assert projected["normalize"] is True
+
+    @pytest.mark.parametrize("bad", ["normalize", "list", "number"])
+    def test_malformed_document_is_exit_1(self, workspace, capsys, bad):
+        tmp, train, test = workspace
+        clf = self._fit(workspace, model="softmax", extra=("--epochs", "2"))
+        head = json.loads(clf.read_text())
+        clf.write_text({"normalize": json.dumps(dict(head, normalize=1)), "list": "[1, 2]", "number": "5"}[bad])
+        assert main(["eval", "--classifier", str(clf), "--data", str(test)]) == 1
+        assert "malformed classifier document" in capsys.readouterr().err
+
+    def test_normalized_linear_model_scores_projected_rows(self, tmp_path):
+        # Seed-0 files (K=20, p=32) with every row scaled by U[0.2, 5]: the
+        # head `fit --normalize` trains must be scored on projected rows, as
+        # `compare` with normalize: true scores it (acc_all 0.670, against
+        # 0.577 on the rows as given).
+        train, test = tmp_path / "tr.bin", tmp_path / "te.bin"
+        assert main(["generate", "--seed", "0", "--out", str(train), "--test-out", str(test)]) == 0
+        for key, path in enumerate((train, test)):
+            ds = read_features(path)
+            scale = substream(99, key).uniform(0.2, 5.0, (ds.n, 1))
+            write_features(path, Dataset(ds.features * scale, ds.labels, ds.class_counts))
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"seeds": [0], "methods": ["logit_adjusted"], "normalize": True,
+                                      "train_file": str(train), "test_file": str(test)}))
+        assert main(["compare", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 0
+        (row,) = json.loads((tmp_path / "r.json").read_text())
+        model, scores = tmp_path / "m.json", tmp_path / "e.json"
+        assert main(["fit", "--model", "logit_adjusted", "--normalize", "--seed", "0",
+                     "--train", str(train), "--out", str(model)]) == 0
+        assert main(["eval", "--classifier", str(model), "--data", str(test),
+                     "--split-counts-from", str(train), "--out", str(scores)]) == 0
+        got = json.loads(scores.read_text())
+        assert {split: got[split] for split in ("all", "many", "medium", "few")} == {
+            split: row[f"acc_{split}"] for split in ("all", "many", "medium", "few")}
+        assert round(got["all"], 3) == 0.670
 
     def test_writes_to_file(self, workspace):
         tmp, train, test = workspace

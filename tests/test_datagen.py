@@ -26,7 +26,7 @@ from spherebayes.datagen import (
     sample_dataset,
     write_features,
 )
-from spherebayes.vmf import VmfParams, substream
+from spherebayes.vmf import VmfParams, sample, substream
 
 
 class TestClassSizes:
@@ -149,6 +149,23 @@ class TestSampleDataset:
             sample_dataset(truth, [1, 2], seed=0)
         with pytest.raises(ValueError):
             sample_dataset(truth, [1, -1, 2], seed=0)
+
+    def test_all_zero_counts_raise_their_own_error(self):
+        with pytest.raises(ValueError, match="counts are all zero"):
+            sample_dataset(self._truth(), [0, 0, 0], seed=0)
+
+    @pytest.mark.parametrize("counts", [[7, 3, 5, 1], [0, 12, 0, 4], [9, 0, 0, 0], [0, 0, 0, 2]])
+    def test_bitwise_equal_to_concatenated_blocks(self, counts):
+        # The parent formula: one block per class, concatenated, then cast.
+        truth = self._truth(k=4, p=6, seed=3)
+        ds = sample_dataset(truth, counts, seed=5, stream=3)
+        blocks = [sample(truth.components[j], c, substream(5, 3, j)) for j, c in enumerate(counts) if c]
+        labels = [np.full(c, j, dtype=np.int64) for j, c in enumerate(counts) if c]
+        expected = np.concatenate(blocks).astype(np.float32)
+        assert ds.features.dtype == np.float32 and ds.features.flags.c_contiguous
+        assert_array_equal(ds.features.view(np.uint32), expected.view(np.uint32))
+        assert_array_equal(ds.labels, np.concatenate(labels))
+        assert ds.labels.dtype == np.int64
 
 
 class TestGenerate:

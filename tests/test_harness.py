@@ -13,10 +13,14 @@ from scipy.special import logsumexp
 
 from spherebayes.baselines import LinearClassifier, TrainConfig, _train_heads, predict_linear, train
 from spherebayes.classifier import (
+    AdjustmentPolicy,
     BayesClassifier,
     ClassPriors,
     _degenerate_aware_concentrations,
+    adjust,
+    class_stats,
     log_posterior,
+    log_softmax,
     logits,
     predict,
 )
@@ -35,6 +39,7 @@ from spherebayes.harness import (
     ExperimentConfig,
     ExperimentError,
     ReportRow,
+    _m0_gradients,
     emit_report,
     m0_loss_gradients,
     run_experiment,
@@ -42,7 +47,7 @@ from spherebayes.harness import (
 )
 from spherebayes.priors import EtfFrame, build_etf
 from spherebayes.special import log_vmf_normalizer, mean_resultant_ratio
-from spherebayes.vmf import substream
+from spherebayes.vmf import as_unit_vector, substream
 
 
 class TestSplitAccuracy:
@@ -292,6 +297,49 @@ class TestM0Gradients:
             assert np.all(got[3] == 0.0)
         assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
 
+    @staticmethod
+    def _out_of_place_gradient(frame, counts, resultants, alpha_hat, beta_hat, priors, z, labels, mode):
+        # `_m0_gradients` as first written: a fresh array for each step of
+        # the posteriors, and the excluded rows zeroed unconditionally.
+        p = frame.dim
+        alphas, betas, ms, beta0 = class_posteriors(counts, resultants, alpha_hat, beta_hat, frame.vectors)
+        kappas, excluded = _degenerate_aware_concentrations(p, alphas, betas, mode, "exclude")
+        keep = ~excluded
+        a_vals = mean_resultant_ratio(p, kappas)
+        alpha, beta, a_val = alphas[keep], betas[keep], a_vals[keep]
+        dk_db = np.zeros(len(kappas))
+        if mode == "approx":
+            dk_db[keep] = p * alpha * (alpha**2 + beta**2) / (alpha**2 - beta**2) ** 2
+        else:
+            dk_db[keep] = 1.0 / (alpha * (1.0 - a_val * a_val - (p - 1) * a_val / kappas[keep]))
+        if excluded.any():
+            pi = np.where(excluded, 0.0, priors.pi)
+            priors = ClassPriors(pi / pi.sum(), allow_zero=True)
+        b = priors.log() - log_vmf_normalizer(p, kappas)
+        zm = z @ ms.T
+        probs = np.exp(log_softmax(zm * kappas + b))
+        probs[np.arange(len(labels)), labels] -= 1.0
+        probs[excluded[labels]] = 0.0
+        beta_coef = np.einsum("nk,nk->k", probs, zm - a_vals) * dk_db
+        zsum = probs.T @ z
+        scale = np.divide(kappas, betas, out=np.zeros(len(kappas)), where=keep)
+        tangent = (zsum - np.einsum("kp,kp->k", zsum, ms)[:, np.newaxis] * ms) * scale[:, np.newaxis]
+        return (beta_coef[:, np.newaxis] * ms + tangent) * (beta0 / len(labels))[:, np.newaxis]
+
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    @pytest.mark.parametrize("with_excluded", [False, True])
+    def test_bitwise_equal_to_out_of_place_formula(self, mode, with_excluded):
+        truth = make_truth(6, 9, (8.0, 40.0), center_mode="random", seed=12)
+        ds = sample_dataset(truth, [90, 40, 25, 9, 4, 0 if with_excluded else 2], 12)
+        feats = as_unit_vector(ds.features)
+        counts, resultants = class_stats(feats, ds.labels, 6)
+        priors = ClassPriors.from_counts(counts)
+        args = (build_etf(6, 9, 13), counts, resultants, 1.0, 0.5, priors, feats, ds.labels, mode)
+        got = _m0_gradients(*args)
+        if with_excluded:
+            assert np.all(got[5] == 0.0)
+        assert_array_equal(got, self._out_of_place_gradient(*args))
+
     def test_rows_off_the_sphere_raise(self):
         frame, stats, priors, feats, labels = self._setup()
         with pytest.raises(ValueError, match="off the unit sphere"):
@@ -531,6 +579,39 @@ class TestRunExperiment:
                 lr=0.5, epochs=5, batch_size=64, mode=mode, rng_seed=3, normalize=True, grad_scale=scale),
                 n_classes=train_ds.n_classes)
             assert_array_equal(got, predict_linear(alone, projected))
+
+    @pytest.mark.parametrize("kappa_mode, fixed_kappa", [("keep", None), ("shared_mean", None), ("fixed", 12.0)])
+    def test_bape_adjust_shares_bape_product_under_keep(self, monkeypatch, kappa_mode, fixed_kappa):
+        # bape scores its product plus b, bitwise its own logits. Under
+        # "keep" bape+adjust adds its b to the same product: its W is bape's
+        # up to the last bits of the renormalized mus, so its logits match
+        # its own `logits` call within 1e-12 of their largest magnitude. The
+        # other modes change W and score with their own call.
+        import spherebayes.harness as harness
+
+        scores, own_calls = {}, []
+        monkeypatch.setattr(harness, "top_class", lambda s: scores.setdefault(len(scores), s).argmax(axis=-1))
+        monkeypatch.setattr(harness, "logits", lambda head, z: own_calls.append(head) or logits(head, z))
+        cfg = small_config(seeds=(4,), methods=("bape", "bape+adjust", "ensemble"), kappa_mode=kappa_mode,
+                           fixed_kappa=fixed_kappa, alpha_hat=1.0, beta_hat=0.5, m0_steps=1)
+        run_experiment(cfg)
+        train_ds, test_ds, _ = harness._load_data(cfg, 4)
+        bape = harness._fit_bape(train_ds, cfg, 4)
+        adjusted = adjust(bape, AdjustmentPolicy(ClassPriors.uniform(train_ds.n_classes), kappa_mode, fixed_kappa))
+        unit_z = as_unit_vector(test_ds.features)
+        assert_array_equal(scores[0], logits(bape, unit_z))
+        own = logits(adjusted, unit_z)
+        if kappa_mode == "keep":
+            assert_allclose(scores[1], own, rtol=0, atol=1e-12 * np.abs(own).max())
+        else:
+            assert_array_equal(scores[1], own)
+        # Own calls: bape+adjust's outside "keep", the ensemble's linear half, and the oracle that scores last.
+        own_heads = [BayesClassifier] * (kappa_mode != "keep") + [LinearClassifier, BayesClassifier]
+        assert [type(head) for head in own_calls] == own_heads
+        linear = harness._fit_linear(train_ds, cfg, ("logit_adjusted",), 4)["logit_adjusted"]
+        expected = 0.5 * (log_softmax(logits(bape, unit_z)) + log_softmax(logits(linear, np.asarray(
+            test_ds.features, dtype=float))))
+        assert_array_equal(scores[2], expected)
 
     def test_ensemble_linear_half_scores_the_projected_rows(self, monkeypatch):
         import spherebayes.harness as harness

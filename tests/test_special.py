@@ -149,8 +149,9 @@ class TestBesselRatio:
                 assert_allclose(bessel_ratio(nu, x), via_logs, rtol=1e-9)
 
     def test_large_argument_branch_continuity(self):
-        # The continued fraction hands off to a differenced asymptotic form
-        # at x = 2e4; both routes must agree at the seam itself.
+        # The router hands the continued fraction off to a differenced
+        # asymptotic form at x = max(50, nu); both routes must still agree
+        # far above that, at x = 2e4.
         from spherebayes.special import _ratio_continued_fraction, _ratio_differenced_asymptotic
 
         for nu in (0.0, 1.5, 31.0, 511.0):
