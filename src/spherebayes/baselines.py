@@ -20,7 +20,7 @@ import numpy as np
 
 from .classifier import ClassPriors, _check_labels, log_softmax, logits, top_class
 from .special import logsumexp
-from .vmf import substream
+from .vmf import _norms, substream
 
 __all__ = [
     "LinearClassifier",
@@ -305,11 +305,17 @@ def _linear_rows(z: np.ndarray, normalize: bool) -> np.ndarray:
     normalize z projected onto the sphere; a zero row raises ValueError."""
     if not normalize:
         return z
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    return z / _projection_norms(z)[:, np.newaxis]
+
+
+def _projection_norms(z: np.ndarray) -> np.ndarray:
+    """The float64 norms that `_linear_rows` divides z's rows by under
+    normalize; a zero row raises ValueError."""
+    norms = _norms(z)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"row {zero[0]} has zero norm and cannot be normalized")
-    return z / norms
+    return norms
 
 
 def _diverged(finite, modes, what) -> TrainingDivergedError:

@@ -263,7 +263,9 @@ def adjust(clf: BayesClassifier, policy: AdjustmentPolicy) -> BayesClassifier:
 
     The input classifier is untouched. Classes excluded at fit time stay
     excluded (their parameters are unknown), keeping zero posterior mass even
-    under the new priors.
+    under the new priors. Under kappa_mode "keep" only the priors change: the
+    result holds the input's own mus and W arrays, not renormalized copies,
+    so its logits are bitwise the input's product W z plus its new b.
     """
     target = policy.target_priors or ClassPriors.uniform(clf.n_classes)
     if target.pi.shape[0] != clf.n_classes:
@@ -279,13 +281,17 @@ def adjust(clf: BayesClassifier, policy: AdjustmentPolicy) -> BayesClassifier:
         kappas = np.full(clf.n_classes, np.delete(clf.kappas, clf.excluded).mean())
     else:
         kappas = np.full(clf.n_classes, float(policy.fixed_kappa))
-    return BayesClassifier(
+    adjusted = BayesClassifier(
         mus=clf.mus,
         kappas=kappas,
         priors=ClassPriors(pi, allow_zero=bool(clf.excluded)),
         counts=clf.counts,
         excluded=clf.excluded,
     )
+    if policy.kappa_mode == "keep":
+        object.__setattr__(adjusted, "mus", clf.mus)
+        object.__setattr__(adjusted, "W", clf.W)
+    return adjusted
 
 
 def kappa_report(clf: BayesClassifier) -> list[dict]:

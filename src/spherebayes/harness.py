@@ -16,6 +16,10 @@ from the same mixture, per seed. Methods:
 Each head scores the test rows in the form it was fitted on: the Bayes heads
 the rows validated as unit vectors, the linear heads the rows their SGD loop
 saw (projected onto the sphere under `normalize`, as given otherwise).
+Every head is fitted and every test row checked before any row is scored;
+scoring is then one pass over the test rows in row blocks, which keeps its
+scratch memory at O(block * K) and each prediction bitwise that of the
+full-size arrays.
 
 Accuracy is reported overall and over class-frequency splits: many-shot
 (train count > 100), medium-shot (20..100), few-shot (< 20).
@@ -33,6 +37,7 @@ import io
 import json
 import numbers
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -41,7 +46,7 @@ from .baselines import (
     LinearClassifier,
     TrainConfig,
     TrainingDivergedError,
-    _linear_rows,
+    _projection_norms,
     _train_heads,
     minority_collapse_metric,
 )
@@ -61,7 +66,7 @@ from .datagen import Dataset, LongTailSpec, generate, read_features, sample_data
 from .estimation import ClassStats, class_posteriors
 from .priors import EtfFrame, build_etf, grad_step_m0
 from .special import log_vmf_normalizer, logsumexp, mean_resultant_ratio
-from .vmf import as_unit_vector, substream
+from .vmf import _unit_norms, as_unit_vector, substream
 
 __all__ = [
     "METHODS",
@@ -104,6 +109,14 @@ class ReportRow:
 
 # ExperimentConfig fields that count something; seeds holds a list of them.
 _INTEGER_FIELDS = ("seeds", "n_classes", "dim", "head_size", "test_per_class", "m0_steps", "epochs", "batch_size")
+# Fields that hold a real number (fixed_kappa may also be None), and fields
+# that hold a pair of them.
+_REAL_FIELDS = ("gamma", "alpha_hat", "beta_hat", "fixed_kappa", "m0_lr", "eta", "lr", "weight_decay", "temperature")
+_PAIR_FIELDS = ("kappa_range", "thresholds")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -157,6 +170,16 @@ class ExperimentConfig:
             for value in self.seeds if key == "seeds" else (getattr(self, key),):
                 if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                     raise ValueError(f"{key} must be an integer, got {value!r}")
+        for key in _REAL_FIELDS:
+            value = getattr(self, key)
+            if not (_is_real(value) or value is None and key == "fixed_kappa"):
+                raise ValueError(f"{key} must be a real number, got {value!r}")
+        for key in _PAIR_FIELDS:
+            value = getattr(self, key)
+            if not (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2 and all(map(_is_real, value))):
+                raise ValueError(f"{key} must be a pair of real numbers, got {value!r}")
+        if not isinstance(self.normalize, bool):
+            raise ValueError(f"normalize must be true or false, got {self.normalize!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "kappa_range", tuple(self.kappa_range))
@@ -168,6 +191,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {sorted(unknown)}")
         if not self.methods:
             raise ValueError("methods list must not be empty")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"methods must be distinct, got {list(self.methods)}")
         if self.eta < 0.0 or not np.isfinite(self.eta):
             raise ValueError(f"eta must be >= 0, got {self.eta}")
         if len(self.thresholds) != 2 or not 0 < self.thresholds[0] <= self.thresholds[1]:
@@ -208,14 +233,9 @@ def split_accuracy(predictions, labels, class_counts, thresholds=(20, 100)) -> d
         raise ValueError(f"thresholds must be an ordered pair, got {thresholds}")
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
-    class_counts = np.asarray(class_counts)
     if predictions.shape != labels.shape:
         raise ValueError("predictions and labels must align")
-    if labels.size == 0:
-        raise ValueError("evaluation set is empty")
-    if labels.max() >= len(class_counts):
-        raise ValueError(f"evaluation labels span {labels.max() + 1} classes, the training counts {len(class_counts)}")
-    counts = class_counts[labels]
+    counts = _training_counts(labels, class_counts)
     hit = predictions == labels
     out = {"all": float(hit.mean())}
     for name, mask in (
@@ -225,6 +245,27 @@ def split_accuracy(predictions, labels, class_counts, thresholds=(20, 100)) -> d
     ):
         out[name] = float(hit[mask].mean()) if mask.any() else None
     return out
+
+
+def _training_counts(labels: np.ndarray, class_counts) -> np.ndarray:
+    """The training count of each evaluation label's class; an empty
+    evaluation set, or a label past the training classes, raises ValueError."""
+    class_counts = np.asarray(class_counts)
+    if labels.size == 0:
+        raise ValueError("evaluation set is empty")
+    if labels.max() >= len(class_counts):
+        raise ValueError(f"evaluation labels span {labels.max() + 1} classes, the training counts {len(class_counts)}")
+    return class_counts[labels]
+
+
+# Test rows per block of the scoring pass and of the m0 gradient's per-row
+# half, whose (n, K) scratch is made one block at a time.
+_BLOCK = 2048
+
+
+def _blocks(n: int):
+    """Slices of _BLOCK consecutive rows covering n rows, the last one partial."""
+    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
 
 
 def m0_loss_gradients(
@@ -274,16 +315,20 @@ def _m0_gradients(frame, counts, resultants, alpha_hat, beta_hat, priors, z, lab
     if excluded.any():
         pi = np.where(excluded, 0.0, priors.pi)
         priors = ClassPriors(pi / pi.sum(), allow_zero=True)
-    # The bape logits kappa_k m_k.T z + ln pi_k - ln C_p(kappa_k), from one
+    # The bape logits kappa_k m_k.T z + ln pi_k - ln C_p(kappa_k), from the
     # product z @ ms.T that the beta route below reuses; excluded classes
-    # score -inf. The posteriors are built in one (n, K) buffer.
+    # score -inf. Each block of rows fills its rows of the product and of the
+    # posteriors in place, so the softmax scratch is one block in size.
     b = priors.log() - log_vmf_normalizer(p, kappas)
-    zm = z @ ms.T
-    probs = zm * kappas
-    probs += b
-    probs -= logsumexp(probs, axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs[np.arange(len(labels)), labels] -= 1.0  # d loss / d logit_k
+    zm = np.empty((len(labels), len(kappas)))
+    probs = np.empty_like(zm)
+    for rows in _blocks(len(labels)):
+        zm[rows] = z[rows] @ ms.T
+        block = np.multiply(zm[rows], kappas, out=probs[rows])
+        block += b
+        block -= logsumexp(block, axis=-1, keepdims=True)
+        np.exp(block, out=block)
+        block[np.arange(len(block)), labels[rows]] -= 1.0  # d loss / d logit_k
     if excluded.any():
         probs[excluded[labels]] = 0.0
     # beta route: per class, a scalar times the fixed direction m_k.
@@ -350,9 +395,16 @@ def _load_data(config: ExperimentConfig, seed: int):
 # Each linear head and the methods that score with it, its own first.
 _LINEAR_HEADS = {"softmax": ("softmax",), "logit_adjusted": ("logit_adjusted", "ensemble")}
 
-# The test rows each head scores with its own `logits` call, in the form it
-# was fitted on (bape scores through "bape_product", taken on "unit_z").
-_ROWS = {"bape+adjust": "unit_z", "oracle": "unit_z", "softmax": "linear_z", "logit_adjusted": "linear_z"}
+# What each method builds before any test row is scored, in the order its
+# scoring first uses it: its heads, and the norms its test rows are divided by.
+_NEEDS = {
+    "bape": ("unit_norms", "bape"),
+    "bape+adjust": ("unit_norms", "bape+adjust"),
+    "softmax": ("softmax", "linear_norms"),
+    "logit_adjusted": ("logit_adjusted", "linear_norms"),
+    "ensemble": ("logit_adjusted", "linear_norms", "unit_norms", "bape"),
+    "oracle": ("oracle", "unit_norms"),
+}
 
 # The weight directions each method's minority collapse is taken on. bape's
 # are mus, not W: W rows of kappa=0 classes have no direction. The oracle and
@@ -360,23 +412,79 @@ _ROWS = {"bape+adjust": "unit_z", "oracle": "unit_z", "softmax": "linear_z", "lo
 _COLLAPSE_ON = {"bape": "mus", "bape+adjust": "mus", "softmax": "W", "logit_adjusted": "W"}
 
 
-def _scores(built, method: str, config: ExperimentConfig) -> np.ndarray:
-    """A method's class scores on the test rows: its head's logits on the rows
-    it was fitted on, or the ensemble's mean of the bape and logit_adjusted
-    log-posteriors (the latter at the training temperature).
+def _block_scores(built, config: ExperimentConfig, features: np.ndarray) -> dict:
+    """Builders of each method's class scores on one block of test rows, the
+    "block" entry of the `_BuiltOnFirstUse` mapping they are given.
 
-    bape, and bape+adjust under kappa_mode "keep", add their own b to one
-    shared product of the unit rows with bape's W. "keep" changes only b:
-    the adjusted W is bape's up to the last bits of its renormalized mus, so
-    bape+adjust's logits equal its own `logits` call to rounding (within
-    1e-12 of the largest |logit|), not bitwise.
+    Each head scores the rows it was fitted on: the Bayes heads the unit
+    rows, the linear heads their SGD loop's rows. Either is the float64
+    features divided by the norms in `built` (none for linear rows taken as
+    given), bitwise those rows of the full-size as_unit_vector or
+    _linear_rows result. Every Bayes head whose W *is* bape's (bape+adjust
+    under kappa_mode "keep") adds its own b to one product of the unit rows
+    with that W. The ensemble scores the mean of the bape and logit_adjusted
+    log-posteriors, the latter at the training temperature.
     """
-    if method == "ensemble":
-        lp_linear = log_softmax(_scores(built, "logit_adjusted", config) / config.temperature)
-        return 0.5 * (log_softmax(_scores(built, "bape", config)) + lp_linear)
-    if method == "bape" or (method == "bape+adjust" and config.kappa_mode == "keep"):
-        return built["bape_product"] + built[method].b
-    return logits(built[method], built[_ROWS[method]])
+
+    def rows(scores, norms):
+        block = features[scores["block"]]
+        return np.asarray(block, dtype=float) if norms is None else np.divide(block, norms[scores["block"], np.newaxis])
+
+    def bayes(scores, head):
+        if "bape" in built and head.W is built["bape"].W:
+            return scores["bape_product"] + head.b
+        return logits(head, scores["unit"])
+
+    def ensemble(scores):
+        lp_linear = log_softmax(scores["logit_adjusted"] / config.temperature)
+        return 0.5 * (log_softmax(scores["bape"]) + lp_linear)
+
+    return {
+        "unit": lambda scores: rows(scores, built["unit_norms"]),
+        "linear": lambda scores: rows(scores, built["linear_norms"]),
+        "bape_product": lambda scores: scores["unit"] @ built["bape"].W.T,
+        "bape": lambda scores: bayes(scores, built["bape"]),
+        "bape+adjust": lambda scores: bayes(scores, built["bape+adjust"]),
+        "oracle": lambda scores: bayes(scores, built["oracle"]),
+        "softmax": lambda scores: logits(built["softmax"], scores["linear"]),
+        "logit_adjusted": lambda scores: logits(built["logit_adjusted"], scores["linear"]),
+        "ensemble": ensemble,
+    }
+
+
+def _predictions(built, methods, config: ExperimentConfig, features: np.ndarray, seed: int):
+    """Each method's predicted class on every test row, from one pass over the
+    rows in blocks of _BLOCK, and the seconds each method spent in the pass.
+
+    Scores live for one block, so the scratch is a few (_BLOCK, K) arrays
+    whatever the number of rows; a head not yet in `built` is built on first
+    use.
+    """
+    builders = _block_scores(built, config, features)
+    preds = {method: np.empty(len(features), dtype=np.intp) for method in methods}
+    seconds = dict.fromkeys(methods, 0.0)
+    for block in _blocks(len(features)):
+        scores = _BuiltOnFirstUse(builders)
+        scores["block"] = block
+        for method in methods:
+            started = time.perf_counter()
+            with _charged_to(method, seed, methods):
+                preds[method][block] = top_class(scores[method])
+            seconds[method] += time.perf_counter() - started
+    return preds, seconds
+
+
+@contextmanager
+def _charged_to(method: str, seed: int, methods):
+    """Re-raise any error as an ExperimentError naming the method and seed; a
+    diverging linear head is charged to the first of `methods` that uses it,
+    not to the first user of the stack it was trained in."""
+    try:
+        yield
+    except Exception as exc:
+        if isinstance(exc, TrainingDivergedError):
+            method = next(m for m in _LINEAR_HEADS[exc.mode] if m in methods)
+        raise ExperimentError(f"method {method!r}, seed {seed}: {exc}") from exc
 
 
 def _tail_collapse(built, method: str, train_counts, threshold: int) -> float | None:
@@ -420,18 +528,18 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
         )
     # The linear heads this run needs; the ensemble scores with logit_adjusted.
     heads = tuple(mode for mode, users in _LINEAR_HEADS.items() if set(users) & set(config.methods))
+    features = test_ds.features
 
-    # The heads and the test rows they score, built on first use and shared
+    # The heads and the norms of the test rows, built on first use and shared
     # after: bape+adjust and ensemble reuse the bape fit, ensemble the
     # logit_adjusted one, and the linear heads are trained together on the
-    # first use of either. The unit rows are validated once, straight from
-    # the float32 features; the float64 rows of the linear heads are made
-    # only when one scores.
+    # first use of either. The norms are taken and checked once, straight
+    # from the float32 features: as unit vectors for the Bayes heads, and as
+    # nonzero under normalize for the linear heads.
     built = _BuiltOnFirstUse({
-        "unit_z": lambda _: as_unit_vector(test_ds.features),
-        "linear_z": lambda _: _linear_rows(np.asarray(test_ds.features, dtype=float), config.normalize),
+        "unit_norms": lambda _: _unit_norms(features),
+        "linear_norms": lambda _: _projection_norms(features) if config.normalize else None,
         "bape": lambda _: _fit_bape(train_ds, config, seed),
-        "bape_product": lambda deps: deps["unit_z"] @ deps["bape"].W.T,
         "bape+adjust": lambda deps: adjust(
             deps["bape"],
             AdjustmentPolicy(
@@ -446,34 +554,35 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
         "oracle": lambda _: truth.classifier(ClassPriors.from_counts(test_ds.class_counts)),
     })
 
-    oracle_preds, scored = None, []
+    # Every head is fitted and every test row checked, in method order, before
+    # any row is scored: each error names the method that meets it first.
+    seconds, collapse = {}, {}
     for method in config.methods:
         started = time.perf_counter()
-        try:
-            preds = top_class(_scores(built, method, config))
-            collapse = _tail_collapse(built, method, train_ds.class_counts, config.thresholds[0])
-        except Exception as exc:
-            if isinstance(exc, TrainingDivergedError):  # charged to its head, not to the first user of the stack
-                method = next(m for m in _LINEAR_HEADS[exc.mode] if m in config.methods)
-            raise ExperimentError(f"method {method!r}, seed {seed}: {exc}") from exc
-        if method == "oracle":  # they give every row's oracle_accuracy
-            oracle_preds = preds
-        acc = split_accuracy(preds, test_ds.labels, train_ds.class_counts, config.thresholds)
-        scored.append((method, acc, collapse, time.perf_counter() - started))
-    if truth is not None and oracle_preds is None:
-        oracle_preds = top_class(_scores(built, "oracle", config))
-    oracle_acc = float(np.mean(oracle_preds == test_ds.labels)) if truth is not None else None
-    return [
-        ReportRow(
+        with _charged_to(method, seed, config.methods):
+            for key in _NEEDS[method]:
+                built[key]
+            collapse[method] = _tail_collapse(built, method, train_ds.class_counts, config.thresholds[0])
+        seconds[method] = time.perf_counter() - started
+    _training_counts(test_ds.labels, train_ds.class_counts)  # the split check, before any row is scored
+    scored = config.methods
+    if truth is not None and "oracle" not in scored:  # its predictions give every row's oracle_accuracy
+        scored += ("oracle",)
+    preds, pass_seconds = _predictions(built, scored, config, features, seed)
+    oracle_acc = float(np.mean(preds["oracle"] == test_ds.labels)) if truth is not None else None
+    rows = []
+    for method in config.methods:
+        started = time.perf_counter()
+        acc = split_accuracy(preds[method], test_ds.labels, train_ds.class_counts, config.thresholds)
+        rows.append(ReportRow(
             method=method,
             seed=seed,
             **{f"acc_{split}": value for split, value in acc.items()},
             oracle_accuracy=oracle_acc,
-            minority_collapse=collapse,
-            wall_time=wall_time,
-        )
-        for method, acc, collapse, wall_time in scored
-    ]
+            minority_collapse=collapse[method],
+            wall_time=seconds[method] + pass_seconds[method] + time.perf_counter() - started,
+        ))
+    return rows
 
 
 def emit_report(rows: list[ReportRow], fmt: str = "json", path=None) -> str:

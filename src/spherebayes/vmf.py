@@ -33,6 +33,19 @@ def as_unit_vector(v, dim: int | None = None) -> np.ndarray:
     place; memory shared with the caller is never written.
     """
     u = np.asarray(v, dtype=float)
+    norms = _unit_norms(u, dim)
+    if u.ndim == 2:
+        norms = norms[:, np.newaxis]
+    if np.may_share_memory(u, v):
+        return u / norms
+    u /= norms
+    return u
+
+
+def _unit_norms(u: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """The float64 norms of a float array's rows, validated as `as_unit_vector`
+    validates them, so that as_unit_vector(u, dim) is bitwise u divided by
+    them; float32 rows are never converted as a whole."""
     if u.ndim not in (1, 2):
         raise ValueError(f"expected a vector or a batch of vectors, got ndim={u.ndim}")
     if u.shape[-1] < 2:
@@ -46,12 +59,7 @@ def as_unit_vector(v, dim: int | None = None) -> np.ndarray:
             raise ValueError("unit vector has non-finite components")
         worst = float(np.max(np.abs(norms - 1.0)))
         raise ValueError(f"vector is off the unit sphere by {worst:.3e} (> {UNIT_NORM_TOL:.0e})")
-    if u.ndim == 2:
-        norms = norms[:, np.newaxis]
-    if np.may_share_memory(u, v):
-        return u / norms
-    u /= norms
-    return u
+    return norms
 
 
 # Entries per block of `_norms`: 512 KiB of float64 squares at a time.
@@ -59,15 +67,16 @@ _NORM_BLOCK = 1 << 16
 
 
 def _norms(u: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(u, axis=-1), taken a block of rows at a time so that the
-    squares never fill a full-size temporary; each row's norm is the same
-    reduction over the same row, so bitwise the one-call result."""
-    rows = max(1, _NORM_BLOCK // u.shape[-1])
+    """np.linalg.norm(u, axis=-1) in float64, taken a block of rows at a time
+    so that neither the squares nor a float64 copy of float32 rows fills a
+    full-size temporary; each row's norm is the same reduction over the same
+    row, so bitwise the one-call result."""
+    rows = max(1, _NORM_BLOCK // max(1, u.shape[-1]))  # zero-width rows have zero norms
     if u.ndim == 1 or u.shape[0] <= rows:
-        return np.linalg.norm(u, axis=-1)
+        return np.linalg.norm(np.asarray(u, dtype=float), axis=-1)
     norms = np.empty(u.shape[0])
     for start in range(0, u.shape[0], rows):
-        norms[start : start + rows] = np.linalg.norm(u[start : start + rows], axis=-1)
+        norms[start : start + rows] = np.linalg.norm(np.asarray(u[start : start + rows], dtype=float), axis=-1)
     return norms
 
 

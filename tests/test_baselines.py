@@ -454,6 +454,9 @@ class TestTrainInputs:
                 train(z, y, TrainConfig(lr=0.1, epochs=2, batch_size=8, normalize=True))
         # As given, a zero row is just an input with zero logits.
         train(z, y, TrainConfig(lr=0.1, epochs=2, batch_size=8))
+        # Rows of zero width have zero norms too (the blocked norms divide by the width).
+        with pytest.raises(ValueError, match="row 0 has zero norm"):
+            train(np.zeros((30, 0)), y, TrainConfig(lr=0.1, epochs=2, batch_size=8, normalize=True))
 
 
 class TestPredictLinear:

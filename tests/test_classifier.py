@@ -284,6 +284,15 @@ class TestAdjust:
         zs = random_units(20, 5, 16)
         assert_array_equal(log_posterior(same, zs), log_posterior(clf, zs))
 
+    def test_keep_holds_the_input_directions_and_weights(self):
+        # Renormalizing the fitted mus again would move their last bits;
+        # "keep" changes only the priors, so W z is the input's product.
+        clf = fit(random_units(60, 5, 21), np.arange(60) % 3, 3)
+        out = adjust(clf, AdjustmentPolicy(kappa_mode="keep"))
+        assert out.mus is clf.mus and out.W is clf.W
+        zs = random_units(10, 5, 22)
+        assert_array_equal(logits(out, zs), zs @ clf.W.T + out.b)
+
     def test_rebalancing_shifts_log_odds_by_log_prior_ratio(self):
         # Moving the priors from (0.9, 0.1) to uniform adds
         # ln(0.9/0.1) = ln 9 to the log-odds of class 1, for every input.

@@ -521,6 +521,30 @@ class TestCompare:
         assert main(["compare", "--config", str(cfg)]) == 1
         assert f"{key} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", "x"),
+        ("eta", "a"),
+        ("eta", None),
+        ("thresholds", ["a", 3]),
+        ("kappa_range", [5]),
+        ("kappa_range", [1, 5, 7]),
+        ("normalize", "yes"),
+        ("methods", ["bape", "bape"]),
+    ])
+    def test_malformed_config_value_is_exit_1_and_named(self, tmp_path, capsys, monkeypatch, key, value):
+        # These escaped as TypeError or IndexError tracebacks, or loaded
+        # silently (a repeated method wrote two identical report rows).
+        import spherebayes.harness as harness
+
+        def no_data(*args):
+            raise AssertionError("data generated for an invalid config")
+
+        monkeypatch.setattr(harness, "_load_data", no_data)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**self.SMALL, key: value}))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert f"error: {key} must be" in capsys.readouterr().err
+
 
 class TestDumpEmbeddings:
     def test_reencodes_binary_as_csv(self, workspace):

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from spherebayes.harness import (
     ExperimentConfig,
     ExperimentError,
     ReportRow,
+    _BLOCK,
+    _blocks,
     _m0_gradients,
     emit_report,
     m0_loss_gradients,
@@ -135,6 +138,8 @@ class TestExperimentConfig:
             ExperimentConfig(thresholds=(100, 20))
         with pytest.raises(ValueError):
             ExperimentConfig(m0_steps=-1)
+        # integer values load for real-valued keys and pairs
+        ExperimentConfig.from_dict({"gamma": 100, "eta": 0, "kappa_range": [5, 50], "thresholds": [20, 100]})
         # files are fine once the oracle is dropped
         ExperimentConfig(
             train_file="x.bin", test_file="y.bin", methods=("bape", "softmax")
@@ -327,14 +332,22 @@ class TestM0Gradients:
         return (beta_coef[:, np.newaxis] * ms + tangent) * (beta0 / len(labels))[:, np.newaxis]
 
     @pytest.mark.parametrize("mode", ["approx", "exact"])
-    @pytest.mark.parametrize("with_excluded", [False, True])
-    def test_bitwise_equal_to_out_of_place_formula(self, mode, with_excluded):
+    @pytest.mark.parametrize("with_excluded, scale", [
+        pytest.param(False, 1, id="False"),
+        pytest.param(True, 1, id="True"),
+        # 4200 or 4202 rows: two full blocks and a partial one
+        pytest.param(False, 25, id="False-blocks"),
+        pytest.param(True, 25, id="True-blocks"),
+    ])
+    def test_bitwise_equal_to_out_of_place_formula(self, mode, with_excluded, scale):
         truth = make_truth(6, 9, (8.0, 40.0), center_mode="random", seed=12)
-        ds = sample_dataset(truth, [90, 40, 25, 9, 4, 0 if with_excluded else 2], 12)
+        sizes = [90 * scale, 40 * scale, 25 * scale, 9 * scale, 4 * scale, 0 if with_excluded else 2]
+        ds = sample_dataset(truth, sizes, 12)
         feats = as_unit_vector(ds.features)
         counts, resultants = class_stats(feats, ds.labels, 6)
         priors = ClassPriors.from_counts(counts)
         args = (build_etf(6, 9, 13), counts, resultants, 1.0, 0.5, priors, feats, ds.labels, mode)
+        assert (ds.n > 2 * _BLOCK and ds.n % _BLOCK) if scale > 1 else ds.n < _BLOCK
         got = _m0_gradients(*args)
         if with_excluded:
             assert np.all(got[5] == 0.0)
@@ -360,6 +373,18 @@ class TestM0Gradients:
             stepped, stats, priors, feats, labels, alpha_hat, beta_hat, "approx"
         )
         assert after < before
+
+
+@pytest.mark.parametrize("n, p, k", [(20000, 128, 100), (4000, 32, 20), (2 * _BLOCK + 5, 6, 3)])
+def test_blocked_product_is_bitwise_the_full_product(n, p, k):
+    # The scoring pass and the m0 gradient take z @ W.T a block of rows at a
+    # time. BLAS does not promise that a block's rows equal those rows of
+    # the full product; every shape here ends in a partial block.
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((n, p))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    w = 30.0 * rng.standard_normal((k, p))
+    assert_array_equal(np.concatenate([z[rows] @ w.T for rows in _blocks(n)]), z @ w.T)
 
 
 def small_config(**overrides):
@@ -583,31 +608,32 @@ class TestRunExperiment:
     @pytest.mark.parametrize("kappa_mode, fixed_kappa", [("keep", None), ("shared_mean", None), ("fixed", 12.0)])
     def test_bape_adjust_shares_bape_product_under_keep(self, monkeypatch, kappa_mode, fixed_kappa):
         # bape scores its product plus b, bitwise its own logits. Under
-        # "keep" bape+adjust adds its b to the same product: its W is bape's
-        # up to the last bits of the renormalized mus, so its logits match
-        # its own `logits` call within 1e-12 of their largest magnitude. The
-        # other modes change W and score with their own call.
+        # "keep" bape+adjust's W is bape's own array, and it adds its b to the
+        # same product, bitwise its own logits too. The other modes change W
+        # and score with their own call. The pass sees one array per block
+        # (three here, the last partial), in method order with the oracle
+        # last; each method's blocks are compared concatenated.
         import spherebayes.harness as harness
 
-        scores, own_calls = {}, []
-        monkeypatch.setattr(harness, "top_class", lambda s: scores.setdefault(len(scores), s).argmax(axis=-1))
+        calls, own_calls = [], []
+        monkeypatch.setattr(harness, "top_class", lambda s: calls.append(s) or s.argmax(axis=-1))
         monkeypatch.setattr(harness, "logits", lambda head, z: own_calls.append(head) or logits(head, z))
         cfg = small_config(seeds=(4,), methods=("bape", "bape+adjust", "ensemble"), kappa_mode=kappa_mode,
-                           fixed_kappa=fixed_kappa, alpha_hat=1.0, beta_hat=0.5, m0_steps=1)
+                           fixed_kappa=fixed_kappa, alpha_hat=1.0, beta_hat=0.5, m0_steps=1, test_per_class=1100)
         run_experiment(cfg)
+        n_blocks = len(calls) // 4
+        assert n_blocks == 3 and len(calls) == 4 * n_blocks
+        scores = [np.concatenate(calls[i::4]) for i in range(4)]
         train_ds, test_ds, _ = harness._load_data(cfg, 4)
         bape = harness._fit_bape(train_ds, cfg, 4)
         adjusted = adjust(bape, AdjustmentPolicy(ClassPriors.uniform(train_ds.n_classes), kappa_mode, fixed_kappa))
         unit_z = as_unit_vector(test_ds.features)
         assert_array_equal(scores[0], logits(bape, unit_z))
-        own = logits(adjusted, unit_z)
-        if kappa_mode == "keep":
-            assert_allclose(scores[1], own, rtol=0, atol=1e-12 * np.abs(own).max())
-        else:
-            assert_array_equal(scores[1], own)
-        # Own calls: bape+adjust's outside "keep", the ensemble's linear half, and the oracle that scores last.
+        assert_array_equal(scores[1], logits(adjusted, unit_z))
+        # Own calls, per block: bape+adjust's outside "keep", the ensemble's
+        # linear half, and the oracle that scores last.
         own_heads = [BayesClassifier] * (kappa_mode != "keep") + [LinearClassifier, BayesClassifier]
-        assert [type(head) for head in own_calls] == own_heads
+        assert [type(head) for head in own_calls] == own_heads * n_blocks
         linear = harness._fit_linear(train_ds, cfg, ("logit_adjusted",), 4)["logit_adjusted"]
         expected = 0.5 * (log_softmax(logits(bape, unit_z)) + log_softmax(logits(linear, np.asarray(
             test_ds.features, dtype=float))))
@@ -618,12 +644,75 @@ class TestRunExperiment:
 
         seen = []
         monkeypatch.setattr(harness, "logits", lambda head, z: seen.append((head, z)) or logits(head, z))
-        cfg = small_config(seeds=(2,), methods=("ensemble",), normalize=True)
+        cfg = small_config(seeds=(2,), methods=("ensemble",), normalize=True, test_per_class=600)
         run_experiment(cfg)
         rows = np.asarray(harness._load_data(cfg, 2)[1].features, dtype=float)
-        (linear_z,) = [z for head, z in seen if isinstance(head, LinearClassifier)]
+        blocks = [z for head, z in seen if isinstance(head, LinearClassifier)]
+        assert len(blocks) == 2  # one per block of the 2400 rows
+        linear_z = np.concatenate(blocks)
         assert not np.array_equal(linear_z, rows)  # the float32 rows are off the sphere in their last bits
         assert_array_equal(linear_z, rows / np.linalg.norm(rows, axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("test_per_class", [1, 1100])
+    def test_blocked_predictions_equal_full_array_scores(self, monkeypatch, test_per_class):
+        # One row per class, and 4400 rows: two full blocks and a partial one.
+        # Each method's predictions must be the argmax of its own logits
+        # taken on all the rows at once.
+        import spherebayes.harness as harness
+
+        preds = {}
+
+        def scored(predictions, *args, **kwargs):
+            preds[len(preds)] = predictions
+            return split_accuracy(predictions, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "split_accuracy", scored)
+        cfg = small_config(seeds=(6,), methods=METHODS, test_per_class=test_per_class, alpha_hat=1.0, beta_hat=0.5,
+                           m0_steps=1, temperature=0.8, epochs=2)
+        run_experiment(cfg)
+        train_ds, test_ds, truth = harness._load_data(cfg, 6)
+        assert test_ds.n == 4 * test_per_class
+        bape = harness._fit_bape(train_ds, cfg, 6)
+        linear = harness._fit_linear(train_ds, cfg, ("softmax", "logit_adjusted"), 6)
+        unit_z = as_unit_vector(test_ds.features)
+        raw = np.asarray(test_ds.features, dtype=float)
+        full = {
+            "bape": logits(bape, unit_z),
+            "bape+adjust": logits(adjust(bape, AdjustmentPolicy(ClassPriors.uniform(4))), unit_z),
+            "softmax": logits(linear["softmax"], raw),
+            "logit_adjusted": logits(linear["logit_adjusted"], raw),
+            "oracle": logits(truth.classifier(ClassPriors.from_counts(test_ds.class_counts)), unit_z),
+        }
+        full["ensemble"] = 0.5 * (log_softmax(full["bape"]) + log_softmax(full["logit_adjusted"] / 0.8))
+        for i, method in enumerate(METHODS):
+            assert_array_equal(preds[i], full[method].argmax(axis=1))
+
+    def test_scoring_holds_no_full_size_scores(self, monkeypatch):
+        # K=100, p=128 and 200 test rows per class, the closed-form methods:
+        # one (n_test, K) float64 array is 16 MB, so scores held at full size
+        # fail this. The blocked pass rises about 9 MB above what it starts with.
+        import spherebayes.harness as harness
+
+        scoring = harness._predictions
+        rises = []
+
+        def measured(built, methods, config, features, seed):
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = scoring(built, methods, config, features, seed)
+            rises.append(tracemalloc.get_traced_memory()[1] - held)
+            return out
+
+        monkeypatch.setattr(harness, "_predictions", measured)
+        cfg = ExperimentConfig(seeds=(0,), methods=("bape", "bape+adjust", "oracle"), n_classes=100, dim=128,
+                               head_size=60, gamma=10.0, kappa_range=(20.0, 200.0), test_per_class=200)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+        finally:
+            tracemalloc.stop()
+        (rise,) = rises
+        assert 0 < rise < 20000 * 100 * 8
 
     # No np.errstate wrapper below: a leaked RuntimeWarning would fail them.
     @pytest.mark.parametrize("methods, culprit", [
