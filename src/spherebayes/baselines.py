@@ -104,12 +104,12 @@ class TrainConfig:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be >= 0")
+        if not np.isfinite(self.weight_decay) or self.weight_decay < 0.0:
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.mode not in ("softmax", "logit_adjusted"):
             raise ValueError(f"unknown training mode {self.mode!r}")
-        if not self.temperature > 0.0:
-            raise ValueError("temperature must be > 0")
+        if not np.isfinite(self.temperature) or not self.temperature > 0.0:
+            raise ValueError(f"temperature must be > 0 and finite, got {self.temperature}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if not np.isfinite(self.grad_scale) or self.grad_scale < 0.0:
@@ -197,13 +197,23 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     b and loss history are bitwise those of `train` in its mode.
 
     The step is bound by numpy call overhead at the sizes used here, so it
-    saves calls and temporaries wherever that changes no bit: the flat
-    true-class indices are gathered once per epoch, each batch takes a
-    slice of them, and the forward pass, log-softmax and momentum updates
-    run in place. Each step's mean loss goes into a buffer that is
-    checked for non-finite values once per epoch; a divergence raises
-    TrainingDivergedError naming the first step and head that went
-    non-finite, as a per-step check would.
+    saves calls and temporaries wherever that changes no bit:
+    - W and b are views of one flat parameter buffer, with a gradient buffer
+      and a velocity buffer of the same layout. The two gradient products
+      write into the gradient's views, and the lr scaling, the momentum
+      update and the parameter update each run once over the whole buffer.
+    - Identity operations are skipped: the division by a temperature of 1,
+      the grad_scale multiply when every head's scale is 1, and the weight
+      decay term when it is 0.
+    - The log-softmax runs in place on per-batch-size scratch buffers, with
+      the one-maximum form of `special.logsumexp` written inline; a batch
+      with a tied or nan maximum in any row calls `logsumexp` itself.
+    - The flat true-class indices are gathered once per epoch, each batch
+      takes a slice of them, and each step's true-class log-probabilities
+      are kept, to be summed into per-step mean losses once per epoch.
+    The losses are checked for non-finite values once per epoch; a
+    divergence raises TrainingDivergedError naming the first step and head
+    that went non-finite, as a per-step check would.
     Returns one (classifier, per-epoch mean losses) pair per head.
     """
     z = np.asarray(z, dtype=float)
@@ -218,33 +228,47 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
         raise ValueError("need at least 2 classes present")
     _check_labels(y, k)
     z = _linear_rows(z, schedule.normalize)
+    h = len(heads)
     modes = [mode for mode, _ in heads]
-    scale = np.array([s for _, s in heads])[:, np.newaxis, np.newaxis]
+    scales = np.array([s for _, s in heads], dtype=float)
     counts = np.bincount(y, minlength=k)
     log_pi = np.stack([
         ClassPriors.from_counts(counts).log() if mode == "logit_adjusted" else np.zeros(k) for mode in modes
     ])[:, np.newaxis, :]
 
-    w = substream(schedule.rng_seed, 0).standard_normal((k, p)) / np.sqrt(p)
-    w = np.repeat(w[np.newaxis], len(heads), axis=0)
-    wt = w.transpose(0, 2, 1)  # a view: w is only ever updated in place
-    b = np.zeros((len(heads), 1, k))
-    vel_w = np.zeros_like(w)
-    vel_b = np.zeros_like(b)
+    # params holds every head's W, then every head's b; grad and vel match it.
+    params = np.zeros(h * k * (p + 1))
+    grad = np.empty_like(params)
+    vel = np.zeros_like(params)
+    w, gw = (a[: h * k * p].reshape(h, k, p) for a in (params, grad))
+    b, gb = (a[h * k * p :].reshape(h, 1, k) for a in (params, grad))
+    w[...] = substream(schedule.rng_seed, 0).standard_normal((k, p)) / np.sqrt(p)
+    wt = w.transpose(0, 2, 1)  # a view: params is only ever updated in place
+    # Each element's grad_scale, or None when multiplying by it would change nothing.
+    scale = None if (scales == 1.0).all() else np.concatenate([np.repeat(scales, k * p), np.repeat(scales, k)])
+    temperature = schedule.temperature
+    weight_decay = schedule.weight_decay
     shuffler = substream(schedule.rng_seed, 1)
     size = schedule.batch_size
     starts = range(0, n, size)
+    batch_sizes = np.diff([*starts, n], prepend=0)[:, np.newaxis]  # row i + 1: step i's m; row 0: 0
+    # Scratch for a batch of m rows; only the last batch can have m < size.
+    scratch = {m: _step_scratch(h, m, k, p) for m in set(batch_sizes[1:, 0].tolist())}
     # Each sample's flat index in the (H, m, K) logits of its batch of m
     # rows, less its label: head h's block starts at h*m*K, and the sample's
-    # row at (i % size)*K. Only the last batch can have m < size.
+    # row at (i % size)*K.
     position = np.arange(n)
     batch_of = np.where(position < starts[-1], size, n - starts[-1])
-    offsets = np.arange(len(heads))[:, np.newaxis] * batch_of * k + position % size * k
+    offsets = np.arange(h)[:, np.newaxis] * batch_of * k + position % size * k
+    # Row i holds step i's (H, m) true-class log-probabilities in its first
+    # m columns, C-contiguous per head so that each head's sum runs as over
+    # a one-head (m,) vector.
+    picked = np.empty((len(starts), h, size))
+    full = n // size  # the steps with m = size
     # Row 0 stays 0, the start of each epoch's running total of loss * m;
-    # row i + 1 takes step i's mean loss, and batch_sizes[i + 1] its m.
-    losses = np.zeros((len(starts) + 1, len(heads)))
-    batch_sizes = np.diff([*starts, n], prepend=0)[:, np.newaxis]
-    histories = np.zeros((schedule.epochs, len(heads)))
+    # row i + 1 takes step i's mean loss.
+    losses = np.zeros((len(starts) + 1, h))
+    histories = np.zeros((schedule.epochs, h))
 
     # Divergence ends in inf or nan, which the finite checks below report;
     # the rest of a diverging epoch runs on, silently, before the check.
@@ -257,34 +281,58 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
             # the per-batch gathers and held about 1 MB more at peak.
             targets = offsets + y[order]
             for step, start in enumerate(starts):
-                zb = z[order[start : start + size]]
                 target = targets[:, start : start + size]
-                m = len(zb)
-                s = np.matmul(zb, wt)
+                m = target.shape[1]
+                zb, s, terms, at_top, top, total, arg, row_start, hit = scratch[m]
+                # mode="clip" skips take's buffered bounds check: every index
+                # here is in range by construction.
+                z.take(order[start : start + size], axis=0, out=zb, mode="clip")
+                np.matmul(zb, wt, out=s)
                 s += b
-                s /= schedule.temperature
+                if temperature != 1.0:
+                    s /= temperature
                 s += log_pi
-                s -= logsumexp(s, axis=-1, keepdims=True)  # log_softmax, in place
-                # The (H, m) true-class entries, gathered C-contiguous so that
-                # each head's sum runs as over a one-head (m,) vector.
-                loss = np.add.reduce(np.take(s, target), axis=1)
-                np.divide(loss, -m, out=losses[step + 1])
+                # log_softmax in place: s - logsumexp(s), with the one-maximum
+                # form of logsumexp written out. top is each row's first
+                # maximum (nan in a row holding one), found at flat index arg.
+                # The test below passes only when every row has exactly one
+                # entry equal to its maximum; a nan row has none, and the nan
+                # check keeps it from hiding a tie in another row. (argmax and
+                # a gather measured faster than a maximum reduction over K.)
+                s.reshape(-1, k).argmax(axis=1, out=arg)
+                arg += row_start
+                s.take(arg, out=top.reshape(-1), mode="clip")
+                np.equal(s, top, out=at_top)
+                if np.count_nonzero(at_top) == top.size and not np.count_nonzero(np.isnan(top)):
+                    np.subtract(s, top, out=terms)
+                    np.exp(terms, out=terms)
+                    terms.put(arg, 0.0)
+                    np.add.reduce(terms, axis=-1, keepdims=True, out=total)
+                    np.log1p(total, out=total)
+                    total += top
+                    s -= total
+                else:
+                    s -= logsumexp(s, axis=-1, keepdims=True)
+                logp = s.take(target, out=picked[step, :, :m], mode="clip")
                 g = np.exp(s, out=s)
-                g.reshape(-1)[target] -= 1.0
-                g /= m * schedule.temperature
-                gw = np.matmul(g.transpose(0, 2, 1), zb)
-                gw *= scale
-                gw += schedule.weight_decay * w
-                gw *= lr
-                gb = np.add.reduce(g, axis=1, keepdims=True)
-                gb *= scale
-                gb *= lr
-                vel_w *= schedule.momentum
-                vel_w -= gw
-                vel_b *= schedule.momentum
-                vel_b -= gb
-                w += vel_w
-                b += vel_b
+                np.exp(logp, out=hit)
+                hit -= 1.0
+                g.put(target, hit, mode="clip")  # p - onehot at the true classes
+                g /= m * temperature
+                np.matmul(g.transpose(0, 2, 1), zb, out=gw)
+                np.add.reduce(g, axis=1, keepdims=True, out=gb)
+                if scale is not None:
+                    grad *= scale
+                if weight_decay != 0.0:
+                    gw += weight_decay * w
+                grad *= lr
+                vel *= schedule.momentum
+                vel -= grad
+                params += vel
+            np.add.reduce(picked[:full], axis=-1, out=losses[1 : full + 1])
+            if full < len(starts):
+                np.add.reduce(picked[-1, :, : batch_sizes[-1, 0]], axis=-1, out=losses[-1])
+            np.divide(losses[1:], -batch_sizes[1:], out=losses[1:])
             finite = np.isfinite(losses)
             if not finite.all():
                 row = int(np.argmin(finite.all(axis=1)))  # the losses row of the first step to diverge
@@ -297,7 +345,18 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     if not finite.all():
         raise _diverged(finite, modes, "non-finite weights after the last step")
     histories /= n
-    return [(LinearClassifier(w[h], b[h, 0]), histories[:, h].tolist()) for h in range(len(heads))]
+    return [(LinearClassifier(w[i], b[i, 0]), histories[:, i].tolist()) for i in range(h)]
+
+
+def _step_scratch(h: int, m: int, k: int, p: int) -> tuple[np.ndarray, ...]:
+    """Buffers for one `_train_heads` step on a batch of m rows: the rows;
+    their (H, m, K) logits; the log-softmax's exp terms and maxima mask, of
+    the same shape; each row's maximum and the sum of its terms, (H, m, 1);
+    the flat index of each row's maximum and of its start, (H*m,); and the
+    gradient's (H, m) true-class entries."""
+    s = np.empty((h, m, k))
+    return (np.empty((m, p)), s, np.empty_like(s), np.empty(s.shape, dtype=bool), np.empty((h, m, 1)),
+            np.empty((h, m, 1)), np.empty(h * m, dtype=np.intp), np.arange(h * m) * k, np.empty((h, m)))
 
 
 def _linear_rows(z: np.ndarray, normalize: bool) -> np.ndarray:

@@ -323,7 +323,7 @@ def _m0_gradients(frame, counts, resultants, alpha_hat, beta_hat, priors, z, lab
     zm = np.empty((len(labels), len(kappas)))
     probs = np.empty_like(zm)
     for rows in _blocks(len(labels)):
-        zm[rows] = z[rows] @ ms.T
+        np.matmul(z[rows], ms.T, out=zm[rows])
         block = np.multiply(zm[rows], kappas, out=probs[rows])
         block += b
         block -= logsumexp(block, axis=-1, keepdims=True)

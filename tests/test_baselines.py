@@ -25,6 +25,7 @@ from spherebayes.baselines import (
 )
 from spherebayes.classifier import ClassPriors
 from spherebayes.priors import build_etf
+from spherebayes.special import logsumexp
 from spherebayes.vmf import VmfParams, sample, substream
 
 
@@ -273,6 +274,16 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(lr=0.1, epochs=1, batch_size=4, temperature=0.0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("weight_decay", math.nan), ("weight_decay", math.inf), ("temperature", math.inf), ("temperature", math.nan),
+    ])
+    def test_non_finite_weight_decay_and_temperature_are_rejected(self, key, value):
+        # A nan weight decay used to diverge at the first loss check, and an
+        # infinite temperature trained to a silent no-op (W stayed at its
+        # initialization).
+        with pytest.raises(ValueError, match=f"{key} must be .* and finite"):
+            TrainConfig(**{"lr": 0.1, "epochs": 2, "batch_size": 4, key: value})
+
     @pytest.mark.parametrize("key", ["epochs", "batch_size"])
     @pytest.mark.parametrize("value", [2.5, True, np.float64(2.0)])
     def test_integer_fields_reject_other_numbers(self, key, value):
@@ -349,16 +360,23 @@ class TestTrainHeads:
     """The stacked loop that trains several heads at once."""
 
     @pytest.mark.parametrize("k, p, batch_size", [(2, 3, 17), (7, 5, 64), (20, 32, 64), (5, 4, 13)])
-    @pytest.mark.parametrize("eta", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("eta, temperature, weight_decay", [
+        pytest.param(0.0, 0.7, 1e-3, id="0.0"),
+        pytest.param(0.5, 0.7, 1e-3, id="0.5"),
+        pytest.param(2.0, 0.7, 1e-3, id="2.0"),
+        # lt-default's settings, where the loop skips the division by the
+        # temperature, the grad_scale multiply and the weight decay term
+        pytest.param(1.0, 1.0, 0.0, id="1.0-identity"),
+    ])
     @pytest.mark.parametrize("normalize", [False, True])
-    def test_bitwise_equal_to_the_reference_loop(self, k, p, batch_size, eta, normalize):
+    def test_bitwise_equal_to_the_reference_loop(self, k, p, batch_size, eta, temperature, weight_decay, normalize):
         # n = 6k + 37 is no multiple of 17 or 64 (the last batch is short),
         # but is of 13 at k = 5; two empty trailing classes get -inf
         # log-priors in the adjusted head; the features are not unit rows.
         n = 6 * k + 37
         z, y = 1.7 * unit_rows(n, p, k + p) + 0.1, sorted_labels(n, k, p)
-        cfg = TrainConfig(lr=0.5, epochs=3, batch_size=batch_size, temperature=0.7, weight_decay=1e-3,
-                          rng_seed=5, normalize=normalize)
+        cfg = TrainConfig(lr=0.5, epochs=3, batch_size=batch_size, temperature=temperature,
+                          weight_decay=weight_decay, rng_seed=5, normalize=normalize)
         heads = [("softmax", 1.0), ("logit_adjusted", eta)]
         for (clf, history), (w, b, expected) in zip(_train_heads(z, y, k + 2, cfg, heads),
                                                    reference_heads(z, y, k + 2, cfg, heads)):
@@ -370,13 +388,23 @@ class TestTrainHeads:
     # Each run diverges after its first step, all but one part-way through
     # an epoch (the loop runs on to the epoch's end before it checks); the
     # full message, epoch and sample offset included, is the reference's.
-    @pytest.mark.parametrize("lr, eta, batch_size, epochs", [
-        (1e150, 1.0, 7, 5), (1e200, 1.0, 64, 3), (3e5, 1.0, 7, 4), (1e308, 0.0, 64, 6), (1e300, 1e300, 7, 2),
+    # The no-decay runs skip the weight decay term, and at eta = 1 the
+    # grad_scale multiply too.
+    @pytest.mark.parametrize("lr, eta, batch_size, epochs, weight_decay", [
+        pytest.param(1e150, 1.0, 7, 5, 1.0, id="1e+150-1.0-7-5"),
+        pytest.param(1e200, 1.0, 64, 3, 1.0, id="1e+200-1.0-64-3"),
+        pytest.param(3e5, 1.0, 7, 4, 1.0, id="300000.0-1.0-7-4"),
+        pytest.param(1e308, 0.0, 64, 6, 1.0, id="1e+308-0.0-64-6"),
+        pytest.param(1e300, 1e300, 7, 2, 1.0, id="1e+300-1e+300-7-2"),
+        pytest.param(1e300, 1e300, 7, 2, 0.0, id="1e+300-1e+300-7-2-no-decay"),
+        pytest.param(1e308, 0.0, 64, 6, 0.0, id="1e+308-0.0-64-6-no-decay"),
+        pytest.param(1e307, 2.0, 13, 8, 0.0, id="1e+307-2.0-13-8-no-decay"),
+        pytest.param(1e308, 1.0, 13, 8, 0.0, id="1e+308-1.0-13-8-no-decay"),
     ])
-    def test_divergence_message_is_the_reference_loops(self, lr, eta, batch_size, epochs):
+    def test_divergence_message_is_the_reference_loops(self, lr, eta, batch_size, epochs, weight_decay):
         z, y = blob_data(n_per=40)
         z = 3.0 * z
-        cfg = TrainConfig(lr=lr, epochs=epochs, batch_size=batch_size, weight_decay=1.0)
+        cfg = TrainConfig(lr=lr, epochs=epochs, batch_size=batch_size, weight_decay=weight_decay)
         heads = [("softmax", 1.0), ("logit_adjusted", eta)]
         with pytest.raises(TrainingDivergedError) as expected:
             reference_heads(z, y, 3, cfg, heads)
@@ -386,14 +414,51 @@ class TestTrainHeads:
         assert str(err.value) == str(expected.value)
         assert err.value.mode == expected.value.mode
 
+    @pytest.mark.parametrize("temperature, weight_decay", [(0.7, 1e-3), (1.0, 0.0)])
+    def test_tied_maxima_take_the_general_log_softmax(self, monkeypatch, temperature, weight_decay):
+        # An all-zero feature row scores 0 on every class at the
+        # initialization (b = 0), a K-way tie in the softmax head, so a first
+        # batch that holds one leaves the one-maximum log-softmax for
+        # `logsumexp`; two empty trailing classes keep their -inf log-priors
+        # in the adjusted head.
+        import spherebayes.baselines as baselines
+
+        k, p = 5, 4
+        n = 6 * k + 37
+        z, y = 1.7 * unit_rows(n, p, 9) + 0.1, sorted_labels(n, k, p)
+        z[::5] = 0.0
+        cfg = TrainConfig(lr=0.5, epochs=3, batch_size=16, temperature=temperature, weight_decay=weight_decay,
+                          rng_seed=5)
+        heads = [("softmax", 1.0), ("logit_adjusted", 0.5)]
+        general = []
+
+        def spy(a, axis=-1, keepdims=False):
+            general.append(a.shape)
+            return logsumexp(a, axis, keepdims)
+
+        monkeypatch.setattr(baselines, "logsumexp", spy)
+        fused = _train_heads(z, y, k + 2, cfg, heads)
+        assert general
+        for (clf, history), (w, b, expected) in zip(fused, reference_heads(z, y, k + 2, cfg, heads)):
+            assert_array_equal(clf.W, w)
+            assert_array_equal(clf.b, b)
+            assert np.array_equal(history, expected)
+
     @pytest.mark.parametrize("k, p", [(20, 32), (50, 64), (100, 128), (7, 5)])
-    @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
-    def test_bitwise_equal_to_one_head_calls(self, k, p, eta):
+    @pytest.mark.parametrize("eta, temperature, weight_decay", [
+        pytest.param(0.5, 0.7, 1e-3, id="0.5"),
+        pytest.param(1.0, 0.7, 1e-3, id="1.0"),
+        pytest.param(2.0, 0.7, 1e-3, id="2.0"),
+        # lt-default's settings, whose identity operations the loop skips
+        pytest.param(1.0, 1.0, 0.0, id="1.0-identity"),
+    ])
+    def test_bitwise_equal_to_one_head_calls(self, k, p, eta, temperature, weight_decay):
         # n is no multiple of the batch size, so the last batch is short;
         # two empty trailing classes get -inf log-priors in the adjusted head.
         n = 6 * k + 37
         z, y = unit_rows(n, p, k + p), sorted_labels(n, k, p)
-        shared = dict(lr=0.5, epochs=3, batch_size=64, temperature=0.7, weight_decay=1e-3, rng_seed=5)
+        shared = dict(lr=0.5, epochs=3, batch_size=64, temperature=temperature, weight_decay=weight_decay,
+                      rng_seed=5)
         heads = [("softmax", 1.0), ("logit_adjusted", eta)]
         fused = _train_heads(z, y, k + 2, TrainConfig(**shared), heads)
         for (mode, scale), (clf, history) in zip(heads, fused):

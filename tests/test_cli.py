@@ -129,6 +129,16 @@ class TestFit:
                      "--train", str(train), "--out", str(tmp / "c.json")])
         assert code == 1
 
+    @pytest.mark.parametrize("model", ["softmax", "logit_adjusted"])
+    @pytest.mark.parametrize("flag, value", [("--weight-decay", "nan"), ("--temperature", "inf")])
+    def test_non_finite_training_flag_is_exit_1_and_named(self, workspace, capsys, model, flag, value):
+        tmp, train, _ = workspace
+        out = tmp / "c.json"
+        code = main(["fit", "--model", model, flag, value, "--train", str(train), "--out", str(out)])
+        assert code == 1
+        assert f"{flag[2:].replace('-', '_')} must be " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def _fit(self, workspace, model="bape", extra=()):
@@ -544,6 +554,21 @@ class TestCompare:
         cfg.write_text(json.dumps({**self.SMALL, key: value}))
         assert main(["compare", "--config", str(cfg)]) == 1
         assert f"error: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, literal", [
+        ("weight_decay", "NaN"), ("weight_decay", "Infinity"), ("temperature", "Infinity"),
+    ])
+    def test_non_finite_training_setting_is_exit_1_and_named(self, tmp_path, capsys, key, literal):
+        # A nan or infinite weight decay exited 1 as a "non-finite loss",
+        # and an infinite temperature exited 0 with the linear heads left
+        # at their initialization.
+        cfg = tmp_path / "config.json"
+        text = json.dumps({**self.SMALL, "methods": ["softmax"]})
+        cfg.write_text(text[:-1] + f', "{key}": {literal}}}')
+        assert main(["compare", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} must be " in err and "and finite" in err
+        assert "non-finite loss" not in err
 
 
 class TestDumpEmbeddings:

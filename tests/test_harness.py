@@ -48,7 +48,7 @@ from spherebayes.harness import (
     run_experiment,
     split_accuracy,
 )
-from spherebayes.priors import EtfFrame, build_etf
+from spherebayes.priors import EtfFrame, build_etf, grad_step_m0
 from spherebayes.special import log_vmf_normalizer, mean_resultant_ratio
 from spherebayes.vmf import as_unit_vector, substream
 
@@ -352,6 +352,24 @@ class TestM0Gradients:
         if with_excluded:
             assert np.all(got[5] == 0.0)
         assert_array_equal(got, self._out_of_place_gradient(*args))
+
+    def test_bitwise_equal_to_out_of_place_formula_on_lt_exact_m0_data(self):
+        # The lt-exact-m0 benchmark shape on seed 11 (K = 100, p = 128,
+        # 10899 rows: five full blocks and a partial one), through the three
+        # prior-direction steps its fit takes, each block's product written
+        # in place into its rows of the full one.
+        seed = 11
+        train, _ = generate(LongTailSpec(100, 500, 100.0), 128, (20.0, 200.0), "random", seed)
+        feats = as_unit_vector(train.features)
+        counts, resultants = class_stats(feats, train.labels, 100)
+        priors = ClassPriors.from_counts(counts)
+        frame = build_etf(100, 128, int(substream(seed, 4).integers(2**63 - 1)))
+        assert train.n > 5 * _BLOCK and train.n % _BLOCK
+        for _ in range(3):
+            args = (frame, counts, resultants, 1.0, 0.5, priors, feats, train.labels, "exact")
+            got = _m0_gradients(*args)
+            assert_array_equal(got, self._out_of_place_gradient(*args))
+            frame = grad_step_m0(frame, got, 0.1)
 
     def test_rows_off_the_sphere_raise(self):
         frame, stats, priors, feats, labels = self._setup()
