@@ -379,6 +379,12 @@ def _fit_stats(counts, resultants, alpha_hat, beta_hat, prior_directions, mode, 
 
     alphas, betas, mus, _ = class_posteriors(counts, resultants, alpha_hat, beta_hat, prior_directions)
     kappas, excluded = _degenerate_aware_concentrations(p, alphas, betas, mode, on_degenerate)
+    if excluded.all():
+        empty = int(np.count_nonzero(betas == 0.0))
+        raise DegeneratePosteriorError(
+            f"every class is degenerate ({empty} with no samples and no directional prior, "
+            f"{k - empty} with an unbounded kappa): no class is left to fit"
+        )
     mus[excluded] = np.eye(p)[0]  # placeholder geometry; excluded classes carry no mass
     return BayesClassifier(
         mus=mus,

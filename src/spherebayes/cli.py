@@ -9,8 +9,8 @@ Subcommands:
   compare          run the full multi-method experiment from a JSON config
   dump-embeddings  re-encode a feature file as CSV for external tooling
 
-Exit codes: 0 success, 1 validation error (bad flags or parameter domains),
-2 I/O error (missing, malformed, or truncated files).
+Exit codes: 0 success, 1 validation error (bad flags or parameter domains)
+or out of memory, 2 I/O error (missing, malformed, or truncated files).
 """
 
 from __future__ import annotations
@@ -257,6 +257,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), code=2)
     except (ValueError, KeyError, RuntimeError) as exc:
         return _fail(str(exc))
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}")
 
 
 if __name__ == "__main__":

@@ -166,6 +166,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.seeds, (list, tuple)):
             raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
+        if not (isinstance(self.methods, (list, tuple)) and all(isinstance(m, str) for m in self.methods)):
+            raise ValueError(f"methods must be a list of strings, got {self.methods!r}")
         for key in _INTEGER_FIELDS:
             for value in self.seeds if key == "seeds" else (getattr(self, key),):
                 if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -210,6 +212,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -258,8 +262,9 @@ def _training_counts(labels: np.ndarray, class_counts) -> np.ndarray:
     return class_counts[labels]
 
 
-# Test rows per block of the scoring pass and of the m0 gradient's per-row
-# half, whose (n, K) scratch is made one block at a time.
+# Rows per block of the scoring pass over the test rows and of the m0
+# gradient's pass over the training rows; each makes its (n, K) scratch one
+# block at a time.
 _BLOCK = 2048
 
 
@@ -289,6 +294,9 @@ def m0_loss_gradients(
     Classes that the final fit excludes (beta = 0, or an unbounded kappa) are
     excluded here too: they carry no posterior mass and get a zero gradient.
     Their samples, whose loss no m0 can make finite, add nothing to the mean.
+
+    The sum over samples is one pass over blocks of rows, so the scratch
+    memory is O(block * K) whatever the number of rows.
     """
     z = as_unit_vector(features, dim=frame.dim)
     counts = np.array([st.count for st in stats])
@@ -297,7 +305,9 @@ def m0_loss_gradients(
 
 
 def _m0_gradients(frame, counts, resultants, alpha_hat, beta_hat, priors, z, labels, mode):
-    """`m0_loss_gradients` from per-class statistics, on validated unit rows z."""
+    """`m0_loss_gradients` from per-class statistics, on validated unit rows z. One pass over
+    blocks of rows sums g = d loss / d logit (zero on the rows of excluded classes) into
+    zsum_k = sum_n g_nk z_n and psum_k = sum_n g_nk, all that both routes need."""
     p = frame.dim
     alphas, betas, ms, beta0 = class_posteriors(counts, resultants, alpha_hat, beta_hat, frame.vectors)
     kappas, excluded = _degenerate_aware_concentrations(p, alphas, betas, mode, "exclude")
@@ -315,29 +325,27 @@ def _m0_gradients(frame, counts, resultants, alpha_hat, beta_hat, priors, z, lab
     if excluded.any():
         pi = np.where(excluded, 0.0, priors.pi)
         priors = ClassPriors(pi / pi.sum(), allow_zero=True)
-    # The bape logits kappa_k m_k.T z + ln pi_k - ln C_p(kappa_k), from the
-    # product z @ ms.T that the beta route below reuses; excluded classes
-    # score -inf. Each block of rows fills its rows of the product and of the
-    # posteriors in place, so the softmax scratch is one block in size.
+    # The bape logits kappa_k m_k.T z + ln pi_k - ln C_p(kappa_k); excluded
+    # classes score -inf.
     b = priors.log() - log_vmf_normalizer(p, kappas)
-    zm = np.empty((len(labels), len(kappas)))
-    probs = np.empty_like(zm)
+    zsum = np.zeros_like(ms)
+    psum = np.zeros(len(kappas))
     for rows in _blocks(len(labels)):
-        np.matmul(z[rows], ms.T, out=zm[rows])
-        block = np.multiply(zm[rows], kappas, out=probs[rows])
+        block = z[rows] @ ms.T
+        block *= kappas
         block += b
         block -= logsumexp(block, axis=-1, keepdims=True)
         np.exp(block, out=block)
-        block[np.arange(len(block)), labels[rows]] -= 1.0  # d loss / d logit_k
-    if excluded.any():
-        probs[excluded[labels]] = 0.0
-    # beta route: per class, a scalar times the fixed direction m_k.
-    zm -= a_vals
-    beta_coef = np.einsum("nk,nk->k", probs, zm) * dk_db
-    # m route: kappa_k * (I - m_k m_k^T) z / beta_k, summed over samples.
-    zsum = probs.T @ z
+        block[np.arange(len(block)), labels[rows]] -= 1.0
+        block[excluded[labels[rows]]] = 0.0
+        zsum += block.T @ z[rows]
+        psum += block.sum(axis=0)
+    proj = np.einsum("kp,kp->k", zsum, ms)
+    # beta route: sum_n g_nk (m_k.T z_n - A_k) = m_k.T zsum_k - A_k psum_k, times dkappa/dbeta, along m_k.
+    beta_coef = (proj - a_vals * psum) * dk_db
+    # m route: kappa_k * (I - m_k m_k^T) zsum_k / beta_k.
     scale = np.divide(kappas, betas, out=np.zeros(len(kappas)), where=keep)
-    tangent = (zsum - np.einsum("kp,kp->k", zsum, ms)[:, np.newaxis] * ms) * scale[:, np.newaxis]
+    tangent = (zsum - proj[:, np.newaxis] * ms) * scale[:, np.newaxis]
     return (beta_coef[:, np.newaxis] * ms + tangent) * (beta0 / len(labels))[:, np.newaxis]
 
 

@@ -293,6 +293,15 @@ def _check_kappa(kappa: float) -> float:
     return kappa
 
 
+def _check_kappas(kappa) -> np.ndarray:
+    """kappa as a float array, each entry checked as `_check_kappa` checks one."""
+    k = np.asarray(kappa, dtype=float)
+    out_of_range = ~((k >= 0.0) & (k <= MAX_KAPPA))
+    if out_of_range.any():
+        _check_kappa(k[out_of_range][0])  # raises, naming the first bad entry
+    return k
+
+
 def mean_resultant_ratio(p: int, kappa):
     """Mean resultant length A_p(kappa) = I_{p/2}(kappa) / I_{p/2-1}(kappa).
 
@@ -305,10 +314,7 @@ def mean_resultant_ratio(p: int, kappa):
     to the scalar call). Both run through the kernel of `bessel_ratio`.
     """
     p = _check_dim(p)
-    k = np.asarray(kappa, dtype=float)
-    out_of_range = ~((k >= 0.0) & (k <= MAX_KAPPA))
-    if out_of_range.any():
-        _check_kappa(k[out_of_range][0])  # raises, naming the first bad entry
+    k = _check_kappas(kappa)
     out = _bessel_ratio(p / 2.0 - 1.0, k.ravel()).reshape(k.shape)
     return float(out) if k.ndim == 0 else out
 
@@ -328,10 +334,7 @@ def log_vmf_normalizer(p: int, kappa):
     to the uniform one on the sphere).
     """
     p = _check_dim(p)
-    k = np.atleast_1d(np.asarray(kappa, dtype=float))
-    out_of_range = ~((k >= 0.0) & (k <= MAX_KAPPA))
-    if out_of_range.any():
-        _check_kappa(k[out_of_range][0])  # raises, naming the first bad entry
+    k = np.atleast_1d(_check_kappas(kappa))
     out = np.full(k.shape, log_sphere_area(p))
     pos = k > 0.0
     if pos.any():

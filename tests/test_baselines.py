@@ -305,8 +305,9 @@ def sorted_labels(n, k, seed):
 
 def reference_heads(z, y, k, schedule, heads):
     """The stacked SGD loop written plainly: a gather, an out-of-place
-    log-softmax (scipy's logsumexp) and momentum update per batch, and a
-    finite-loss check after every step. Returns (W, b, histories) per head."""
+    log-softmax (scipy's logsumexp) and momentum update per batch, a
+    finite-loss check after every step and a finite-weights check after the
+    last. Returns (W, b, histories) per head."""
     z = np.asarray(z, dtype=float)
     if schedule.normalize:
         z = z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -352,6 +353,10 @@ def reference_heads(z, y, k, schedule, heads):
                 vel_b = schedule.momentum * vel_b - lr * gb
                 w = w + vel_w
                 b = b + vel_b
+    finite = np.isfinite(w).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
+    if not finite.all():
+        mode = modes[int(np.argmin(finite))]
+        raise TrainingDivergedError(f"{mode} head: non-finite weights after the last step", mode=mode)
     histories /= n
     return [(w[h], b[h, 0], histories[:, h].tolist()) for h in range(len(heads))]
 
@@ -385,11 +390,12 @@ class TestTrainHeads:
             assert np.array_equal(history, expected)
             assert np.signbit(history).tolist() == np.signbit(expected).tolist()
 
-    # Each run diverges after its first step, all but one part-way through
+    # Each run diverges after its first step, all but two part-way through
     # an epoch (the loop runs on to the epoch's end before it checks); the
     # full message, epoch and sample offset included, is the reference's.
     # The no-decay runs skip the weight decay term, and at eta = 1 the
-    # grad_scale multiply too.
+    # grad_scale multiply too. The last run's losses are all finite: only
+    # its second and last update overflows, which the weights check names.
     @pytest.mark.parametrize("lr, eta, batch_size, epochs, weight_decay", [
         pytest.param(1e150, 1.0, 7, 5, 1.0, id="1e+150-1.0-7-5"),
         pytest.param(1e200, 1.0, 64, 3, 1.0, id="1e+200-1.0-64-3"),
@@ -400,6 +406,7 @@ class TestTrainHeads:
         pytest.param(1e308, 0.0, 64, 6, 0.0, id="1e+308-0.0-64-6-no-decay"),
         pytest.param(1e307, 2.0, 13, 8, 0.0, id="1e+307-2.0-13-8-no-decay"),
         pytest.param(1e308, 1.0, 13, 8, 0.0, id="1e+308-1.0-13-8-no-decay"),
+        pytest.param(1e300, 1.0, 64, 1, 1.0, id="1e+300-1.0-64-1-last-step"),
     ])
     def test_divergence_message_is_the_reference_loops(self, lr, eta, batch_size, epochs, weight_decay):
         z, y = blob_data(n_per=40)

@@ -502,6 +502,15 @@ class TestFit:
         assert np.all(clf.kappas[:2] > 0.0)
         assert not np.any(predict(clf, z) == 2)
 
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_every_class_excluded_raises_saying_why(self, mode):
+        # One sample per class under alpha_hat = 0 (each kappa unbounded) and
+        # a fourth class with none: no class is left to fit.
+        z, y, _, _ = self._toy_data(n_per=1)
+        why = r"every class is degenerate \(1 with no samples and no directional prior, 3 with an unbounded kappa\)"
+        with pytest.raises(DegeneratePosteriorError, match=why):
+            fit(z, y, 4, mode=mode, on_degenerate="exclude")
+
     def test_strong_prior_pulls_small_class(self):
         z, y, _, _ = self._toy_data(n_per=3)
         frame = np.eye(3, 6)[[1, 2, 0]]  # deliberately not the source centers

@@ -540,6 +540,8 @@ class TestCompare:
         ("kappa_range", [1, 5, 7]),
         ("normalize", "yes"),
         ("methods", ["bape", "bape"]),
+        ("methods", None),
+        ("methods", "bape"),
     ])
     def test_malformed_config_value_is_exit_1_and_named(self, tmp_path, capsys, monkeypatch, key, value):
         # These escaped as TypeError or IndexError tracebacks, or loaded
@@ -554,6 +556,38 @@ class TestCompare:
         cfg.write_text(json.dumps({**self.SMALL, key: value}))
         assert main(["compare", "--config", str(cfg)]) == 1
         assert f"error: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
+    def test_config_that_is_not_an_object_is_exit_1(self, tmp_path, capsys, text):
+        # An array escaped as a TypeError traceback; a string was read as
+        # the names of unknown keys.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert "error: config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["bape", "bape+adjust"])
+    def test_every_class_degenerate_is_exit_1_and_says_why(self, tmp_path, capsys, method):
+        # One sample per class under alpha_hat = 0: every kappa is unbounded.
+        # This was reported as "counts must have positive total".
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"seeds": [0], "methods": [method], "head_size": 1}))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"method '{method}', seed 0: every class is degenerate" in err
+        assert "20 with an unbounded kappa" in err
+
+    def test_out_of_memory_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        import spherebayes.harness as harness
+
+        def too_big(*args):
+            raise MemoryError("Unable to allocate 53.7 TiB")
+
+        monkeypatch.setattr(harness, "_load_data", too_big)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(self.SMALL))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert "error: out of memory: Unable to allocate 53.7 TiB" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, literal", [
         ("weight_decay", "NaN"), ("weight_decay", "Infinity"), ("temperature", "Infinity"),
