@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ClassPriors, _check_labels, log_softmax, logits, top_class
-from .special import logsumexp
 from .vmf import _norms, substream
 
 __all__ = [
@@ -190,33 +189,28 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     heads are (mode, grad_scale) pairs; every other setting comes from
     schedule, whose own mode and grad_scale are not read. The heads share
     the initialization, the shuffle order and the lr schedule, so they are
-    stacked as one (H, K, p) problem: each step runs one batched product,
-    one log-softmax and one batched gradient for all of them. Each head adds
-    its own log-prior row (0 for softmax, ln pi for logit_adjusted) and its
-    own grad_scale, and its arithmetic is that of a one-head run, so its W,
-    b and loss history are bitwise those of `train` in its mode.
+    stacked as one (H, K, p + 1) problem: each head's [W | b] is one block of
+    a flat parameter buffer, and the training rows carry a trailing column of
+    ones, so one batched product gives W z + b and one gives [dW | db] for
+    all heads. Each head adds its own log-prior row (0 for softmax, ln pi for
+    logit_adjusted; after the temperature, so that the -inf of an empty class
+    stays out of the parameters) and its own grad_scale, and its arithmetic
+    is that of a one-head run, so its W, b and loss history are bitwise those
+    of `train` in its mode.
 
     The step is bound by numpy call overhead at the sizes used here, so it
-    saves calls and temporaries wherever that changes no bit:
-    - W and b are views of one flat parameter buffer, with a gradient buffer
-      and a velocity buffer of the same layout. The two gradient products
-      write into the gradient's views, and the lr scaling, the momentum
-      update and the parameter update each run once over the whole buffer.
-    - Identity operations are skipped: the division by a temperature of 1,
-      the grad_scale multiply when every head's scale is 1, and the weight
-      decay term when it is 0.
-    - The log-softmax runs in place on per-batch-size scratch buffers, with
-      the one-maximum form of `special.logsumexp` written inline; a batch
-      with a tied or nan maximum in any row calls `logsumexp` itself.
-    - The flat true-class indices are gathered once per epoch, each batch
-      takes a slice of them, and each step's true-class log-probabilities
-      are kept, to be summed into per-step mean losses once per epoch.
-    The losses are checked for non-finite values once per epoch; a
-    divergence raises TrainingDivergedError naming the first step and head
-    that went non-finite, as a per-step check would.
+    runs in place on per-batch-size scratch buffers and skips identity
+    operations (the division by a temperature of 1, the grad_scale multiply
+    when every head's scale is 1, and a weight decay of 0). The softmax is
+    shifted by each row's maximum, exponentiated and divided by its row sums;
+    each step keeps its shifted true-class logits and its row sums, which
+    become per-step mean losses once per epoch. The losses are checked for
+    non-finite values once per epoch; a divergence raises
+    TrainingDivergedError naming the first step and head that went
+    non-finite, as a per-step check would.
     Returns one (classifier, per-epoch mean losses) pair per head.
     """
-    z = np.asarray(z, dtype=float)
+    z = np.asarray(z)
     y = _check_labels(y, None)
     if z.ndim != 2 or z.shape[0] == 0:
         raise ValueError("features must be a nonempty (n, p) array")
@@ -227,7 +221,13 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     if k < 2:
         raise ValueError("need at least 2 classes present")
     _check_labels(y, k)
-    z = _linear_rows(z, schedule.normalize)
+    # The training rows with a trailing 1, the only float64 copy of z.
+    rows = np.empty((n, p + 1))
+    rows[:, p] = 1.0
+    if schedule.normalize:
+        np.divide(z, _projection_norms(z)[:, np.newaxis], out=rows[:, :p])
+    else:
+        rows[:, :p] = z
     h = len(heads)
     modes = [mode for mode, _ in heads]
     scales = np.array([s for _, s in heads], dtype=float)
@@ -236,34 +236,40 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
         ClassPriors.from_counts(counts).log() if mode == "logit_adjusted" else np.zeros(k) for mode in modes
     ])[:, np.newaxis, :]
 
-    # params holds every head's W, then every head's b; grad and vel match it.
+    # theta holds each head's [W | b]; grad and vel share params' layout.
     params = np.zeros(h * k * (p + 1))
     grad = np.empty_like(params)
     vel = np.zeros_like(params)
-    w, gw = (a[: h * k * p].reshape(h, k, p) for a in (params, grad))
-    b, gb = (a[h * k * p :].reshape(h, 1, k) for a in (params, grad))
-    w[...] = substream(schedule.rng_seed, 0).standard_normal((k, p)) / np.sqrt(p)
-    wt = w.transpose(0, 2, 1)  # a view: params is only ever updated in place
+    theta, gtheta = (a.reshape(h, k, p + 1) for a in (params, grad))
+    theta[:, :, :p] = substream(schedule.rng_seed, 0).standard_normal((k, p)) / np.sqrt(p)
+    theta_t = theta.transpose(0, 2, 1)  # a view: params is only ever updated in place
     # Each element's grad_scale, or None when multiplying by it would change nothing.
-    scale = None if (scales == 1.0).all() else np.concatenate([np.repeat(scales, k * p), np.repeat(scales, k)])
+    scale = None if (scales == 1.0).all() else np.repeat(scales, k * (p + 1))
     temperature = schedule.temperature
     weight_decay = schedule.weight_decay
     shuffler = substream(schedule.rng_seed, 1)
     size = schedule.batch_size
     starts = range(0, n, size)
     batch_sizes = np.diff([*starts, n], prepend=0)[:, np.newaxis]  # row i + 1: step i's m; row 0: 0
-    # Scratch for a batch of m rows; only the last batch can have m < size.
-    scratch = {m: _step_scratch(h, m, k, p) for m in set(batch_sizes[1:, 0].tolist())}
     # Each sample's flat index in the (H, m, K) logits of its batch of m
     # rows, less its label: head h's block starts at h*m*K, and the sample's
     # row at (i % size)*K.
     position = np.arange(n)
     batch_of = np.where(position < starts[-1], size, n - starts[-1])
     offsets = np.arange(h)[:, np.newaxis] * batch_of * k + position % size * k
-    # Row i holds step i's (H, m) true-class log-probabilities in its first
-    # m columns, C-contiguous per head so that each head's sum runs as over
-    # a one-head (m,) vector.
-    picked = np.empty((len(starts), h, size))
+    # Step i keeps its (H, m) shifted true-class logits and row sums in the
+    # first m columns of row i, C-contiguous per head so that each head's
+    # sum runs as over a one-head (m,) vector; the unused columns of a short
+    # last step stay 0 and 1.
+    shifted = np.zeros((len(starts), h, size))
+    sums = np.ones((len(starts), h, size))
+    steps = [(start, shifted[i, :, :m], sums[i, :, :m, np.newaxis]) for i, (start, m) in
+             enumerate(zip(starts, batch_sizes[1:, 0].tolist()))]
+    # Scratch for a batch of m rows (only the last batch can have m < size):
+    # the rows, their (H, m, K) logits, and each row's maximum with the flat
+    # index of its first occurrence and of the row's start.
+    scratch = {m: (np.empty((m, p + 1)), np.empty((h, m, k)), np.empty((h, m, 1)), np.empty(h * m, dtype=np.intp),
+                   np.arange(h * m) * k) for m in set(batch_sizes[1:, 0].tolist())}
     full = n // size  # the steps with m = size
     # Row 0 stays 0, the start of each epoch's running total of loss * m;
     # row i + 1 takes step i's mean loss.
@@ -276,62 +282,43 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
         for epoch in range(schedule.epochs):
             lr = schedule.lr * 0.5 * (1.0 + np.cos(np.pi * epoch / schedule.epochs))
             order = shuffler.permutation(n)
-            # The true-class indices are gathered once per epoch. The features
-            # are not: a shuffled copy of z per epoch measured no faster than
-            # the per-batch gathers and held about 1 MB more at peak.
             targets = offsets + y[order]
-            for step, start in enumerate(starts):
+            for start, true_logits, row_sums in steps:
                 target = targets[:, start : start + size]
                 m = target.shape[1]
-                zb, s, terms, at_top, top, total, arg, row_start, hit = scratch[m]
+                zb, s, top, arg, row_start = scratch[m]
                 # mode="clip" skips take's buffered bounds check: every index
                 # here is in range by construction.
-                z.take(order[start : start + size], axis=0, out=zb, mode="clip")
-                np.matmul(zb, wt, out=s)
-                s += b
+                rows.take(order[start : start + size], axis=0, out=zb, mode="clip")
+                np.matmul(zb, theta_t, out=s)
                 if temperature != 1.0:
                     s /= temperature
                 s += log_pi
-                # log_softmax in place: s - logsumexp(s), with the one-maximum
-                # form of logsumexp written out. top is each row's first
-                # maximum (nan in a row holding one), found at flat index arg.
-                # The test below passes only when every row has exactly one
-                # entry equal to its maximum; a nan row has none, and the nan
-                # check keeps it from hiding a tie in another row. (argmax and
-                # a gather measured faster than a maximum reduction over K.)
+                # Each row's first maximum (nan in a row holding one); argmax
+                # and a gather measured faster than a maximum reduction over K.
                 s.reshape(-1, k).argmax(axis=1, out=arg)
                 arg += row_start
                 s.take(arg, out=top.reshape(-1), mode="clip")
-                np.equal(s, top, out=at_top)
-                if np.count_nonzero(at_top) == top.size and not np.count_nonzero(np.isnan(top)):
-                    np.subtract(s, top, out=terms)
-                    np.exp(terms, out=terms)
-                    terms.put(arg, 0.0)
-                    np.add.reduce(terms, axis=-1, keepdims=True, out=total)
-                    np.log1p(total, out=total)
-                    total += top
-                    s -= total
-                else:
-                    s -= logsumexp(s, axis=-1, keepdims=True)
-                logp = s.take(target, out=picked[step, :, :m], mode="clip")
+                s -= top
+                s.take(target, out=true_logits, mode="clip")
                 g = np.exp(s, out=s)
-                np.exp(logp, out=hit)
-                hit -= 1.0
-                g.put(target, hit, mode="clip")  # p - onehot at the true classes
+                np.add.reduce(g, axis=-1, keepdims=True, out=row_sums)
+                g /= row_sums
+                np.subtract.at(g.reshape(-1), target, 1.0)  # p - onehot
                 g /= m * temperature
-                np.matmul(g.transpose(0, 2, 1), zb, out=gw)
-                np.add.reduce(g, axis=1, keepdims=True, out=gb)
+                np.matmul(g.transpose(0, 2, 1), zb, out=gtheta)
                 if scale is not None:
                     grad *= scale
                 if weight_decay != 0.0:
-                    gw += weight_decay * w
+                    gtheta[:, :, :p] += weight_decay * theta[:, :, :p]
                 grad *= lr
                 vel *= schedule.momentum
                 vel -= grad
                 params += vel
-            np.add.reduce(picked[:full], axis=-1, out=losses[1 : full + 1])
+            logp = shifted - np.log(sums)
+            np.add.reduce(logp[:full], axis=-1, out=losses[1 : full + 1])
             if full < len(starts):
-                np.add.reduce(picked[-1, :, : batch_sizes[-1, 0]], axis=-1, out=losses[-1])
+                np.add.reduce(logp[-1, :, : batch_sizes[-1, 0]], axis=-1, out=losses[-1])
             np.divide(losses[1:], -batch_sizes[1:], out=losses[1:])
             finite = np.isfinite(losses)
             if not finite.all():
@@ -341,27 +328,18 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
                 )
             # Added in step order, as a running total of loss * m would be.
             histories[epoch] = np.add.accumulate(losses * batch_sizes)[-1]
-    finite = np.isfinite(w).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
+    finite = np.isfinite(theta).all(axis=(1, 2))
     if not finite.all():
         raise _diverged(finite, modes, "non-finite weights after the last step")
     histories /= n
-    return [(LinearClassifier(w[i], b[i, 0]), histories[:, i].tolist()) for i in range(h)]
-
-
-def _step_scratch(h: int, m: int, k: int, p: int) -> tuple[np.ndarray, ...]:
-    """Buffers for one `_train_heads` step on a batch of m rows: the rows;
-    their (H, m, K) logits; the log-softmax's exp terms and maxima mask, of
-    the same shape; each row's maximum and the sum of its terms, (H, m, 1);
-    the flat index of each row's maximum and of its start, (H*m,); and the
-    gradient's (H, m) true-class entries."""
-    s = np.empty((h, m, k))
-    return (np.empty((m, p)), s, np.empty_like(s), np.empty(s.shape, dtype=bool), np.empty((h, m, 1)),
-            np.empty((h, m, 1)), np.empty(h * m, dtype=np.intp), np.arange(h * m) * k, np.empty((h, m)))
+    # W and b leave as contiguous copies of their columns of theta.
+    return [(LinearClassifier(theta[i, :, :p].copy(), theta[i, :, p].copy()), histories[:, i].tolist()) for i in range(h)]
 
 
 def _linear_rows(z: np.ndarray, normalize: bool) -> np.ndarray:
-    """The rows a linear head is trained and scored on: z as given, or under
-    normalize z projected onto the sphere; a zero row raises ValueError."""
+    """The rows a linear head is scored on, as `_train_heads` trains it: z as
+    given, or under normalize z projected onto the sphere; a zero row raises
+    ValueError."""
     if not normalize:
         return z
     return z / _projection_norms(z)[:, np.newaxis]

@@ -65,7 +65,7 @@ from .classifier import (
 from .datagen import Dataset, LongTailSpec, generate, read_features, sample_dataset
 from .estimation import ClassStats, class_posteriors
 from .priors import EtfFrame, build_etf, grad_step_m0
-from .special import log_vmf_normalizer, logsumexp, mean_resultant_ratio
+from .special import log_vmf_normalizer, mean_resultant_ratio
 from .vmf import _unit_norms, as_unit_vector, substream
 
 __all__ = [
@@ -325,17 +325,19 @@ def _m0_gradients(frame, counts, resultants, alpha_hat, beta_hat, priors, z, lab
     if excluded.any():
         pi = np.where(excluded, 0.0, priors.pi)
         priors = ClassPriors(pi / pi.sum(), allow_zero=True)
-    # The bape logits kappa_k m_k.T z + ln pi_k - ln C_p(kappa_k); excluded
-    # classes score -inf.
+    # The bape logits w_k.T z + ln pi_k - ln C_p(kappa_k), w_k = kappa_k m_k;
+    # excluded classes score -inf. Each block's softmax is its logits shifted
+    # by the row maxima, exponentiated and divided by the row sums.
+    w = kappas[:, np.newaxis] * ms
     b = priors.log() - log_vmf_normalizer(p, kappas)
     zsum = np.zeros_like(ms)
     psum = np.zeros(len(kappas))
     for rows in _blocks(len(labels)):
-        block = z[rows] @ ms.T
-        block *= kappas
+        block = z[rows] @ w.T
         block += b
-        block -= logsumexp(block, axis=-1, keepdims=True)
+        block -= block.max(axis=1, keepdims=True)
         np.exp(block, out=block)
+        block /= block.sum(axis=1, keepdims=True)
         block[np.arange(len(block)), labels[rows]] -= 1.0
         block[excluded[labels[rows]]] = 0.0
         zsum += block.T @ z[rows]
@@ -360,7 +362,9 @@ def _fit_bape(train: Dataset, config: ExperimentConfig, seed: int) -> BayesClass
         # Prior frame seeded independently of the data-generating streams.
         frame_seed = int(substream(seed, 4).integers(2**63 - 1))
         frame = build_etf(k, train.dim, frame_seed)
-        if config.m0_steps > 0:
+        # With no training rows there is no loss to descend, and the fit
+        # below reports every class as degenerate, as it does without steps.
+        if config.m0_steps > 0 and counts.any():
             priors = ClassPriors.from_counts(counts)
             for _ in range(config.m0_steps):
                 g = _m0_gradients(frame, counts, resultants, config.alpha_hat, config.beta_hat, priors,

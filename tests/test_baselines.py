@@ -24,8 +24,8 @@ from spherebayes.baselines import (
     train,
 )
 from spherebayes.classifier import ClassPriors
+from spherebayes.harness import ExperimentConfig, _load_data
 from spherebayes.priors import build_etf
-from spherebayes.special import logsumexp
 from spherebayes.vmf import VmfParams, sample, substream
 
 
@@ -304,10 +304,12 @@ def sorted_labels(n, k, seed):
 
 
 def reference_heads(z, y, k, schedule, heads):
-    """The stacked SGD loop written plainly: a gather, an out-of-place
-    log-softmax (scipy's logsumexp) and momentum update per batch, a
-    finite-loss check after every step and a finite-weights check after the
-    last. Returns (W, b, histories) per head."""
+    """The stacked SGD loop as it was before the bias-augmented rows, written
+    plainly: a gather, an out-of-place log-softmax (scipy's logsumexp), W and
+    b updated apart with a separate bias reduction, and a momentum update per
+    batch, a finite-loss check after every step and a finite-weights check
+    after the last. `_train_heads` is close to it, not bitwise equal.
+    Returns (W, b, histories) per head."""
     z = np.asarray(z, dtype=float)
     if schedule.normalize:
         z = z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -361,6 +363,66 @@ def reference_heads(z, y, k, schedule, heads):
     return [(w[h], b[h, 0], histories[:, h].tolist()) for h in range(len(heads))]
 
 
+def augmented_reference_heads(z, y, k, schedule, heads):
+    """The arithmetic of `_train_heads` written plainly. The rows carry a
+    trailing 1, so each head's [W | b] is one (K, p + 1) matrix; per batch
+    come a gather, an out-of-place max-shifted softmax (shift, exp, row sums,
+    divide) and momentum update, and a finite-loss check after every step;
+    a finite-weights check follows the last. Returns (W, b, histories) per
+    head."""
+    z = np.asarray(z, dtype=float)
+    if schedule.normalize:
+        z = z / np.linalg.norm(z, axis=1, keepdims=True)
+    n, p = z.shape
+    rows = np.hstack([z, np.ones((n, 1))])
+    modes = [mode for mode, _ in heads]
+    scale = np.array([s for _, s in heads])[:, np.newaxis, np.newaxis]
+    counts = np.bincount(y, minlength=k)
+    log_pi = np.stack([
+        ClassPriors.from_counts(counts).log() if mode == "logit_adjusted" else np.zeros(k) for mode in modes
+    ])[:, np.newaxis, :]
+    theta = np.zeros((len(heads), k, p + 1))
+    theta[:, :, :p] = substream(schedule.rng_seed, 0).standard_normal((k, p)) / np.sqrt(p)
+    vel = np.zeros_like(theta)
+    shuffler = substream(schedule.rng_seed, 1)
+    row_offsets = np.arange(schedule.batch_size) * k
+    histories = np.zeros((schedule.epochs, len(heads)))
+    with np.errstate(all="ignore"):
+        for epoch in range(schedule.epochs):
+            lr = schedule.lr * 0.5 * (1.0 + np.cos(np.pi * epoch / schedule.epochs))
+            order = shuffler.permutation(n)
+            for start in range(0, n, schedule.batch_size):
+                idx = order[start : start + schedule.batch_size]
+                zb, yb, m = rows[idx], y[idx], len(idx)
+                s = (zb @ theta.transpose(0, 2, 1)) / schedule.temperature + log_pi
+                shifted = s - s.max(axis=-1, keepdims=True)
+                e = np.exp(shifted)
+                total = e.sum(axis=-1)
+                target = row_offsets[:m] + yb
+                logp = np.take(shifted.reshape(len(heads), -1), target, axis=1) - np.log(total)
+                loss = -(logp.sum(axis=1) / m)
+                finite = np.isfinite(loss)
+                if not finite.all():
+                    mode = modes[int(np.argmin(finite))]
+                    raise TrainingDivergedError(
+                        f"{mode} head: non-finite loss at epoch {epoch}, sample offset {start} (lr={lr:.3g})", mode=mode
+                    )
+                histories[epoch] += loss * m
+                g = e / total[:, :, np.newaxis]
+                g.reshape(len(heads), -1)[:, target] -= 1.0
+                g /= m * schedule.temperature
+                grad = scale * (g.transpose(0, 2, 1) @ zb)
+                grad[:, :, :p] += schedule.weight_decay * theta[:, :, :p]
+                vel = schedule.momentum * vel - lr * grad
+                theta = theta + vel
+    finite = np.isfinite(theta).all(axis=(1, 2))
+    if not finite.all():
+        mode = modes[int(np.argmin(finite))]
+        raise TrainingDivergedError(f"{mode} head: non-finite weights after the last step", mode=mode)
+    histories /= n
+    return [(theta[h, :, :p], theta[h, :, p], histories[:, h].tolist()) for h in range(len(heads))]
+
+
 class TestTrainHeads:
     """The stacked loop that trains several heads at once."""
 
@@ -384,7 +446,7 @@ class TestTrainHeads:
                           weight_decay=weight_decay, rng_seed=5, normalize=normalize)
         heads = [("softmax", 1.0), ("logit_adjusted", eta)]
         for (clf, history), (w, b, expected) in zip(_train_heads(z, y, k + 2, cfg, heads),
-                                                   reference_heads(z, y, k + 2, cfg, heads)):
+                                                   augmented_reference_heads(z, y, k + 2, cfg, heads)):
             assert_array_equal(clf.W, w)
             assert_array_equal(clf.b, b)
             assert np.array_equal(history, expected)
@@ -414,7 +476,7 @@ class TestTrainHeads:
         cfg = TrainConfig(lr=lr, epochs=epochs, batch_size=batch_size, weight_decay=weight_decay)
         heads = [("softmax", 1.0), ("logit_adjusted", eta)]
         with pytest.raises(TrainingDivergedError) as expected:
-            reference_heads(z, y, 3, cfg, heads)
+            augmented_reference_heads(z, y, 3, cfg, heads)
         assert "epoch 0, sample offset 0 " not in str(expected.value)
         with pytest.raises(TrainingDivergedError) as err:
             _train_heads(z, y, None, cfg, heads)
@@ -422,34 +484,43 @@ class TestTrainHeads:
         assert err.value.mode == expected.value.mode
 
     @pytest.mark.parametrize("temperature, weight_decay", [(0.7, 1e-3), (1.0, 0.0)])
-    def test_tied_maxima_take_the_general_log_softmax(self, monkeypatch, temperature, weight_decay):
-        # An all-zero feature row scores 0 on every class at the
-        # initialization (b = 0), a K-way tie in the softmax head, so a first
-        # batch that holds one leaves the one-maximum log-softmax for
-        # `logsumexp`; two empty trailing classes keep their -inf log-priors
-        # in the adjusted head.
-        import spherebayes.baselines as baselines
-
+    @pytest.mark.parametrize("zero_rows", [slice(None, None, 5), slice(None)], ids=["some", "all"])
+    def test_tied_maxima_and_empty_classes_stay_finite(self, temperature, weight_decay, zero_rows):
+        # An all-zero feature row scores b on every class, a K-way tie in the
+        # softmax head at the initialization (b = 0); with every row zero the
+        # tie holds in every row of the first step. Two empty trailing
+        # classes get -inf log-priors in the adjusted head, which must not
+        # reach its parameters.
         k, p = 5, 4
         n = 6 * k + 37
         z, y = 1.7 * unit_rows(n, p, 9) + 0.1, sorted_labels(n, k, p)
-        z[::5] = 0.0
+        z[zero_rows] = 0.0
         cfg = TrainConfig(lr=0.5, epochs=3, batch_size=16, temperature=temperature, weight_decay=weight_decay,
                           rng_seed=5)
         heads = [("softmax", 1.0), ("logit_adjusted", 0.5)]
-        general = []
-
-        def spy(a, axis=-1, keepdims=False):
-            general.append(a.shape)
-            return logsumexp(a, axis, keepdims)
-
-        monkeypatch.setattr(baselines, "logsumexp", spy)
+        assert np.isneginf(ClassPriors.from_counts(np.bincount(y, minlength=k + 2)).log()[k:]).all()
         fused = _train_heads(z, y, k + 2, cfg, heads)
-        assert general
-        for (clf, history), (w, b, expected) in zip(fused, reference_heads(z, y, k + 2, cfg, heads)):
+        for (clf, history), (w, b, expected) in zip(fused, augmented_reference_heads(z, y, k + 2, cfg, heads)):
+            assert np.isfinite(clf.W).all() and np.isfinite(clf.b).all() and np.isfinite(history).all()
             assert_array_equal(clf.W, w)
             assert_array_equal(clf.b, b)
             assert np.array_equal(history, expected)
+
+    def test_close_to_the_pre_augmented_loop(self):
+        # The loop before the bias-augmented rows took b's gradient by its own
+        # reduction over the batch and a logsumexp-based log-softmax, so the
+        # two agree up to rounding only. On lt-default's seed-3 data and
+        # settings (30 epochs) the measured gap is 4.0e-16 of max|W| in W,
+        # 1.8e-16 of max|b| in b and 3.2e-16 relative in the loss history.
+        cfg = ExperimentConfig(seeds=(3,), n_classes=20, dim=32, head_size=500, gamma=100.0, epochs=30)
+        train_ds, _, _ = _load_data(cfg, 3)
+        schedule = TrainConfig(lr=cfg.lr, epochs=cfg.epochs, batch_size=cfg.batch_size, rng_seed=3)
+        heads = [("softmax", 1.0), ("logit_adjusted", cfg.eta)]
+        args = (train_ds.features, train_ds.labels, cfg.n_classes, schedule, heads)
+        for (clf, history), (w, b, expected) in zip(_train_heads(*args), reference_heads(*args)):
+            assert_allclose(clf.W, w, rtol=0, atol=1e-14 * np.abs(w).max())
+            assert_allclose(clf.b, b, rtol=0, atol=1e-14 * np.abs(b).max())
+            assert_allclose(history, expected, rtol=1e-14)
 
     @pytest.mark.parametrize("k, p", [(20, 32), (50, 64), (100, 128), (7, 5)])
     @pytest.mark.parametrize("eta, temperature, weight_decay", [

@@ -577,6 +577,23 @@ class TestCompare:
         assert f"method '{method}', seed 0: every class is degenerate" in err
         assert "20 with an unbounded kappa" in err
 
+    @pytest.mark.parametrize("m0_steps", [0, 2])
+    def test_zero_row_training_file_is_every_class_degenerate(self, tmp_path, capsys, m0_steps):
+        # With m0 steps the run stopped at the steps' class priors instead:
+        # "counts must have positive total".
+        train, test = tmp_path / "train.bapf", tmp_path / "test.bapf"
+        write_features(str(train), Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), np.zeros(3, dtype=int)))
+        z = substream(0, 1).standard_normal((30, 4))
+        write_features(str(test), Dataset(z / np.linalg.norm(z, axis=1, keepdims=True), np.arange(30) % 3,
+                                          np.full(3, 10)))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"seeds": [0], "methods": ["bape"], "train_file": str(train),
+                                   "test_file": str(test), "alpha_hat": 1.0, "beta_hat": 0.5,
+                                   "m0_steps": m0_steps}))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "method 'bape', seed 0: every class is degenerate (3 with no samples" in err
+
     def test_out_of_memory_is_exit_1(self, tmp_path, capsys, monkeypatch):
         import spherebayes.harness as harness
 
