@@ -24,7 +24,7 @@ from .estimation import (
     class_posteriors,
     concentrations,
 )
-from .special import log_vmf_normalizer, logsumexp
+from .special import MAX_KAPPA, log_vmf_normalizer, logsumexp
 from .vmf import as_unit_vector
 
 __all__ = [
@@ -108,8 +108,8 @@ class AdjustmentPolicy:
         if self.kappa_mode not in ("keep", "shared_mean", "fixed"):
             raise ValueError(f"unknown kappa_mode {self.kappa_mode!r}")
         if self.kappa_mode == "fixed":
-            if self.fixed_kappa is None or not self.fixed_kappa > 0.0:
-                raise ValueError("fixed kappa_mode requires fixed_kappa > 0")
+            if self.fixed_kappa is None or not 0.0 < self.fixed_kappa <= MAX_KAPPA:
+                raise ValueError(f"fixed kappa_mode requires 0 < fixed_kappa <= {MAX_KAPPA:g}, got {self.fixed_kappa}")
         elif self.fixed_kappa is not None:
             raise ValueError(f"fixed_kappa is only meaningful with kappa_mode='fixed'")
 
@@ -378,7 +378,20 @@ def _fit_stats(counts, resultants, alpha_hat, beta_hat, prior_directions, mode, 
         raise ValueError("beta_hat > 0 requires prior_directions")
 
     alphas, betas, mus, _ = class_posteriors(counts, resultants, alpha_hat, beta_hat, prior_directions)
-    kappas, excluded = _degenerate_aware_concentrations(p, alphas, betas, mode, on_degenerate)
+    # Degenerate classes: beta = 0 (no mean direction) or an unbounded kappa
+    # (a singleton under alpha_hat = 0). Under "error" either kind raises,
+    # naming the class; under "exclude" it gets kappa 0.
+    excluded = betas == 0.0
+    if excluded.any() and on_degenerate == "error":
+        raise DegeneratePosteriorError(f"class {np.argmax(excluded)} has no samples and no directional prior")
+    ratios = np.divide(betas, alphas, out=np.zeros(k), where=~excluded)
+    try:
+        kappas = concentrations(p, ratios, mode)
+    except ConcentrationOverflowError as exc:
+        if on_degenerate == "error":
+            raise ConcentrationOverflowError(f"classes {list(exc.classes)}: {exc}", exc.classes) from None
+        excluded[list(exc.classes)] = True
+        kappas = concentrations(p, np.where(excluded, 0.0, ratios), mode)
     if excluded.all():
         empty = int(np.count_nonzero(betas == 0.0))
         raise DegeneratePosteriorError(
@@ -393,25 +406,6 @@ def _fit_stats(counts, resultants, alpha_hat, beta_hat, prior_directions, mode, 
         counts=counts,
         excluded=tuple(np.flatnonzero(excluded)),
     )
-
-
-def _degenerate_aware_concentrations(p, alphas, betas, mode, on_degenerate):
-    """kappa per class from the conjugate posteriors (see `class_posteriors`),
-    and the mask of degenerate classes: beta = 0 (no mean direction) or an
-    unbounded kappa (a singleton under alpha_hat = 0). Under "error" either
-    kind raises, naming the class; under "exclude" it gets kappa 0."""
-    excluded = betas == 0.0
-    if excluded.any() and on_degenerate == "error":
-        raise DegeneratePosteriorError(f"class {np.argmax(excluded)} has no samples and no directional prior")
-    ratios = np.divide(betas, alphas, out=np.zeros(len(betas)), where=~excluded)
-    try:
-        kappas = concentrations(p, ratios, mode)
-    except ConcentrationOverflowError as exc:
-        if on_degenerate == "error":
-            raise ConcentrationOverflowError(f"classes {list(exc.classes)}: {exc}", exc.classes) from None
-        excluded[list(exc.classes)] = True
-        kappas = concentrations(p, np.where(excluded, 0.0, ratios), mode)
-    return kappas, excluded
 
 
 def to_json(clf: BayesClassifier) -> str:

@@ -35,6 +35,7 @@ from .harness import (
     ExperimentConfig,
     _fit_bape,
     _fit_linear,
+    _is_real,
     emit_report,
     run_experiment,
     split_accuracy,
@@ -172,8 +173,12 @@ def _parse_adjustment(args, n_classes: int) -> AdjustmentPolicy | None:
     if spec == "uniform":
         pass
     elif spec.startswith("file:"):
-        with open(spec.split(":", 1)[1]) as fh:
-            target = ClassPriors(np.asarray(json.load(fh), dtype=float))
+        path = spec.split(":", 1)[1]
+        with open(path) as fh:
+            values = json.load(fh)
+        if not (isinstance(values, list) and all(map(_is_real, values))):
+            raise ValueError(f"prior file {path} must hold a JSON list of numbers")
+        target = ClassPriors(np.asarray(values, dtype=float))
     elif spec.startswith("imbalance:"):
         gamma = float(spec.split(":", 1)[1])
         if gamma < 1.0:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .classifier import BayesClassifier, ClassPriors, predict
 from .priors import build_etf
+from .special import MAX_KAPPA
 from .vmf import VmfParams, sample, substream
 
 __all__ = [
@@ -171,10 +172,11 @@ def make_truth(
     priors: ClassPriors | None = None,
 ) -> MixtureGroundTruth:
     """Draw mixture ground truth: centers (equiangular frame or uniform random)
-    and per-class concentrations log-uniform over kappa_range."""
+    and per-class concentrations log-uniform over kappa_range, which must
+    satisfy 0 < lo <= hi <= MAX_KAPPA."""
     lo, hi = float(kappa_range[0]), float(kappa_range[1])
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"kappa range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+    if not 0.0 < lo <= hi <= MAX_KAPPA:
+        raise ValueError(f"kappa range must satisfy 0 < lo <= hi <= {MAX_KAPPA:g}, got ({lo}, {hi})")
     if center_mode == "etf":
         centers = build_etf(n_classes, dim, seed).vectors
     elif center_mode == "random":
@@ -316,11 +318,17 @@ def _read_csv(path: str) -> Dataset:
             parts = line.split(",")
             if len(parts) != p + 1:
                 raise TruncatedFileError(f"row {lineno} has {len(parts) - 1} features, expected {p}")
-            labels.append(int(parts[0]))
-            rows.append(np.array(parts[1:], dtype=np.float32))
+            try:
+                labels.append(int(parts[0]))
+            except ValueError:
+                raise FeatureFileError(f"{path}: row {lineno} has label {parts[0]!r}, not an integer") from None
+            if not 0 <= labels[-1] < 2**32:  # the u32 label field of the binary format
+                raise LabelRangeError(f"{path}: row {lineno} has label {labels[-1]}, outside [0, 2**32)")
+            try:
+                rows.append(np.array(parts[1:], dtype=np.float32))
+            except ValueError as exc:
+                raise FeatureFileError(f"{path}: row {lineno} has a feature that is not a number ({exc})") from None
     if not rows:
         raise TruncatedFileError("CSV has a header but no rows")
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.min() < 0:
-        raise LabelRangeError(f"negative label {labels.min()}")
     return Dataset(np.stack(rows), labels, np.bincount(labels))

@@ -246,6 +246,17 @@ def concentrations(p: int, r, mode: str) -> np.ndarray:
     return kappa
 
 
+def concentration_slopes(p: int, alpha, beta, kappa, a, mode: str) -> np.ndarray:
+    """dkappa/dbeta at fixed alpha of `concentrations`' kappa at beta/alpha > 0, given that
+    kappa and a = A_p(kappa). Mode "approx" differentiates p*beta*alpha/(alpha^2 - beta^2);
+    mode "exact" takes 1/(alpha A'(kappa)), A' = 1 - a^2 - (p-1)a/kappa."""
+    if mode not in ("approx", "exact"):
+        raise ValueError(f"unknown estimation mode {mode!r}")
+    if mode == "approx":
+        return p * alpha * (alpha**2 + beta**2) / (alpha**2 - beta**2) ** 2
+    return 1.0 / (alpha * (1.0 - a * a - (p - 1) * a / kappa))
+
+
 def map_estimate(post: PosteriorSpec, mode: str = "approx") -> VmfParams:
     """MAP vMF parameters from a posterior: mu = m, kappa from beta/alpha by
     `concentrations`. With beta = 0 the class is uniform (kappa = 0) and mu is

@@ -54,7 +54,6 @@ from .classifier import (
     AdjustmentPolicy,
     BayesClassifier,
     ClassPriors,
-    _degenerate_aware_concentrations,
     _fit_stats,
     adjust,
     class_stats,
@@ -63,9 +62,9 @@ from .classifier import (
     top_class,
 )
 from .datagen import Dataset, LongTailSpec, generate, read_features, sample_dataset
-from .estimation import ClassStats, class_posteriors
+from .estimation import ClassStats, class_posteriors, concentration_slopes
 from .priors import EtfFrame, build_etf, grad_step_m0
-from .special import log_vmf_normalizer, mean_resultant_ratio
+from .special import mean_resultant_ratio
 from .vmf import _unit_norms, as_unit_vector, substream
 
 __all__ = [
@@ -205,6 +204,9 @@ class ExperimentConfig:
             raise ValueError("the oracle method needs generated data (no ground truth in files)")
         if self.estimation not in ("approx", "exact"):
             raise ValueError(f"unknown estimation mode {self.estimation!r}")
+        if self.center_mode not in ("etf", "random"):
+            raise ValueError(f"unknown center_mode {self.center_mode!r}")
+        AdjustmentPolicy(kappa_mode=self.kappa_mode, fixed_kappa=self.fixed_kappa)  # checks the pair
         if self.m0_steps < 0:
             raise ValueError("m0_steps must be >= 0")
         if self.test_per_class < 1:
@@ -291,9 +293,10 @@ def m0_loss_gradients(
     beta and by kappa_k z against m_k. Returned gradients live in the ambient
     space; the renormalization in the update step kills radial components.
 
-    Classes that the final fit excludes (beta = 0, or an unbounded kappa) are
-    excluded here too: they carry no posterior mass and get a zero gradient.
-    Their samples, whose loss no m0 can make finite, add nothing to the mean.
+    The loss is that of the classifier `fit` returns at `frame`, under
+    `priors` as `adjust` applies them. Classes it excludes (beta = 0, or an
+    unbounded kappa) carry no posterior mass and get a zero gradient. Their
+    samples, whose loss no m0 can make finite, add nothing to the mean.
 
     The sum over samples is one pass over blocks of rows, so the scratch
     memory is O(block * K) whatever the number of rows.
@@ -301,40 +304,30 @@ def m0_loss_gradients(
     z = as_unit_vector(features, dim=frame.dim)
     counts = np.array([st.count for st in stats])
     resultants = np.stack([st.resultant for st in stats])
-    return _m0_gradients(frame, counts, resultants, alpha_hat, beta_hat, priors, z, labels, mode)
+    fitted = _fit_stats(counts, resultants, alpha_hat, beta_hat, frame.vectors, mode, "exclude")
+    fitted = adjust(fitted, AdjustmentPolicy(priors))
+    return _m0_gradients(fitted, frame, counts, resultants, alpha_hat, beta_hat, z, labels, mode)
 
 
-def _m0_gradients(frame, counts, resultants, alpha_hat, beta_hat, priors, z, labels, mode):
-    """`m0_loss_gradients` from per-class statistics, on validated unit rows z. One pass over
-    blocks of rows sums g = d loss / d logit (zero on the rows of excluded classes) into
-    zsum_k = sum_n g_nk z_n and psum_k = sum_n g_nk, all that both routes need."""
+def _m0_gradients(fitted, frame, counts, resultants, alpha_hat, beta_hat, z, labels, mode):
+    """`m0_loss_gradients` of `fitted`, the classifier fitted from the per-class statistics
+    at `frame`, on validated unit rows z. One pass over blocks of rows sums g = d loss /
+    d logit (zero on the rows of excluded classes) into zsum_k = sum_n g_nk z_n and
+    psum_k = sum_n g_nk, all that both routes need."""
     p = frame.dim
-    alphas, betas, ms, beta0 = class_posteriors(counts, resultants, alpha_hat, beta_hat, frame.vectors)
-    kappas, excluded = _degenerate_aware_concentrations(p, alphas, betas, mode, "exclude")
+    alphas, betas, _, beta0 = class_posteriors(counts, resultants, alpha_hat, beta_hat, frame.vectors)
+    kappas, ms = fitted.kappas, fitted.mus
+    excluded = np.isin(np.arange(len(kappas)), fitted.excluded)
     keep = ~excluded
     a_vals = mean_resultant_ratio(p, kappas)
-    alpha, beta, a_val = alphas[keep], betas[keep], a_vals[keep]
     dk_db = np.zeros(len(kappas))
-    if mode == "approx":
-        dk_db[keep] = p * alpha * (alpha**2 + beta**2) / (alpha**2 - beta**2) ** 2
-    else:
-        # dkappa/dbeta = 1 / (alpha A'(kappa)), A' = 1 - A^2 - (p-1)A/kappa;
-        # beta > 0 here, so kappa > 0.
-        dk_db[keep] = 1.0 / (alpha * (1.0 - a_val * a_val - (p - 1) * a_val / kappas[keep]))
-
-    if excluded.any():
-        pi = np.where(excluded, 0.0, priors.pi)
-        priors = ClassPriors(pi / pi.sum(), allow_zero=True)
-    # The bape logits w_k.T z + ln pi_k - ln C_p(kappa_k), w_k = kappa_k m_k;
-    # excluded classes score -inf. Each block's softmax is its logits shifted
+    dk_db[keep] = concentration_slopes(p, alphas[keep], betas[keep], kappas[keep], a_vals[keep], mode)
+    # Excluded classes score -inf. Each block's softmax is its logits shifted
     # by the row maxima, exponentiated and divided by the row sums.
-    w = kappas[:, np.newaxis] * ms
-    b = priors.log() - log_vmf_normalizer(p, kappas)
     zsum = np.zeros_like(ms)
     psum = np.zeros(len(kappas))
     for rows in _blocks(len(labels)):
-        block = z[rows] @ w.T
-        block += b
+        block = logits(fitted, z[rows])
         block -= block.max(axis=1, keepdims=True)
         np.exp(block, out=block)
         block /= block.sum(axis=1, keepdims=True)
@@ -353,26 +346,23 @@ def _m0_gradients(frame, counts, resultants, alpha_hat, beta_hat, priors, z, lab
 
 def _fit_bape(train: Dataset, config: ExperimentConfig, seed: int) -> BayesClassifier:
     """Conjugate MAP fit, with the prior frame seeded from `seed` when beta_hat > 0
-    and refined by config.m0_steps gradient steps."""
+    and refined by config.m0_steps gradient steps, each on the loss of the
+    classifier fitted at the frame it moves."""
     feats = as_unit_vector(train.features)
-    k = train.n_classes
-    counts, resultants = class_stats(feats, train.labels, k)
-    frame = None
+    counts, resultants = class_stats(feats, train.labels, train.n_classes)
+    frame, steps = None, 0
     if config.beta_hat > 0.0:
         # Prior frame seeded independently of the data-generating streams.
         frame_seed = int(substream(seed, 4).integers(2**63 - 1))
-        frame = build_etf(k, train.dim, frame_seed)
-        # With no training rows there is no loss to descend, and the fit
-        # below reports every class as degenerate, as it does without steps.
-        if config.m0_steps > 0 and counts.any():
-            priors = ClassPriors.from_counts(counts)
-            for _ in range(config.m0_steps):
-                g = _m0_gradients(frame, counts, resultants, config.alpha_hat, config.beta_hat, priors,
-                                  feats, train.labels, config.estimation)
-                frame = grad_step_m0(frame, g, config.m0_lr)
-    directions = frame.vectors if frame is not None else None
-    return _fit_stats(counts, resultants, config.alpha_hat, config.beta_hat, directions,
-                      config.estimation, on_degenerate="exclude")
+        frame, steps = build_etf(train.n_classes, train.dim, frame_seed), config.m0_steps
+    for step in range(steps + 1):
+        if step:
+            g = _m0_gradients(fitted, frame, counts, resultants, config.alpha_hat, config.beta_hat,
+                              feats, train.labels, config.estimation)
+            frame = grad_step_m0(frame, g, config.m0_lr)
+        fitted = _fit_stats(counts, resultants, config.alpha_hat, config.beta_hat,
+                            None if frame is None else frame.vectors, config.estimation, on_degenerate="exclude")
+    return fitted
 
 
 def _fit_linear(train_ds: Dataset, config: ExperimentConfig, modes, seed: int) -> dict[str, LinearClassifier]:

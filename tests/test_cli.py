@@ -75,6 +75,18 @@ class TestGenerate:
         assert not (tmp_path / "tr.bin").exists() and not (tmp_path / "te.bin").exists()
 
 
+    @pytest.mark.parametrize("kappa_range", ["5,inf", "5,2e6", "nan,5", "0,5"])
+    def test_kappa_range_outside_the_supported_one_is_exit_1(self, tmp_path, capsys, kappa_range):
+        # "5,inf" escaped as an OverflowError traceback from the draw, and
+        # "5,2e6" failed or passed by the draw.
+        out = tmp_path / "x.bin"
+        code = main(["generate", "--classes", "3", "--dim", "4", "--head-size", "10",
+                     "--kappa-range", kappa_range, "--out", str(out)])
+        assert code == 1
+        assert "kappa range must satisfy 0 < lo <= hi <= 1e+06" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFit:
     def test_bape_round_trip(self, workspace):
         tmp, train, test = workspace
@@ -184,6 +196,18 @@ class TestEval:
         assert main(base + ["--adjust-priors", "imbalance:0.5"]) == 1
         assert main(base + ["--adjust-priors", "zipf"]) == 1
 
+    @pytest.mark.parametrize("content", ['{"a": 0.5}', '[0.5, {"x": 1}, 0.2, 0.3]', '[true, 0.4, 0.3, 0.3]',
+                                         '["0.25", 0.25, 0.25, 0.25]', '[[0.5], 0.2, 0.2, 0.1]', '0.25'])
+    def test_prior_file_that_is_not_a_list_of_numbers_is_exit_1(self, workspace, capsys, content):
+        # An object or a non-number escaped as a TypeError traceback.
+        tmp, train, test = workspace
+        clf = self._fit(workspace)
+        priors = tmp / "p.json"
+        priors.write_text(content)
+        code = main(["eval", "--classifier", str(clf), "--data", str(test), "--adjust-priors", f"file:{priors}"])
+        assert code == 1
+        assert f"error: prior file {priors} must hold a JSON list of numbers" in capsys.readouterr().err
+
     def test_kappa_modes(self, workspace, capsys):
         tmp, train, test = workspace
         clf = self._fit(workspace)
@@ -194,6 +218,11 @@ class TestEval:
         assert main(base + ["--kappa-mode", "fixed:15"]) == 0
         capsys.readouterr()
         assert main(base + ["--kappa-mode", "median"]) == 1
+        # An infinite fixed kappa failed only inside the scoring, one above
+        # MAX_KAPPA inside the normalizer; both fail as flags now.
+        for bad in ("inf", "2e6", "nan", "0"):
+            assert main(base + ["--kappa-mode", f"fixed:{bad}"]) == 1
+            assert "requires 0 < fixed_kappa <= 1e+06" in capsys.readouterr().err
 
     def test_linear_classifier_eval(self, workspace, capsys):
         tmp, train, test = workspace
@@ -557,6 +586,13 @@ class TestCompare:
         assert main(["compare", "--config", str(cfg)]) == 1
         assert f"error: {key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kappa_range", [[5, float("inf")], [5, 2e6]])
+    def test_kappa_range_outside_the_supported_one_is_exit_1(self, tmp_path, capsys, kappa_range):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**self.SMALL, "methods": ["bape"], "kappa_range": kappa_range}))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert "kappa range must satisfy 0 < lo <= hi" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
     def test_config_that_is_not_an_object_is_exit_1(self, tmp_path, capsys, text):
         # An array escaped as a TypeError traceback; a string was read as
@@ -637,6 +673,14 @@ class TestDumpEmbeddings:
         bad.write_bytes(b"BAPF" + struct.pack("<IIII", 1, 0xFFFFFFFF, 0xFFFFFFFF, 3) + b"\0" * 64)
         assert main(["dump-embeddings", "--data", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
         assert "header declares" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["x,0.6,0.8", "1,0.6,abc"])
+    def test_corrupt_csv_field_is_exit_2_and_named(self, tmp_path, capsys, row):
+        data = tmp_path / "data.csv"
+        data.write_text(f"label,f0,f1\n0,1.0,0.0\n{row}\n")
+        assert main(["dump-embeddings", "--data", str(data), "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"error: {data}: row 3 has" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_requires_csv_suffix(self, workspace):
         tmp, train, test = workspace

@@ -1,6 +1,7 @@
 """Tests for long-tail dataset synthesis and the feature-file formats."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.special import i0
 from spherebayes.classifier import ClassPriors
 from spherebayes.datagen import (
     Dataset,
+    FeatureFileError,
     LabelRangeError,
     LongTailSpec,
     MagicMismatchError,
@@ -26,6 +28,7 @@ from spherebayes.datagen import (
     sample_dataset,
     write_features,
 )
+from spherebayes.special import MAX_KAPPA
 from spherebayes.vmf import VmfParams, sample, substream
 
 
@@ -107,6 +110,12 @@ class TestMakeTruth:
             make_truth(3, 4, (0.0, 5.0))
         with pytest.raises(ValueError):
             make_truth(3, 4, (10.0, 5.0))
+        # An infinite upper end escaped as an OverflowError from the draw; one
+        # above MAX_KAPPA failed or passed by the draw.
+        for bad in [(5.0, np.inf), (5.0, 2e6), (np.nan, 5.0), (5.0, np.nan), (-np.inf, 5.0), (2e6, 3e6)]:
+            with pytest.raises(ValueError, match="kappa range must satisfy"):
+                make_truth(3, 4, bad)
+        assert make_truth(3, 4, (5.0, MAX_KAPPA)).n_classes == make_truth(3, 4, (MAX_KAPPA, MAX_KAPPA)).n_classes == 3
         with pytest.raises(ValueError):
             make_truth(3, 4, (5.0, 10.0), center_mode="grid")
 
@@ -379,10 +388,23 @@ class TestFeatureFiles:
         with pytest.raises(LabelRangeError):
             read_features(negative)
 
+        # A corrupt field is a feature-file error naming the file and the row,
+        # not a bare int() or numpy message.
+        for name, row, what in [
+            ("l.csv", "x,1.0,0.0", "label 'x', not an integer"),
+            ("b.csv", "99999999999999999999,1.0,0.0", "label 99999999999999999999, outside [0, 2**32)"),
+            ("m.csv", "-99999999999999999999,1.0,0.0", "label -99999999999999999999, outside [0, 2**32)"),
+            ("f.csv", "1.5,1.0,0.0", "label '1.5', not an integer"),
+            ("v.csv", "1,abc,0.0", "a feature that is not a number"),
+            ("w.csv", "1,1.0,", "a feature that is not a number"),
+        ]:
+            corrupt = tmp_path / name
+            corrupt.write_text(f"label,f0,f1\n0,1.0,0.0\n{row}\n")
+            with pytest.raises(FeatureFileError, match=re.escape(f"{corrupt}: row 3 has {what}")):
+                read_features(corrupt)
+
     def test_errors_share_a_base_class(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"nope")
-        from spherebayes.datagen import FeatureFileError
-
         with pytest.raises(FeatureFileError):
             read_features(path)

@@ -18,6 +18,7 @@ from spherebayes.estimation import (
     DegeneratePosteriorError,
     PosteriorSpec,
     PriorSpec,
+    concentration_slopes,
     concentrations,
     map_estimate,
     posterior,
@@ -313,6 +314,25 @@ class TestExactConcentrations:
         r = np.array([0.0, 1e-8, 0.3, 0.9, 0.99])
         for p in self.DIMS:
             assert np.all(concentrations(p, r, "exact") <= concentrations(p, r, "approx"))
+
+
+class TestConcentrationSlopes:
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    @pytest.mark.parametrize("p", [2, 3, 32, 128])
+    def test_matches_central_differences(self, mode, p):
+        # dkappa/dbeta at fixed alpha against central differences of
+        # `concentrations` in beta, at step 1e-6 beta.
+        alpha = np.array([3.0, 40.0, 7.5, 120.0, 600.0, 2.0])
+        beta = alpha * np.array([1e-4, 0.05, 0.3, 0.6, 0.9, 0.99])
+        h = 1e-6 * beta
+        fd = (concentrations(p, (beta + h) / alpha, mode) - concentrations(p, (beta - h) / alpha, mode)) / (2 * h)
+        kappa = concentrations(p, beta / alpha, mode)
+        slopes = concentration_slopes(p, alpha, beta, kappa, mean_resultant_ratio(p, kappa), mode)
+        assert_allclose(slopes, fd, rtol=1e-6, atol=0)
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ValueError, match="unknown estimation mode"):
+            concentration_slopes(3, np.array([2.0]), np.array([1.0]), np.array([1.0]), np.array([0.3]), "newton")
 
 
 def test_import_leaves_out_scipy_optimize():

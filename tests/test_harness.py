@@ -17,7 +17,7 @@ from spherebayes.classifier import (
     AdjustmentPolicy,
     BayesClassifier,
     ClassPriors,
-    _degenerate_aware_concentrations,
+    _fit_stats,
     adjust,
     class_stats,
     log_posterior,
@@ -34,7 +34,14 @@ from spherebayes.datagen import (
     sample_dataset,
     write_features,
 )
-from spherebayes.estimation import ClassStats, PosteriorSpec, class_posteriors, map_estimate, update_stats
+from spherebayes.estimation import (
+    ClassStats,
+    PosteriorSpec,
+    class_posteriors,
+    concentrations,
+    map_estimate,
+    update_stats,
+)
 from spherebayes.harness import (
     METHODS,
     ExperimentConfig,
@@ -138,6 +145,23 @@ class TestExperimentConfig:
             ExperimentConfig(thresholds=(100, 20))
         with pytest.raises(ValueError):
             ExperimentConfig(m0_steps=-1)
+        # The adjustment settings and the centre mode are checked at load,
+        # whatever the methods: a bogus kappa_mode failed only after the data
+        # and the bape fit, and only with bape+adjust listed.
+        for bad, message in [
+            ({"methods": ["bape"], "kappa_mode": "bogus"}, "unknown kappa_mode 'bogus'"),
+            ({"kappa_mode": "keep", "fixed_kappa": 5}, "fixed_kappa is only meaningful"),
+            ({"kappa_mode": "shared_mean", "fixed_kappa": 5.0}, "fixed_kappa is only meaningful"),
+            ({"kappa_mode": "fixed"}, "requires 0 < fixed_kappa <= 1e[+]06, got None"),
+            ({"kappa_mode": "fixed", "fixed_kappa": 0.0}, "requires 0 < fixed_kappa"),
+            ({"kappa_mode": "fixed", "fixed_kappa": math.inf}, "requires 0 < fixed_kappa"),
+            ({"kappa_mode": "fixed", "fixed_kappa": 2e6}, "requires 0 < fixed_kappa"),
+            ({"kappa_mode": "fixed", "fixed_kappa": math.nan}, "requires 0 < fixed_kappa"),
+            ({"center_mode": "grid"}, "unknown center_mode 'grid'"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig.from_dict(bad)
+        ExperimentConfig.from_dict({"kappa_mode": "fixed", "fixed_kappa": 5, "center_mode": "etf"})
         # integer values load for real-valued keys and pairs
         ExperimentConfig.from_dict({"gamma": 100, "eta": 0, "kappa_range": [5, 50], "thresholds": [20, 100]})
         # files are fine once the oracle is dropped
@@ -264,7 +288,8 @@ class TestM0Gradients:
         alphas, betas, ms, beta0 = class_posteriors(
             counts, np.stack([st.resultant for st in stats]), alpha_hat, beta_hat, frame.vectors
         )
-        kappas, excluded = _degenerate_aware_concentrations(p, alphas, betas, mode, "exclude")
+        excluded = betas == 0.0
+        kappas = concentrations(p, np.divide(betas, alphas, out=np.zeros(len(betas)), where=~excluded), mode)
         keep = ~excluded
         a_vals = np.array([mean_resultant_ratio(p, float(kp)) for kp in kappas])
         alpha, beta, a_val = alphas[keep], betas[keep], a_vals[keep]
@@ -308,7 +333,8 @@ class TestM0Gradients:
         # the posteriors, and the excluded rows zeroed unconditionally.
         p = frame.dim
         alphas, betas, ms, beta0 = class_posteriors(counts, resultants, alpha_hat, beta_hat, frame.vectors)
-        kappas, excluded = _degenerate_aware_concentrations(p, alphas, betas, mode, "exclude")
+        excluded = betas == 0.0
+        kappas = concentrations(p, np.divide(betas, alphas, out=np.zeros(len(betas)), where=~excluded), mode)
         keep = ~excluded
         a_vals = mean_resultant_ratio(p, kappas)
         alpha, beta, a_val = alphas[keep], betas[keep], a_vals[keep]
@@ -348,10 +374,18 @@ class TestM0Gradients:
         priors = ClassPriors.from_counts(counts)
         args = (build_etf(6, 9, 13), counts, resultants, 1.0, 0.5, priors, feats, ds.labels, mode)
         assert (ds.n > 2 * _BLOCK and ds.n % _BLOCK) if scale > 1 else ds.n < _BLOCK
-        got = _m0_gradients(*args)
+        got = self._fitted_gradient(*args)
         if with_excluded:
             assert np.all(got[5] == 0.0)
         self._assert_close(got, self._out_of_place_gradient(*args))
+
+    @staticmethod
+    def _fitted_gradient(frame, counts, resultants, alpha_hat, beta_hat, priors, z, labels, mode):
+        # `_m0_gradients` of the classifier fitted at `frame`, whose priors
+        # are those the references are given.
+        fitted = _fit_stats(counts, resultants, alpha_hat, beta_hat, frame.vectors, mode, "exclude")
+        assert_array_equal(fitted.priors.pi, priors.pi)
+        return _m0_gradients(fitted, frame, counts, resultants, alpha_hat, beta_hat, z, labels, mode)
 
     @staticmethod
     def _assert_close(got, expected):
@@ -376,22 +410,50 @@ class TestM0Gradients:
         # Through the three prior-direction steps the benchmark's fit takes.
         frame, *rest = self._lt_exact_m0_args()
         for _ in range(3):
-            got = _m0_gradients(frame, *rest)
+            got = self._fitted_gradient(frame, *rest)
             self._assert_close(got, self._out_of_place_gradient(frame, *rest))
             frame = grad_step_m0(frame, got, 0.1)
 
     def test_holds_no_full_size_array(self):
         # One (n_train, K) float64 array is 8.7 MB at this shape; the blocked
         # pass keeps O(block * K) scratch and peaks near 3.8 MB.
-        args = self._lt_exact_m0_args()
+        frame, counts, resultants, alpha_hat, beta_hat, _, z, labels, mode = self._lt_exact_m0_args()
+        fitted = _fit_stats(counts, resultants, alpha_hat, beta_hat, frame.vectors, mode, "exclude")
         tracemalloc.start()
         try:
-            _m0_gradients(*args)
+            _m0_gradients(fitted, frame, counts, resultants, alpha_hat, beta_hat, z, labels, mode)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        n_train = len(args[-2])
-        assert peak < n_train * 100 * 8
+        assert peak < len(labels) * 100 * 8
+
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_each_step_differentiates_the_fit_at_its_frame(self, monkeypatch, mode):
+        # `_fit_bape` is a loop of fit, gradient, step: each m0 step gets the
+        # very classifier `_fit_stats` returned at the frame it moves, and the
+        # fit at the last frame is the one returned.
+        import spherebayes.harness as harness
+
+        fits, steps = [], []
+
+        def fit_stats(*args, **kwargs):  # args[4] holds the prior directions
+            fits.append((args[4], _fit_stats(*args, **kwargs)))
+            return fits[-1][1]
+
+        def gradients(fitted, frame, *args):
+            steps.append((fitted, frame))
+            return _m0_gradients(fitted, frame, *args)
+
+        monkeypatch.setattr(harness, "_fit_stats", fit_stats)
+        monkeypatch.setattr(harness, "_m0_gradients", gradients)
+        cfg = small_config(seeds=(6,), methods=("bape",), alpha_hat=1.0, beta_hat=0.5, m0_steps=3, estimation=mode)
+        train_ds = harness._load_data(cfg, 6)[0]
+        fitted = harness._fit_bape(train_ds, cfg, 6)
+        assert len(fits) == 4 and len(steps) == 3
+        for (directions, fit), (stepped, frame) in zip(fits, steps):
+            assert stepped is fit and directions is frame.vectors
+        assert fitted is fits[-1][1]
+        assert not np.array_equal(fits[-1][0], fits[0][0])
 
     def test_rows_off_the_sphere_raise(self):
         frame, stats, priors, feats, labels = self._setup()
@@ -652,12 +714,21 @@ class TestRunExperiment:
         # same product, bitwise its own logits too. The other modes change W
         # and score with their own call. The pass sees one array per block
         # (three here, the last partial), in method order with the oracle
-        # last; each method's blocks are compared concatenated.
+        # last; each method's blocks are compared concatenated. Only the
+        # scoring pass is spied on: the m0 step of the fit scores with its
+        # own call too.
         import spherebayes.harness as harness
 
         calls, own_calls = [], []
+        scoring_pass = harness._predictions
+
+        def spied_scoring_pass(*args):
+            with monkeypatch.context() as spy:
+                spy.setattr(harness, "logits", lambda head, z: own_calls.append(head) or logits(head, z))
+                return scoring_pass(*args)
+
         monkeypatch.setattr(harness, "top_class", lambda s: calls.append(s) or s.argmax(axis=-1))
-        monkeypatch.setattr(harness, "logits", lambda head, z: own_calls.append(head) or logits(head, z))
+        monkeypatch.setattr(harness, "_predictions", spied_scoring_pass)
         cfg = small_config(seeds=(4,), methods=("bape", "bape+adjust", "ensemble"), kappa_mode=kappa_mode,
                            fixed_kappa=fixed_kappa, alpha_hat=1.0, beta_hat=0.5, m0_steps=1, test_per_class=1100)
         run_experiment(cfg)
