@@ -192,7 +192,7 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     stacked as one (H, K, p + 1) problem: each head's [W | b] is one block of
     a flat parameter buffer, and the training rows carry a trailing column of
     ones, so one batched product gives W z + b and one gives [dW | db] for
-    all heads. Each head adds its own log-prior row (0 for softmax, ln pi for
+    all heads. Each head adds its own log-prior vector (0 for softmax, ln pi for
     logit_adjusted; after the temperature, so that the -inf of an empty class
     stays out of the parameters) and its own grad_scale, and its arithmetic
     is that of a one-head run, so its W, b and loss history are bitwise those
@@ -201,10 +201,18 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     The step is bound by numpy call overhead at the sizes used here, so it
     runs in place on per-batch-size scratch buffers and skips identity
     operations (the division by a temperature of 1, the grad_scale multiply
-    when every head's scale is 1, and a weight decay of 0). The softmax is
-    shifted by each row's maximum, exponentiated and divided by its row sums;
-    each step keeps its shifted true-class logits and its row sums, which
-    become per-step mean losses once per epoch. The losses are checked for
+    when every head's scale is 1, and a weight decay of 0). A batch of m
+    rows has class-major (H, K, m) logits, theta @ zb.T, one (K, p + 1) x
+    (p + 1, m) product per head as in a one-head run. Each sample's maximum
+    and softmax sum then reduce over K contiguous runs of m values, which
+    numpy does as a few long vector operations; over (H, m, K) logits it ran
+    one short inner loop per sample, and an argmax with a gather was the
+    faster way to the maximum. The softmax is shifted by each sample's
+    maximum and exponentiated; dividing by its sums times m*T and
+    subtracting 1/(m*T) at the targets gives (p - onehot)/(m*T) in one pass
+    over the logits. Each step
+    keeps its shifted true-class logits and its row sums, which become
+    per-step mean losses once per epoch. The losses are checked for
     non-finite values once per epoch; a divergence raises
     TrainingDivergedError naming the first step and head that went
     non-finite, as a per-step check would.
@@ -234,7 +242,7 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     counts = np.bincount(y, minlength=k)
     log_pi = np.stack([
         ClassPriors.from_counts(counts).log() if mode == "logit_adjusted" else np.zeros(k) for mode in modes
-    ])[:, np.newaxis, :]
+    ])[:, :, np.newaxis]
 
     # theta holds each head's [W | b]; grad and vel share params' layout.
     params = np.zeros(h * k * (p + 1))
@@ -242,7 +250,6 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     vel = np.zeros_like(params)
     theta, gtheta = (a.reshape(h, k, p + 1) for a in (params, grad))
     theta[:, :, :p] = substream(schedule.rng_seed, 0).standard_normal((k, p)) / np.sqrt(p)
-    theta_t = theta.transpose(0, 2, 1)  # a view: params is only ever updated in place
     # Each element's grad_scale, or None when multiplying by it would change nothing.
     scale = None if (scales == 1.0).all() else np.repeat(scales, k * (p + 1))
     temperature = schedule.temperature
@@ -251,25 +258,24 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     size = schedule.batch_size
     starts = range(0, n, size)
     batch_sizes = np.diff([*starts, n], prepend=0)[:, np.newaxis]  # row i + 1: step i's m; row 0: 0
-    # Each sample's flat index in the (H, m, K) logits of its batch of m
-    # rows, less its label: head h's block starts at h*m*K, and the sample's
-    # row at (i % size)*K.
+    # Each sample's flat index in the (H, K, m) logits of its batch of m
+    # rows is h*K*m + y*m + i % size; offsets holds all but the y*m term.
     position = np.arange(n)
     batch_of = np.where(position < starts[-1], size, n - starts[-1])
-    offsets = np.arange(h)[:, np.newaxis] * batch_of * k + position % size * k
+    offsets = np.arange(h)[:, np.newaxis] * k * batch_of + position % size
     # Step i keeps its (H, m) shifted true-class logits and row sums in the
     # first m columns of row i, C-contiguous per head so that each head's
     # sum runs as over a one-head (m,) vector; the unused columns of a short
     # last step stay 0 and 1.
     shifted = np.zeros((len(starts), h, size))
     sums = np.ones((len(starts), h, size))
-    steps = [(start, shifted[i, :, :m], sums[i, :, :m, np.newaxis]) for i, (start, m) in
+    steps = [(start, shifted[i, :, :m], sums[i, :, np.newaxis, :m]) for i, (start, m) in
              enumerate(zip(starts, batch_sizes[1:, 0].tolist()))]
     # Scratch for a batch of m rows (only the last batch can have m < size):
-    # the rows, their (H, m, K) logits, and each row's maximum with the flat
-    # index of its first occurrence and of the row's start.
-    scratch = {m: (np.empty((m, p + 1)), np.empty((h, m, k)), np.empty((h, m, 1)), np.empty(h * m, dtype=np.intp),
-                   np.arange(h * m) * k) for m in set(batch_sizes[1:, 0].tolist())}
+    # the rows, their (H, K, m) logits, and each sample's maximum and its
+    # softmax sum times m*T, both (H, 1, m).
+    scratch = {m: (np.empty((m, p + 1)), np.empty((h, k, m)), np.empty((h, 1, m)), np.empty((h, 1, m)))
+               for m in set(batch_sizes[1:, 0].tolist())}
     full = n // size  # the steps with m = size
     # Row 0 stays 0, the start of each epoch's running total of loss * m;
     # row i + 1 takes step i's mean loss.
@@ -282,31 +288,29 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
         for epoch in range(schedule.epochs):
             lr = schedule.lr * 0.5 * (1.0 + np.cos(np.pi * epoch / schedule.epochs))
             order = shuffler.permutation(n)
-            targets = offsets + y[order]
+            targets = offsets + y[order] * batch_of
             for start, true_logits, row_sums in steps:
                 target = targets[:, start : start + size]
                 m = target.shape[1]
-                zb, s, top, arg, row_start = scratch[m]
+                zb, s, top, denom = scratch[m]
                 # mode="clip" skips take's buffered bounds check: every index
                 # here is in range by construction.
                 rows.take(order[start : start + size], axis=0, out=zb, mode="clip")
-                np.matmul(zb, theta_t, out=s)
+                np.matmul(theta, zb.T, out=s)
                 if temperature != 1.0:
                     s /= temperature
                 s += log_pi
-                # Each row's first maximum (nan in a row holding one); argmax
-                # and a gather measured faster than a maximum reduction over K.
-                s.reshape(-1, k).argmax(axis=1, out=arg)
-                arg += row_start
-                s.take(arg, out=top.reshape(-1), mode="clip")
+                # Each sample's maximum, nan where one of its logits is.
+                np.maximum.reduce(s, axis=1, keepdims=True, out=top)
                 s -= top
                 s.take(target, out=true_logits, mode="clip")
                 g = np.exp(s, out=s)
-                np.add.reduce(g, axis=-1, keepdims=True, out=row_sums)
-                g /= row_sums
-                np.subtract.at(g.reshape(-1), target, 1.0)  # p - onehot
-                g /= m * temperature
-                np.matmul(g.transpose(0, 2, 1), zb, out=gtheta)
+                np.add.reduce(g, axis=1, keepdims=True, out=row_sums)
+                # (p - onehot) / (m T), with one division over the logits.
+                np.multiply(row_sums, m * temperature, out=denom)
+                g /= denom
+                np.subtract.at(g.reshape(-1), target, 1.0 / (m * temperature))
+                np.matmul(g, zb, out=gtheta)
                 if scale is not None:
                     grad *= scale
                 if weight_decay != 0.0:

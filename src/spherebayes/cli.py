@@ -16,6 +16,7 @@ or out of memory, 2 I/O error (missing, malformed, or truncated files).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -56,21 +57,35 @@ def _fail(message: str, code: int = 1) -> int:
     return code
 
 
+def _count(text: str) -> int:
+    """An integer flag that counts something: past int64 it would fail in numpy."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value >= 2**63:
+        raise argparse.ArgumentTypeError(f"must be below 2**63, got {text}")
+    return value
+
+
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later `main`
+    call in the process: building it costs far more than a parse."""
     parser = _Parser(prog="spherebayes", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic long-tailed feature file")
-    gen.add_argument("--classes", type=int, default=20)
-    gen.add_argument("--dim", type=int, default=32)
-    gen.add_argument("--head-size", type=int, default=500)
+    gen.add_argument("--classes", type=_count, default=20)
+    gen.add_argument("--dim", type=_count, default=32)
+    gen.add_argument("--head-size", type=_count, default=500)
     gen.add_argument("--gamma", type=float, default=100.0)
     gen.add_argument("--kappa-range", default="5,50", help="log-uniform range 'lo,hi'")
     gen.add_argument("--center-mode", choices=("etf", "random"), default="random")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="feature file path (.csv for CSV)")
     gen.add_argument("--test-out", help="also write a balanced test file from the same mixture")
-    gen.add_argument("--test-per-class", type=int, default=200)
+    gen.add_argument("--test-per-class", type=_count, default=200)
 
     fit_p = sub.add_parser("fit", help="fit a classifier from a feature file")
     fit_p.add_argument("--model", choices=("bape", "softmax", "logit_adjusted"), default="bape")
@@ -79,8 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--estimation", choices=("approx", "exact"), default="approx")
     fit_p.add_argument("--eta", type=float, default=1.0, help="gradient scale of the logit_adjusted loss")
     fit_p.add_argument("--lr", type=float, default=0.5)
-    fit_p.add_argument("--epochs", type=int, default=30)
-    fit_p.add_argument("--batch-size", type=int, default=64)
+    fit_p.add_argument("--epochs", type=_count, default=30)
+    fit_p.add_argument("--batch-size", type=_count, default=64)
     fit_p.add_argument("--weight-decay", type=float, default=0.0)
     fit_p.add_argument("--temperature", type=float, default=1.0)
     fit_p.add_argument("--normalize", action="store_true", help="renormalize features to the sphere")

@@ -163,6 +163,14 @@ class MixtureGroundTruth:
         )
 
 
+def _kappa_bounds(kappa_range, name: str = "kappa range") -> tuple[float, float]:
+    """kappa_range as floats (lo, hi); a ValueError naming it unless 0 < lo <= hi <= MAX_KAPPA."""
+    lo, hi = float(kappa_range[0]), float(kappa_range[1])
+    if not 0.0 < lo <= hi <= MAX_KAPPA:
+        raise ValueError(f"{name} must satisfy 0 < lo <= hi <= {MAX_KAPPA:g}, got ({lo}, {hi})")
+    return lo, hi
+
+
 def make_truth(
     n_classes: int,
     dim: int,
@@ -174,9 +182,7 @@ def make_truth(
     """Draw mixture ground truth: centers (equiangular frame or uniform random)
     and per-class concentrations log-uniform over kappa_range, which must
     satisfy 0 < lo <= hi <= MAX_KAPPA."""
-    lo, hi = float(kappa_range[0]), float(kappa_range[1])
-    if not 0.0 < lo <= hi <= MAX_KAPPA:
-        raise ValueError(f"kappa range must satisfy 0 < lo <= hi <= {MAX_KAPPA:g}, got ({lo}, {hi})")
+    lo, hi = _kappa_bounds(kappa_range)
     if center_mode == "etf":
         centers = build_etf(n_classes, dim, seed).vectors
     elif center_mode == "random":

@@ -270,7 +270,7 @@ def map_estimate(post: PosteriorSpec, mode: str = "approx") -> VmfParams:
 def _check_rates(alpha_hat: float, beta_hat: float) -> tuple[float, float]:
     a, b = float(alpha_hat), float(beta_hat)
     if not (np.isfinite(a) and np.isfinite(b)) or a < 0.0 or b < 0.0:
-        raise ValueError(f"prior rates must be finite and >= 0, got {a}, {b}")
+        raise ValueError(f"prior rates alpha_hat and beta_hat must be finite and >= 0, got {a}, {b}")
     if b > a:
         raise ValueError(f"beta_hat={b} exceeds alpha_hat={a}")
     return a, b

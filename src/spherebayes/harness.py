@@ -61,8 +61,8 @@ from .classifier import (
     logits,
     top_class,
 )
-from .datagen import Dataset, LongTailSpec, generate, read_features, sample_dataset
-from .estimation import ClassStats, class_posteriors, concentration_slopes
+from .datagen import Dataset, LongTailSpec, _kappa_bounds, generate, read_features, sample_dataset
+from .estimation import ClassStats, _check_rates, class_posteriors, concentration_slopes
 from .priors import EtfFrame, build_etf, grad_step_m0
 from .special import mean_resultant_ratio
 from .vmf import _unit_norms, as_unit_vector, substream
@@ -118,6 +118,14 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _as_float(key: str, value) -> float:
+    """float(value), or a ValueError naming key for an integer past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} must be within the float range, got {value}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one `run_experiment` call needs; JSON-loadable for the CLI.
@@ -171,10 +179,15 @@ class ExperimentConfig:
             for value in self.seeds if key == "seeds" else (getattr(self, key),):
                 if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                     raise ValueError(f"{key} must be an integer, got {value!r}")
+                # A count past int64 fails in numpy; a seed of any size works.
+                if key != "seeds" and value >= 2**63:
+                    raise ValueError(f"{key} must be below 2**63, got {value}")
         for key in _REAL_FIELDS:
             value = getattr(self, key)
             if not (_is_real(value) or value is None and key == "fixed_kappa"):
                 raise ValueError(f"{key} must be a real number, got {value!r}")
+            if value is not None:
+                object.__setattr__(self, key, _as_float(key, value))
         for key in _PAIR_FIELDS:
             value = getattr(self, key)
             if not (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2 and all(map(_is_real, value))):
@@ -183,7 +196,7 @@ class ExperimentConfig:
             raise ValueError(f"normalize must be true or false, got {self.normalize!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "kappa_range", tuple(self.kappa_range))
+        object.__setattr__(self, "kappa_range", tuple(_as_float("kappa_range", v) for v in self.kappa_range))
         object.__setattr__(self, "thresholds", tuple(self.thresholds))
         if not self.seeds:
             raise ValueError("seeds list must not be empty")
@@ -209,6 +222,12 @@ class ExperimentConfig:
         AdjustmentPolicy(kappa_mode=self.kappa_mode, fixed_kappa=self.fixed_kappa)  # checks the pair
         if self.m0_steps < 0:
             raise ValueError("m0_steps must be >= 0")
+        # Checked at load: the run would meet these only after generating the data.
+        _check_rates(self.alpha_hat, self.beta_hat)
+        if self.m0_steps > 0 and not 0.0 < self.m0_lr < np.inf:
+            raise ValueError(f"m0_lr must be positive and finite when m0_steps > 0, got {self.m0_lr}")
+        if self.train_file is None:
+            _kappa_bounds(self.kappa_range, "kappa_range")
         if self.test_per_class < 1:
             raise ValueError("test_per_class must be >= 1")
 

@@ -75,6 +75,16 @@ class TestGenerate:
         assert not (tmp_path / "tr.bin").exists() and not (tmp_path / "te.bin").exists()
 
 
+    @pytest.mark.parametrize("flag", ["--head-size", "--test-per-class", "--classes", "--dim"])
+    def test_count_flag_past_int64_is_exit_1_and_named(self, tmp_path, capsys, flag):
+        # --head-size and --test-per-class of 10**20 escaped as an
+        # OverflowError traceback.
+        argv = ["generate", "--classes", "3", "--dim", "4", "--head-size", "10", "--out", str(tmp_path / "tr.bin"),
+                "--test-out", str(tmp_path / "te.bin")]
+        assert main(argv + [flag, str(10**20)]) == 1
+        assert f"error: argument {flag}: must be below 2**63, got {10**20}" in capsys.readouterr().err
+        assert not (tmp_path / "tr.bin").exists()
+
     @pytest.mark.parametrize("kappa_range", ["5,inf", "5,2e6", "nan,5", "0,5"])
     def test_kappa_range_outside_the_supported_one_is_exit_1(self, tmp_path, capsys, kappa_range):
         # "5,inf" escaped as an OverflowError traceback from the draw, and
@@ -587,11 +597,63 @@ class TestCompare:
         assert f"error: {key} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kappa_range", [[5, float("inf")], [5, 2e6]])
-    def test_kappa_range_outside_the_supported_one_is_exit_1(self, tmp_path, capsys, kappa_range):
+    def test_kappa_range_outside_the_supported_one_is_exit_1(self, tmp_path, capsys, monkeypatch, kappa_range):
+        import spherebayes.harness as harness
+
+        def no_data(*args):
+            raise AssertionError("data generated for an invalid config")
+
+        monkeypatch.setattr(harness, "_load_data", no_data)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({**self.SMALL, "methods": ["bape"], "kappa_range": kappa_range}))
         assert main(["compare", "--config", str(cfg)]) == 1
-        assert "kappa range must satisfy 0 < lo <= hi" in capsys.readouterr().err
+        assert "error: kappa_range must satisfy 0 < lo <= hi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        pytest.param({"alpha_hat": "Infinity"}, "prior rates alpha_hat and beta_hat must be finite and >= 0, got inf",
+                     id="alpha_hat-inf"),
+        pytest.param({"alpha_hat": -1.0}, "prior rates alpha_hat and beta_hat must be finite and >= 0, got -1.0",
+                     id="alpha_hat-negative"),
+        pytest.param({"alpha_hat": 1.0, "beta_hat": 1.5}, "beta_hat=1.5 exceeds alpha_hat=1.0", id="beta_hat-above"),
+        pytest.param({"alpha_hat": 1.0, "beta_hat": 0.5, "m0_steps": 2, "m0_lr": "NaN"},
+                     "m0_lr must be positive and finite", id="m0_lr-nan"),
+        pytest.param({"alpha_hat": 1.0, "beta_hat": 0.5, "m0_steps": 2, "m0_lr": -1e300},
+                     "m0_lr must be positive and finite", id="m0_lr-negative"),
+        pytest.param({"alpha_hat": 1.0, "beta_hat": 0.5, "m0_steps": 2, "m0_lr": 0},
+                     "m0_lr must be positive and finite", id="m0_lr-zero"),
+        pytest.param({"head_size": 10**20}, "head_size must be below 2**63", id="head_size-1e20"),
+        pytest.param({"test_per_class": 2**63}, "test_per_class must be below 2**63", id="test_per_class-2**63"),
+        pytest.param({"gamma": 10**400}, "gamma must be within the float range", id="gamma-1e400"),
+        pytest.param({"kappa_range": [5, 10**400]}, "kappa_range must be within the float range",
+                     id="kappa_range-1e400"),
+    ])
+    def test_domain_error_is_exit_1_before_any_data(self, tmp_path, capsys, monkeypatch, overrides, message):
+        # Each loaded and failed only after the data were generated, in the
+        # fit or the m0 step; the integers escaped as OverflowError or
+        # TypeError tracebacks.
+        import spherebayes.harness as harness
+
+        def no_data(*args):
+            raise AssertionError("data generated for an invalid config")
+
+        monkeypatch.setattr(harness, "_load_data", no_data)
+        cfg = tmp_path / "config.json"
+        text = json.dumps({**self.SMALL, "methods": ["bape", "softmax"]})[:-1]
+        for key, value in overrides.items():
+            # Infinity and NaN are JSON extensions, written as bare literals.
+            text += f', "{key}": {value if value in ("Infinity", "NaN") else json.dumps(value)}'
+        cfg.write_text(text + "}")
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_integer_real_settings_past_int64_run(self, tmp_path, capsys):
+        # gamma and eta of 10**20 escaped as a TypeError from np.isfinite
+        # on an object array; as floats they are valid settings.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**self.SMALL, "methods": ["bape", "logit_adjusted"], "gamma": 10**20,
+                                   "eta": 10**20, "lr": 0}))
+        assert main(["compare", "--config", str(cfg)]) == 0
+        assert sorted(row["method"] for row in json.loads(capsys.readouterr().out)) == ["bape", "logit_adjusted"]
 
     @pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
     def test_config_that_is_not_an_object_is_exit_1(self, tmp_path, capsys, text):
@@ -689,6 +751,23 @@ class TestDumpEmbeddings:
 
 
 class TestUsageErrors:
+    def test_main_calls_share_one_parser(self, tmp_path, capsys, monkeypatch):
+        import argparse
+
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        assert main(["generate", "--classes", "3", "--dim", "4", "--head-size", "10",
+                     "--out", str(tmp_path / "x.bin")]) == 0
+        assert main(["generate", "--classes", "x"]) == 1
+        assert "error: argument --classes: invalid int value: 'x'" in capsys.readouterr().err
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
     def test_unknown_subcommand_is_exit_1(self, capsys):
         assert main(["frobnicate"]) == 1
         capsys.readouterr()

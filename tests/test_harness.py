@@ -170,6 +170,27 @@ class TestExperimentConfig:
         )
 
 
+    def test_domains_are_checked_only_where_they_apply(self):
+        # m0_lr is read only by the m0 steps, and kappa_range only by the
+        # generator; a seed of any size works, so only counts are bounded.
+        ExperimentConfig(m0_steps=0, m0_lr=math.nan)
+        ExperimentConfig(train_file="x.bin", test_file="y.bin", methods=("bape",), kappa_range=(5.0, 2e6))
+        ExperimentConfig(seeds=(10**20,))
+        with pytest.raises(ValueError, match="m0_lr must be positive and finite when m0_steps > 0, got nan"):
+            ExperimentConfig(m0_steps=1, m0_lr=math.nan)
+        with pytest.raises(ValueError, match="kappa_range must satisfy 0 < lo <= hi"):
+            ExperimentConfig(kappa_range=(5.0, 2e6))
+        with pytest.raises(ValueError, match="n_classes must be below 2[*][*]63"):
+            ExperimentConfig(n_classes=2**63)
+
+    def test_real_fields_load_as_floats(self):
+        cfg = ExperimentConfig.from_dict({"gamma": 10**20, "eta": 1, "fixed_kappa": 5, "kappa_mode": "fixed",
+                                          "kappa_range": [5, 50]})
+        assert (cfg.gamma, cfg.eta, cfg.fixed_kappa, cfg.kappa_range) == (1e20, 1.0, 5.0, (5.0, 50.0))
+        assert all(type(v) is float for v in (cfg.gamma, cfg.eta, cfg.fixed_kappa, *cfg.kappa_range))
+        with pytest.raises(ValueError, match="eta must be within the float range"):
+            ExperimentConfig(eta=10**400)
+
     @pytest.mark.parametrize("key, value", [
         ("seeds", [0.5]),
         ("seeds", [True]),
