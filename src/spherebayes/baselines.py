@@ -205,16 +205,13 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     rows has class-major (H, K, m) logits, theta @ zb.T, one (K, p + 1) x
     (p + 1, m) product per head as in a one-head run. Each sample's maximum
     and softmax sum then reduce over K contiguous runs of m values, which
-    numpy does as a few long vector operations; over (H, m, K) logits it ran
-    one short inner loop per sample, and an argmax with a gather was the
-    faster way to the maximum. The softmax is shifted by each sample's
-    maximum and exponentiated; dividing by its sums times m*T and
-    subtracting 1/(m*T) at the targets gives (p - onehot)/(m*T) in one pass
-    over the logits. Each step
-    keeps its shifted true-class logits and its row sums, which become
-    per-step mean losses once per epoch. The losses are checked for
-    non-finite values once per epoch; a divergence raises
-    TrainingDivergedError naming the first step and head that went
+    numpy does as a few long vector operations. The softmax is shifted by
+    each sample's maximum and exponentiated; dividing by its sums times m*T
+    and subtracting 1/(m*T) at the targets gives (p - onehot)/(m*T) in one
+    pass over the logits. Each step keeps its shifted true-class logits and
+    its row sums, which become per-step mean losses once per epoch. The
+    losses are checked for non-finite values once per epoch; a divergence
+    raises TrainingDivergedError naming the first step and head that went
     non-finite, as a per-step check would.
     Returns one (classifier, per-epoch mean losses) pair per head.
     """

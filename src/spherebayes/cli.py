@@ -68,6 +68,17 @@ def _count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """A seed flag: the random streams take only non-negative seeds."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and shared by every later `main`
@@ -82,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--gamma", type=float, default=100.0)
     gen.add_argument("--kappa-range", default="5,50", help="log-uniform range 'lo,hi'")
     gen.add_argument("--center-mode", choices=("etf", "random"), default="random")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--out", required=True, help="feature file path (.csv for CSV)")
     gen.add_argument("--test-out", help="also write a balanced test file from the same mixture")
     gen.add_argument("--test-per-class", type=_count, default=200)
@@ -99,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--weight-decay", type=float, default=0.0)
     fit_p.add_argument("--temperature", type=float, default=1.0)
     fit_p.add_argument("--normalize", action="store_true", help="renormalize features to the sphere")
-    fit_p.add_argument("--seed", type=int, default=0)
+    fit_p.add_argument("--seed", type=_seed, default=0)
     fit_p.add_argument("--train", required=True, help="training feature file")
     fit_p.add_argument("--out", required=True, help="classifier JSON path")
 
@@ -160,7 +171,7 @@ _FIT_SETTINGS = (
 def _cmd_fit(args) -> int:
     ds = read_features(args.train)
     config = ExperimentConfig(
-        seeds=(args.seed,), **{name: getattr(args, name) for name in _FIT_SETTINGS}
+        seeds=(args.seed,), methods=(args.model,), **{name: getattr(args, name) for name in _FIT_SETTINGS}
     )
     if args.model == "bape":
         text = to_json(_fit_bape(ds, config, args.seed))
@@ -217,7 +228,7 @@ def _cmd_eval(args) -> int:
         policy = _parse_adjustment(args, clf.n_classes)
         if policy is not None:
             clf = adjust(clf, policy)
-        preds = predict(clf, ds.features)
+        score, rows = predict, ds.features
     else:
         if args.adjust_priors or args.kappa_mode != "keep":
             raise ValueError("adjustment flags only apply to bape classifier documents")
@@ -226,7 +237,12 @@ def _cmd_eval(args) -> int:
         if not isinstance(normalize, bool):
             raise ValueError(f"malformed classifier document: normalize must be true or false, got {normalize!r}")
         # The rows the head was trained on: projected onto the sphere under `fit --normalize`.
-        preds = predict_linear(clf, _linear_rows(np.asarray(ds.features, dtype=float), normalize))
+        score, rows = predict_linear, _linear_rows(np.asarray(ds.features, dtype=float), normalize)
+    if ds.dim != clf.dim:
+        raise ValueError(f"dimension mismatch: expected {clf.dim}, got {ds.dim}")
+    if ds.labels.size and ds.labels.max() >= clf.n_classes:
+        raise ValueError(f"evaluation labels span {ds.labels.max() + 1} classes, the classifier {clf.n_classes}")
+    preds = score(clf, rows)
     counts = ds.class_counts
     if args.split_counts_from:
         counts = read_features(args.split_counts_from).class_counts

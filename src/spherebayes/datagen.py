@@ -76,11 +76,11 @@ class LongTailSpec:
 
     def __post_init__(self):
         if self.n_classes < 2:
-            raise ValueError(f"need at least 2 classes, got {self.n_classes}")
+            raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
         if self.head_size < 1:
-            raise ValueError(f"head class size must be >= 1, got {self.head_size}")
+            raise ValueError(f"head_size must be >= 1, got {self.head_size}")
         if not np.isfinite(self.gamma) or self.gamma < 1.0:
-            raise ValueError(f"imbalance factor must be >= 1, got {self.gamma}")
+            raise ValueError(f"gamma (the imbalance factor) must be finite and >= 1, got {self.gamma}")
 
     @property
     def decay(self) -> float:

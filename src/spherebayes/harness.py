@@ -64,7 +64,7 @@ from .classifier import (
 from .datagen import Dataset, LongTailSpec, _kappa_bounds, generate, read_features, sample_dataset
 from .estimation import ClassStats, _check_rates, class_posteriors, concentration_slopes
 from .priors import EtfFrame, build_etf, grad_step_m0
-from .special import mean_resultant_ratio
+from .special import MAX_DIM, mean_resultant_ratio
 from .vmf import _unit_norms, as_unit_vector, substream
 
 __all__ = [
@@ -78,7 +78,28 @@ __all__ = [
     "m0_loss_gradients",
 ]
 
-METHODS = ("bape", "bape+adjust", "softmax", "logit_adjusted", "ensemble", "oracle")
+# The heads each method scores with. Every method but the ensemble is its one
+# head; the ensemble averages the log-posteriors of its two.
+_HEADS = {
+    "bape": ("bape",),
+    "bape+adjust": ("bape+adjust",),
+    "softmax": ("softmax",),
+    "logit_adjusted": ("logit_adjusted",),
+    "ensemble": ("logit_adjusted", "bape"),
+    "oracle": ("oracle",),
+}
+# The heads trained by SGD. Each scores the rows its loop saw, the "linear"
+# rows; every other head scores the "unit" rows.
+_SGD_HEADS = ("softmax", "logit_adjusted")
+METHODS = tuple(_HEADS)
+
+
+def _heads_of(methods) -> set:
+    return {head for method in methods for head in _HEADS[method]}
+
+
+def _rows_of(head: str) -> str:
+    return "linear" if head in _SGD_HEADS else "unit"
 
 
 class ExperimentError(RuntimeError):
@@ -179,7 +200,8 @@ class ExperimentConfig:
             for value in self.seeds if key == "seeds" else (getattr(self, key),):
                 if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                     raise ValueError(f"{key} must be an integer, got {value!r}")
-                # A count past int64 fails in numpy; a seed of any size works.
+                # A count past int64 fails in numpy; a seed of any size works
+                # (a negative one fails below).
                 if key != "seeds" and value >= 2**63:
                     raise ValueError(f"{key} must be below 2**63, got {value}")
         for key in _REAL_FIELDS:
@@ -200,6 +222,8 @@ class ExperimentConfig:
         object.__setattr__(self, "thresholds", tuple(self.thresholds))
         if not self.seeds:
             raise ValueError("seeds list must not be empty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
@@ -226,8 +250,20 @@ class ExperimentConfig:
         _check_rates(self.alpha_hat, self.beta_hat)
         if self.m0_steps > 0 and not 0.0 < self.m0_lr < np.inf:
             raise ValueError(f"m0_lr must be positive and finite when m0_steps > 0, got {self.m0_lr}")
+        heads = _heads_of(self.methods)
         if self.train_file is None:
             _kappa_bounds(self.kappa_range, "kappa_range")
+            LongTailSpec(self.n_classes, self.head_size, self.gamma)  # its errors name these keys
+            if not 2 <= self.dim <= MAX_DIM:
+                raise ValueError(f"dim must be in [2, {MAX_DIM}], got {self.dim}")
+            # An equiangular frame of K directions, the class centres under
+            # "etf" or bape's prior frame, needs K - 1 dimensions.
+            frame = self.center_mode == "etf" or self.beta_hat > 0.0 and heads & {"bape", "bape+adjust"}
+            if self.dim < self.n_classes - 1 and frame:
+                raise ValueError(f"dim must be >= n_classes - 1 = {self.n_classes - 1} for an equiangular frame, "
+                                 f"got {self.dim}")
+        if heads & set(_SGD_HEADS):
+            _schedule(self, 0)
         if self.test_per_class < 1:
             raise ValueError("test_per_class must be >= 1")
 
@@ -384,20 +420,18 @@ def _fit_bape(train: Dataset, config: ExperimentConfig, seed: int) -> BayesClass
     return fitted
 
 
+def _schedule(config: ExperimentConfig, seed: int) -> TrainConfig:
+    """The SGD schedule of the linear heads; its checks name each malformed key."""
+    return TrainConfig(lr=config.lr, epochs=config.epochs, batch_size=config.batch_size,
+                       weight_decay=config.weight_decay, temperature=config.temperature, rng_seed=seed,
+                       normalize=config.normalize)
+
+
 def _fit_linear(train_ds: Dataset, config: ExperimentConfig, modes, seed: int) -> dict[str, LinearClassifier]:
     """The SGD baselines of the given modes, trained together in one loop;
     eta scales the gradients of the logit_adjusted loss only."""
-    schedule = TrainConfig(
-        lr=config.lr,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        weight_decay=config.weight_decay,
-        temperature=config.temperature,
-        rng_seed=seed,
-        normalize=config.normalize,
-    )
     heads = [(mode, config.eta if mode == "logit_adjusted" else 1.0) for mode in modes]
-    fitted = _train_heads(train_ds.features, train_ds.labels, train_ds.n_classes, schedule, heads)
+    fitted = _train_heads(train_ds.features, train_ds.labels, train_ds.n_classes, _schedule(config, seed), heads)
     return {mode: clf for mode, (clf, _) in zip(modes, fitted)}
 
 
@@ -413,84 +447,59 @@ def _load_data(config: ExperimentConfig, seed: int):
     return train_ds, test_ds, truth
 
 
-# Each linear head and the methods that score with it, its own first.
-_LINEAR_HEADS = {"softmax": ("softmax",), "logit_adjusted": ("logit_adjusted", "ensemble")}
-
-# What each method builds before any test row is scored, in the order its
-# scoring first uses it: its heads, and the norms its test rows are divided by.
-_NEEDS = {
-    "bape": ("unit_norms", "bape"),
-    "bape+adjust": ("unit_norms", "bape+adjust"),
-    "softmax": ("softmax", "linear_norms"),
-    "logit_adjusted": ("logit_adjusted", "linear_norms"),
-    "ensemble": ("logit_adjusted", "linear_norms", "unit_norms", "bape"),
-    "oracle": ("oracle", "unit_norms"),
-}
-
 # The weight directions each method's minority collapse is taken on. bape's
 # are mus, not W: W rows of kappa=0 classes have no direction. The oracle and
 # the ensemble have none.
 _COLLAPSE_ON = {"bape": "mus", "bape+adjust": "mus", "softmax": "W", "logit_adjusted": "W"}
 
 
-def _block_scores(built, config: ExperimentConfig, features: np.ndarray) -> dict:
-    """Builders of each method's class scores on one block of test rows, the
-    "block" entry of the `_BuiltOnFirstUse` mapping they are given.
+def _head_scores(head: str, built, features: np.ndarray, block: slice, cache: dict) -> np.ndarray:
+    """`head`'s class scores on one block of test rows, made once per block in
+    `cache`, as is each kind of rows they need.
 
-    Each head scores the rows it was fitted on: the Bayes heads the unit
-    rows, the linear heads their SGD loop's rows. Either is the float64
-    features divided by the norms in `built` (none for linear rows taken as
-    given), bitwise those rows of the full-size as_unit_vector or
-    _linear_rows result. Every Bayes head whose W *is* bape's (bape+adjust
-    under kappa_mode "keep") adds its own b to one product of the unit rows
-    with that W. The ensemble scores the mean of the bape and logit_adjusted
-    log-posteriors, the latter at the training temperature.
+    Each head scores the rows it was fitted on. Those are the float64
+    features divided by the norms that `built` holds for their kind (none for
+    linear rows taken as given), bitwise those rows of the full-size
+    as_unit_vector or _linear_rows result. Every head whose W *is* bape's
+    (bape+adjust under kappa_mode "keep") adds its own b to one product of
+    the unit rows with that W.
     """
-
-    def rows(scores, norms):
-        block = features[scores["block"]]
-        return np.asarray(block, dtype=float) if norms is None else np.divide(block, norms[scores["block"], np.newaxis])
-
-    def bayes(scores, head):
-        if "bape" in built and head.W is built["bape"].W:
-            return scores["bape_product"] + head.b
-        return logits(head, scores["unit"])
-
-    def ensemble(scores):
-        lp_linear = log_softmax(scores["logit_adjusted"] / config.temperature)
-        return 0.5 * (log_softmax(scores["bape"]) + lp_linear)
-
-    return {
-        "unit": lambda scores: rows(scores, built["unit_norms"]),
-        "linear": lambda scores: rows(scores, built["linear_norms"]),
-        "bape_product": lambda scores: scores["unit"] @ built["bape"].W.T,
-        "bape": lambda scores: bayes(scores, built["bape"]),
-        "bape+adjust": lambda scores: bayes(scores, built["bape+adjust"]),
-        "oracle": lambda scores: bayes(scores, built["oracle"]),
-        "softmax": lambda scores: logits(built["softmax"], scores["linear"]),
-        "logit_adjusted": lambda scores: logits(built["logit_adjusted"], scores["linear"]),
-        "ensemble": ensemble,
-    }
+    if head not in cache:
+        kind, clf = _rows_of(head), built[head]
+        if kind not in cache:
+            rows, norms = features[block], built[kind]
+            cache[kind] = np.asarray(rows, dtype=float) if norms is None else np.divide(rows, norms[block, np.newaxis])
+        if "bape" in built and clf.W is built["bape"].W:
+            if "bape_product" not in cache:
+                cache["bape_product"] = cache[kind] @ clf.W.T
+            cache[head] = cache["bape_product"] + clf.b
+        else:
+            cache[head] = logits(clf, cache[kind])
+    return cache[head]
 
 
 def _predictions(built, methods, config: ExperimentConfig, features: np.ndarray, seed: int):
     """Each method's predicted class on every test row, from one pass over the
     rows in blocks of _BLOCK, and the seconds each method spent in the pass.
 
-    Scores live for one block, so the scratch is a few (_BLOCK, K) arrays
-    whatever the number of rows; a head not yet in `built` is built on first
-    use.
+    Each method scores with its heads in `_HEADS`, whose scores on a block
+    are made once and shared by every method of the block; the ensemble
+    scores the mean of the bape and logit_adjusted log-posteriors, the latter
+    at the training temperature. Scores live for one block, so the scratch
+    is a few (_BLOCK, K) arrays whatever the number of rows.
     """
-    builders = _block_scores(built, config, features)
     preds = {method: np.empty(len(features), dtype=np.intp) for method in methods}
     seconds = dict.fromkeys(methods, 0.0)
     for block in _blocks(len(features)):
-        scores = _BuiltOnFirstUse(builders)
-        scores["block"] = block
+        cache = {}
         for method in methods:
             started = time.perf_counter()
             with _charged_to(method, seed, methods):
-                preds[method][block] = top_class(scores[method])
+                scores = [_head_scores(head, built, features, block, cache) for head in _HEADS[method]]
+                if method == "ensemble":
+                    linear, bape = scores
+                    scores = [0.5 * (log_softmax(bape) + log_softmax(linear / config.temperature))]
+                preds[method][block] = top_class(scores[0])
             seconds[method] += time.perf_counter() - started
     return preds, seconds
 
@@ -498,13 +507,14 @@ def _predictions(built, methods, config: ExperimentConfig, features: np.ndarray,
 @contextmanager
 def _charged_to(method: str, seed: int, methods):
     """Re-raise any error as an ExperimentError naming the method and seed; a
-    diverging linear head is charged to the first of `methods` that uses it,
-    not to the first user of the stack it was trained in."""
+    diverging linear head is charged to its own method if listed, else to the
+    first of `methods` that scores with it, not to the first user of the
+    stack it was trained in."""
     try:
         yield
     except Exception as exc:
         if isinstance(exc, TrainingDivergedError):
-            method = next(m for m in _LINEAR_HEADS[exc.mode] if m in methods)
+            method = next(m for m in sorted(methods, key=lambda m: m != exc.mode) if exc.mode in _HEADS[m])
         raise ExperimentError(f"method {method!r}, seed {seed}: {exc}") from exc
 
 
@@ -542,24 +552,20 @@ class _BuiltOnFirstUse(dict):
 
 def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
     train_ds, test_ds, truth = _load_data(config, seed)
-    if test_ds.dim != train_ds.dim:  # charged to the first method, where it would surface otherwise
-        raise ExperimentError(
-            f"method {config.methods[0]!r}, seed {seed}: test features have dimension "
-            f"{test_ds.dim}, training features {train_ds.dim}"
-        )
-    # The linear heads this run needs; the ensemble scores with logit_adjusted.
-    heads = tuple(mode for mode, users in _LINEAR_HEADS.items() if set(users) & set(config.methods))
+    with _charged_to(config.methods[0], seed, config.methods):  # where it would surface otherwise
+        if test_ds.dim != train_ds.dim:
+            raise ValueError(f"test features have dimension {test_ds.dim}, training features {train_ds.dim}")
+    # The linear heads this run needs, trained together on the first use of either.
+    heads = tuple(head for head in _SGD_HEADS if head in _heads_of(config.methods))
     features = test_ds.features
 
-    # The heads and the norms of the test rows, built on first use and shared
-    # after: bape+adjust and ensemble reuse the bape fit, ensemble the
-    # logit_adjusted one, and the linear heads are trained together on the
-    # first use of either. The norms are taken and checked once, straight
-    # from the float32 features: as unit vectors for the Bayes heads, and as
-    # nonzero under normalize for the linear heads.
+    # The heads and the norms of each kind of test rows, built on first use
+    # and shared after: bape+adjust reuses the bape fit. The norms are taken
+    # and checked once, straight from the float32 features: as unit vectors
+    # for the unit rows, and as nonzero under normalize for the linear rows.
     built = _BuiltOnFirstUse({
-        "unit_norms": lambda _: _unit_norms(features),
-        "linear_norms": lambda _: _projection_norms(features) if config.normalize else None,
+        "unit": lambda _: _unit_norms(features),
+        "linear": lambda _: _projection_norms(features) if config.normalize else None,
         "bape": lambda _: _fit_bape(train_ds, config, seed),
         "bape+adjust": lambda deps: adjust(
             deps["bape"],
@@ -569,20 +575,21 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
                 fixed_kappa=config.fixed_kappa,
             ),
         ),
-        "linear": lambda _: _fit_linear(train_ds, config, heads, seed),
-        "softmax": lambda deps: deps["linear"]["softmax"],
-        "logit_adjusted": lambda deps: deps["linear"]["logit_adjusted"],
+        "sgd": lambda _: _fit_linear(train_ds, config, heads, seed),
+        "softmax": lambda deps: deps["sgd"]["softmax"],
+        "logit_adjusted": lambda deps: deps["sgd"]["logit_adjusted"],
         "oracle": lambda _: truth.classifier(ClassPriors.from_counts(test_ds.class_counts)),
     })
 
-    # Every head is fitted and every test row checked, in method order, before
-    # any row is scored: each error names the method that meets it first.
+    # Every head is fitted, and then its test rows checked, in method order
+    # before any row is scored: each error names the method that meets it first.
     seconds, collapse = {}, {}
     for method in config.methods:
         started = time.perf_counter()
         with _charged_to(method, seed, config.methods):
-            for key in _NEEDS[method]:
-                built[key]
+            for head in _HEADS[method]:
+                built[head]
+                built[_rows_of(head)]
             collapse[method] = _tail_collapse(built, method, train_ds.class_counts, config.thresholds[0])
         seconds[method] = time.perf_counter() - started
     _training_counts(test_ds.labels, train_ds.class_counts)  # the split check, before any row is scored

@@ -102,12 +102,6 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> np.ndarray:
     with n the number of entries equal to the maximum. Rows of -inf give
     -inf, rows holding +inf give +inf and rows holding nan give nan, all
     without floating-point warnings.
-
-    When every row has exactly one maximum (the usual case for real-valued
-    logits), n = 1 and the result is log1p(sum) + top: the sum is >= +0, so
-    this is bitwise the general form without the tie count, ln n and the
-    divide. A nan row counts no maximum, so a nan anywhere sends the call to
-    the general form, where it cannot hide a tie in another row.
     """
     a = np.asarray(a, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -117,12 +111,9 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> np.ndarray:
         np.exp(terms, out=terms)
         terms[at_top] = 0.0
         total = np.add.reduce(terms, axis=axis, keepdims=True)
-        if np.count_nonzero(at_top) == top.size and not np.count_nonzero(np.isnan(top)):
-            out = np.log1p(total)
-        else:
-            n = np.add.reduce(at_top, axis=axis, keepdims=True, dtype=float)
-            out = np.log1p(total / n)
-            out += np.log(n)
+        n = np.add.reduce(at_top, axis=axis, keepdims=True, dtype=float)
+        out = np.log1p(total / n)
+        out += np.log(n)
         out += top
     return out if keepdims else np.squeeze(out, axis=axis)
 

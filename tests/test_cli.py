@@ -85,6 +85,14 @@ class TestGenerate:
         assert f"error: argument {flag}: must be below 2**63, got {10**20}" in capsys.readouterr().err
         assert not (tmp_path / "tr.bin").exists()
 
+    def test_negative_seed_is_exit_1_and_named(self, tmp_path, capsys):
+        # This failed in the draw, with numpy's "expected non-negative integer".
+        out = tmp_path / "x.bin"
+        assert main(["generate", "--classes", "3", "--dim", "4", "--head-size", "10", "--seed", "-1",
+                     "--out", str(out)]) == 1
+        assert "error: argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kappa_range", ["5,inf", "5,2e6", "nan,5", "0,5"])
     def test_kappa_range_outside_the_supported_one_is_exit_1(self, tmp_path, capsys, kappa_range):
         # "5,inf" escaped as an OverflowError traceback from the draw, and
@@ -98,6 +106,15 @@ class TestGenerate:
 
 
 class TestFit:
+    @pytest.mark.parametrize("model", ["bape", "softmax"])
+    def test_negative_seed_is_exit_1_and_named(self, workspace, capsys, model):
+        # bape without a prior frame never drew from the seed, so it fitted.
+        tmp, train, _ = workspace
+        out = tmp / "clf.json"
+        assert main(["fit", "--model", model, "--seed", "-2", "--train", str(train), "--out", str(out)]) == 1
+        assert "error: argument --seed: must be >= 0, got -2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bape_round_trip(self, workspace):
         tmp, train, test = workspace
         out = tmp / "clf.json"
@@ -243,6 +260,30 @@ class TestEval:
         # adjustment flags are a bape-only feature
         assert main(["eval", "--classifier", str(clf), "--data", str(test),
                      "--adjust-priors", "uniform"]) == 1
+
+    def test_linear_model_on_data_of_another_width_is_exit_1(self, workspace, capsys):
+        # This exited 1 with numpy's "matmul: Input operand 1 has a mismatch".
+        tmp, train, test = workspace
+        clf = self._fit(workspace, model="softmax", extra=("--epochs", "2"))
+        wide, _ = generate(LongTailSpec(4, 30, 5.0), 7, seed=0)
+        write_features(tmp / "wide.bin", wide)
+        assert main(["eval", "--classifier", str(clf), "--data", str(tmp / "wide.bin")]) == 1
+        err = capsys.readouterr().err
+        assert "error: dimension mismatch: expected 6, got 7" in err
+        assert "matmul" not in err
+
+    @pytest.mark.parametrize("model", ["bape", "softmax"])
+    def test_data_with_more_classes_than_the_model_is_exit_1(self, workspace, capsys, model):
+        # A 4-class model on a 6-class file exited 0, counting the rows of
+        # classes 4 and 5 as misses.
+        tmp, train, test = workspace
+        clf = self._fit(workspace, model=model, extra=("--epochs", "2") if model == "softmax" else ())
+        more, _ = generate(LongTailSpec(6, 30, 5.0), 6, seed=0)
+        write_features(tmp / "more.bin", more)
+        out = tmp / "scores.json"
+        assert main(["eval", "--classifier", str(clf), "--data", str(tmp / "more.bin"), "--out", str(out)]) == 1
+        assert "error: evaluation labels span 6 classes, the classifier 4" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_linear_document_records_normalize_only_when_set(self, workspace):
         plain = json.loads(self._fit(workspace, model="softmax", extra=("--epochs", "2")).read_text())
@@ -626,6 +667,26 @@ class TestCompare:
         pytest.param({"gamma": 10**400}, "gamma must be within the float range", id="gamma-1e400"),
         pytest.param({"kappa_range": [5, 10**400]}, "kappa_range must be within the float range",
                      id="kappa_range-1e400"),
+        pytest.param({"seeds": [0, -1]}, "seeds must be >= 0, got -1", id="seeds-negative"),
+        pytest.param({"n_classes": 1}, "n_classes must be >= 2, got 1", id="n_classes-1"),
+        pytest.param({"head_size": 0}, "head_size must be >= 1, got 0", id="head_size-0"),
+        pytest.param({"gamma": 0.5}, "gamma (the imbalance factor) must be finite and >= 1, got 0.5", id="gamma-0.5"),
+        pytest.param({"gamma": "NaN"}, "gamma (the imbalance factor) must be finite and >= 1, got nan", id="gamma-nan"),
+        pytest.param({"dim": 1}, "dim must be in [2, 4096], got 1", id="dim-1"),
+        pytest.param({"dim": 5000}, "dim must be in [2, 4096], got 5000", id="dim-5000"),
+        pytest.param({"dim": 2, "center_mode": "etf"}, "dim must be >= n_classes - 1 = 3 for an equiangular frame",
+                     id="dim-etf"),
+        pytest.param({"dim": 2, "alpha_hat": 1.0, "beta_hat": 0.5},
+                     "dim must be >= n_classes - 1 = 3 for an equiangular frame", id="dim-prior-frame"),
+        pytest.param({"methods": ["bape+adjust"], "dim": 2, "alpha_hat": 1.0, "beta_hat": 0.5},
+                     "dim must be >= n_classes - 1 = 3 for an equiangular frame", id="dim-prior-frame-adjust"),
+        pytest.param({"lr": "NaN"}, "lr must be >= 0 and finite, got nan", id="lr-nan"),
+        pytest.param({"lr": -1.0}, "lr must be >= 0 and finite, got -1.0", id="lr-negative"),
+        pytest.param({"epochs": 0}, "epochs and batch_size must be >= 1", id="epochs-0"),
+        pytest.param({"batch_size": -4}, "epochs and batch_size must be >= 1", id="batch_size-negative"),
+        pytest.param({"weight_decay": "Infinity"}, "weight_decay must be >= 0 and finite, got inf",
+                     id="weight_decay-inf"),
+        pytest.param({"temperature": 0}, "temperature must be > 0 and finite, got 0.0", id="temperature-0"),
     ])
     def test_domain_error_is_exit_1_before_any_data(self, tmp_path, capsys, monkeypatch, overrides, message):
         # Each loaded and failed only after the data were generated, in the
@@ -645,6 +706,21 @@ class TestCompare:
         cfg.write_text(text + "}")
         assert main(["compare", "--config", str(cfg)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        {"methods": ["bape", "oracle"], "lr": "NaN", "epochs": 0, "temperature": 0},
+        {"methods": ["oracle", "softmax"], "dim": 2, "alpha_hat": 1.0, "beta_hat": 0.5},
+    ])
+    def test_settings_of_parts_not_run_are_not_checked(self, tmp_path, capsys, overrides):
+        # No linear head is trained in the first, and no equiangular frame
+        # is built in the second.
+        cfg = tmp_path / "config.json"
+        text = json.dumps(self.SMALL)[:-1]
+        for key, value in overrides.items():
+            text += f', "{key}": {value if value == "NaN" else json.dumps(value)}'
+        cfg.write_text(text + "}")
+        assert main(["compare", "--config", str(cfg)]) == 0
+        assert sorted(row["method"] for row in json.loads(capsys.readouterr().out)) == overrides["methods"]
 
     def test_integer_real_settings_past_int64_run(self, tmp_path, capsys):
         # gamma and eta of 10**20 escaped as a TypeError from np.isfinite

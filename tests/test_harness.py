@@ -864,6 +864,23 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError, match=r"^method 'softmax', seed 0: softmax head: non-finite"):
             run_experiment(cfg)
 
+    def test_head_is_built_before_its_test_rows_are_checked(self, tmp_path):
+        # One sample per class under alpha_hat = 0 leaves every kappa
+        # unbounded, and the test rows are off the sphere: the fit fails
+        # first. (The rows were checked first, and the run reported them.)
+        train_ds, _ = generate(LongTailSpec(3, 1, 1.0), 4, seed=0)
+        test_ds, _ = generate(LongTailSpec(3, 10, 1.0), 4, seed=1)
+        train_path, test_path = str(tmp_path / "tr.bin"), str(tmp_path / "te.bin")
+        write_features(train_path, train_ds)
+        write_features(test_path, Dataset(2.0 * test_ds.features, test_ds.labels, test_ds.class_counts))
+        for methods in (("bape",), ("ensemble",)):
+            cfg = ExperimentConfig(methods=methods, train_file=train_path, test_file=test_path, epochs=2)
+            with pytest.raises(ExperimentError, match=rf"^method '{methods[0]}', seed 0: every class is degenerate"):
+                run_experiment(cfg)
+        cfg = ExperimentConfig(methods=("bape",), train_file=train_path, test_file=test_path, alpha_hat=1.0)
+        with pytest.raises(ExperimentError, match=r"^method 'bape', seed 0: vector is off the unit sphere"):
+            run_experiment(cfg)
+
     def test_failures_carry_method_and_seed(self, tmp_path):
         train_ds, truth = generate(LongTailSpec(3, 30, 5.0), 4, seed=0)
         other_ds, _ = generate(LongTailSpec(3, 30, 5.0), 5, seed=0)  # wrong width

@@ -372,8 +372,8 @@ class TestLogSumExp:
         keepdims=st.booleans(),
     )
     def test_matches_scipy_on_every_path(self, seed, rows, cols, ties, planted, axis, keepdims):
-        # Rows (taken along axis) with one maximum each take the fast path;
-        # a tie, a -inf row or a nan sends the call to the general one.
+        # Rows (taken along axis) with one maximum each, ties, -inf rows and
+        # nans, alone or together.
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((rows, cols)) * 10.0
         for r in range(min(ties, rows) if cols > 1 else 0):
