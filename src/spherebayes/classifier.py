@@ -114,14 +114,25 @@ class AdjustmentPolicy:
             raise ValueError(f"fixed_kappa is only meaningful with kappa_mode='fixed'")
 
 
+def _per_class(name: str, values, k: int, dtype=float) -> np.ndarray:
+    """values as a (k,) array of dtype; a ValueError naming it unless all are finite and >= 0."""
+    values = np.asarray(values, dtype=dtype)
+    if values.shape != (k,) or not np.all(np.isfinite(values)) or np.any(values < 0):
+        raise ValueError(f"{name} must be K finite values >= 0")
+    return values
+
+
 @dataclass(frozen=True)
 class BayesClassifier:
     """Per-class vMF parameters plus class priors; immutable after construction.
 
-    `counts` holds per-class training sample counts when the classifier was
-    fitted from data; it is None for hand-built or deserialized instances.
-    `excluded` lists classes that were degenerate at fit time (no samples, no
-    prior): they keep placeholder parameters and never receive posterior mass.
+    A classifier fitted from data also carries its fit: `counts` holds the
+    per-class training sample counts, and `alphas` and `betas` the conjugate
+    posterior of each class (pseudo-count alpha and resultant length beta,
+    whose direction m is `mus`). They are None for hand-built or
+    deserialized instances. `excluded` lists classes that were degenerate at
+    fit time (no samples, no prior): they keep placeholder parameters and
+    never receive posterior mass.
     """
 
     mus: np.ndarray
@@ -129,6 +140,8 @@ class BayesClassifier:
     priors: ClassPriors
     counts: np.ndarray | None = None
     excluded: tuple[int, ...] = ()
+    alphas: np.ndarray | None = None
+    betas: np.ndarray | None = None
     _log_norm: np.ndarray = field(init=False, repr=False, compare=False)
     W: np.ndarray = field(init=False, repr=False, compare=False)
     b: np.ndarray = field(init=False, repr=False, compare=False)
@@ -140,9 +153,7 @@ class BayesClassifier:
         k, p = mus.shape
         if k < 2:
             raise ValueError(f"need at least 2 classes, got {k}")
-        kappas = np.asarray(self.kappas, dtype=float)
-        if kappas.shape != (k,) or np.any(~np.isfinite(kappas)) or np.any(kappas < 0):
-            raise ValueError("kappas must be K finite values >= 0")
+        kappas = _per_class("kappas", self.kappas, k)
         if self.priors.pi.shape[0] != k:
             raise ValueError("priors length does not match class count")
         excluded = tuple(sorted(int(i) for i in self.excluded))
@@ -150,14 +161,12 @@ class BayesClassifier:
             raise ValueError("excluded class index out of range")
         if any(self.priors.pi[i] != 0.0 for i in excluded):
             raise ValueError("excluded classes must carry zero prior mass")
-        counts = self.counts
-        if counts is not None:
-            counts = np.asarray(counts, dtype=int)
-            if counts.shape != (k,) or np.any(counts < 0):
-                raise ValueError("counts must be K integers >= 0")
+        for name, dtype in (("counts", int), ("alphas", float), ("betas", float)):
+            values = getattr(self, name)
+            if values is not None:
+                object.__setattr__(self, name, _per_class(name, values, k, dtype))
         object.__setattr__(self, "mus", mus)
         object.__setattr__(self, "kappas", kappas)
-        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "excluded", excluded)
         log_norm = log_vmf_normalizer(p, kappas)
         object.__setattr__(self, "_log_norm", log_norm)
@@ -265,7 +274,10 @@ def adjust(clf: BayesClassifier, policy: AdjustmentPolicy) -> BayesClassifier:
     excluded (their parameters are unknown), keeping zero posterior mass even
     under the new priors. Under kappa_mode "keep" only the priors change: the
     result holds the input's own mus and W arrays, not renormalized copies,
-    so its logits are bitwise the input's product W z plus its new b.
+    so its logits are bitwise the input's product W z plus its new b. The
+    fit the input carries (counts, alphas, betas) passes through under every
+    kappa_mode: it describes the training data, which a test-time edit leaves
+    as it was.
     """
     target = policy.target_priors or ClassPriors.uniform(clf.n_classes)
     if target.pi.shape[0] != clf.n_classes:
@@ -287,6 +299,8 @@ def adjust(clf: BayesClassifier, policy: AdjustmentPolicy) -> BayesClassifier:
         priors=ClassPriors(pi, allow_zero=bool(clf.excluded)),
         counts=clf.counts,
         excluded=clf.excluded,
+        alphas=clf.alphas,
+        betas=clf.betas,
     )
     if policy.kappa_mode == "keep":
         object.__setattr__(adjusted, "mus", clf.mus)
@@ -405,6 +419,8 @@ def _fit_stats(counts, resultants, alpha_hat, beta_hat, prior_directions, mode, 
         priors=ClassPriors.from_counts(np.where(excluded, 0, counts)),
         counts=counts,
         excluded=tuple(np.flatnonzero(excluded)),
+        alphas=alphas,
+        betas=betas,
     )
 
 
@@ -412,8 +428,8 @@ def to_json(clf: BayesClassifier) -> str:
     """Serialize as {p, K, priors, classes:[{kappa, mu}]} with full-precision floats.
 
     Floats use Python's shortest round-trip representation, which preserves
-    every bit (at most 17 significant digits). Training counts are lifecycle
-    data and are not serialized.
+    every bit (at most 17 significant digits). The fit (counts, alphas,
+    betas) is lifecycle data and is not serialized.
     """
     doc = {
         "p": clf.dim,

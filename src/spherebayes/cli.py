@@ -27,6 +27,7 @@ from .classifier import AdjustmentPolicy, ClassPriors, adjust, from_json, predic
 from .datagen import (
     FeatureFileError,
     LongTailSpec,
+    _check_row_total,
     generate,
     read_features,
     sample_dataset,
@@ -148,16 +149,21 @@ def _parse_kappa_range(text: str) -> tuple[float, float]:
 
 
 def _cmd_generate(args) -> int:
-    if args.test_out and args.test_per_class < 1:
-        raise ValueError(f"--test-per-class must be >= 1, got {args.test_per_class}")
+    if args.test_out:
+        if args.test_per_class < 1:
+            raise ValueError(f"--test-per-class must be >= 1, got {args.test_per_class}")
+        _check_row_total(args.classes * args.test_per_class, "--classes and --test-per-class")
     spec = LongTailSpec(args.classes, args.head_size, args.gamma)
     train_ds, truth = generate(
         spec, args.dim, _parse_kappa_range(args.kappa_range), args.center_mode, args.seed
     )
+    # Both sets are drawn before either is written: a test set too large to
+    # allocate leaves no training file behind.
+    counts = np.full(args.classes, args.test_per_class)
+    test_ds = sample_dataset(truth, counts, args.seed, stream=3) if args.test_out else None
     write_features(args.out, train_ds)
     if args.test_out:
-        counts = np.full(args.classes, args.test_per_class)
-        write_features(args.test_out, sample_dataset(truth, counts, args.seed, stream=3))
+        write_features(args.test_out, test_ds)
     return 0
 
 

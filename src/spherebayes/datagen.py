@@ -81,11 +81,20 @@ class LongTailSpec:
             raise ValueError(f"head_size must be >= 1, got {self.head_size}")
         if not np.isfinite(self.gamma) or self.gamma < 1.0:
             raise ValueError(f"gamma (the imbalance factor) must be finite and >= 1, got {self.gamma}")
+        _check_row_total(sum(class_sizes(self)), "n_classes and head_size")
 
     @property
     def decay(self) -> float:
         """Per-class decay lambda = gamma^(-1/(K-1)); size_j = N * lambda^j."""
         return float(self.gamma ** (-1.0 / (self.n_classes - 1)))
+
+
+def _check_row_total(total: int, names: str) -> int:
+    """total, or a ValueError naming what gave it if that many rows would
+    overflow numpy's int64 counts (which wrap silently)."""
+    if total >= 2**63:
+        raise ValueError(f"{names} give {total} rows in total, which must be below 2**63")
+    return total
 
 
 def class_sizes(spec: LongTailSpec) -> list[int]:
@@ -208,8 +217,11 @@ def sample_dataset(truth: MixtureGroundTruth, counts, seed: int, stream: int = 2
         raise ValueError("counts must give one non-negative size per class")
     if not counts.any():
         raise ValueError("counts are all zero: a dataset needs at least one sample")
+    n = _check_row_total(sum(counts.tolist()), "counts")
+    if 4 * n * truth.dim >= 2**63:  # numpy would call it "too big", not out of memory
+        raise MemoryError(f"{n} rows of {truth.dim} float32 features take {4 * n * truth.dim} bytes")
     # Each block is cast to float32 as it is written, bitwise as astype would.
-    features = np.empty((int(counts.sum()), truth.dim), dtype=np.float32)
+    features = np.empty((n, truth.dim), dtype=np.float32)
     start = 0
     for j, cnt in enumerate(counts.tolist()):
         if cnt:

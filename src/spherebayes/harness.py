@@ -61,8 +61,8 @@ from .classifier import (
     logits,
     top_class,
 )
-from .datagen import Dataset, LongTailSpec, _kappa_bounds, generate, read_features, sample_dataset
-from .estimation import ClassStats, _check_rates, class_posteriors, concentration_slopes
+from .datagen import Dataset, LongTailSpec, _check_row_total, _kappa_bounds, generate, read_features, sample_dataset
+from .estimation import ClassStats, _check_rates, concentration_slopes
 from .priors import EtfFrame, build_etf, grad_step_m0
 from .special import MAX_DIM, mean_resultant_ratio
 from .vmf import _unit_norms, as_unit_vector, substream
@@ -254,6 +254,7 @@ class ExperimentConfig:
         if self.train_file is None:
             _kappa_bounds(self.kappa_range, "kappa_range")
             LongTailSpec(self.n_classes, self.head_size, self.gamma)  # its errors name these keys
+            _check_row_total(self.n_classes * self.test_per_class, "n_classes and test_per_class")
             if not 2 <= self.dim <= MAX_DIM:
                 raise ValueError(f"dim must be in [2, {MAX_DIM}], got {self.dim}")
             # An equiangular frame of K directions, the class centres under
@@ -348,10 +349,10 @@ def m0_loss_gradients(
     beta and by kappa_k z against m_k. Returned gradients live in the ambient
     space; the renormalization in the update step kills radial components.
 
-    The loss is that of the classifier `fit` returns at `frame`, under
-    `priors` as `adjust` applies them. Classes it excludes (beta = 0, or an
-    unbounded kappa) carry no posterior mass and get a zero gradient. Their
-    samples, whose loss no m0 can make finite, add nothing to the mean.
+    The loss, and the posterior (alpha, beta, m) the chain runs through, are
+    those of the classifier `fit` returns at `frame`, under `priors` as
+    `adjust` applies them. Classes it excludes (beta = 0, or an unbounded
+    kappa) get a zero gradient; their samples add nothing to the mean.
 
     The sum over samples is one pass over blocks of rows, so the scratch
     memory is O(block * K) whatever the number of rows.
@@ -361,16 +362,15 @@ def m0_loss_gradients(
     resultants = np.stack([st.resultant for st in stats])
     fitted = _fit_stats(counts, resultants, alpha_hat, beta_hat, frame.vectors, mode, "exclude")
     fitted = adjust(fitted, AdjustmentPolicy(priors))
-    return _m0_gradients(fitted, frame, counts, resultants, alpha_hat, beta_hat, z, labels, mode)
+    return _m0_gradients(fitted, beta_hat, z, labels, mode)
 
 
-def _m0_gradients(fitted, frame, counts, resultants, alpha_hat, beta_hat, z, labels, mode):
-    """`m0_loss_gradients` of `fitted`, the classifier fitted from the per-class statistics
-    at `frame`, on validated unit rows z. One pass over blocks of rows sums g = d loss /
-    d logit (zero on the rows of excluded classes) into zsum_k = sum_n g_nk z_n and
-    psum_k = sum_n g_nk, all that both routes need."""
-    p = frame.dim
-    alphas, betas, _, beta0 = class_posteriors(counts, resultants, alpha_hat, beta_hat, frame.vectors)
+def _m0_gradients(fitted, beta_hat, z, labels, mode):
+    """`m0_loss_gradients` of `fitted`, a classifier `_fit_stats` returned, through the posterior
+    it carries (alphas, betas, mus) with beta0 = beta_hat * counts, on validated unit rows z.
+    One pass over blocks of rows sums g = d loss / d logit (zero on the rows of excluded
+    classes) into zsum_k = sum_n g_nk z_n and psum_k = sum_n g_nk, all that both routes need."""
+    p, alphas, betas = fitted.dim, fitted.alphas, fitted.betas
     kappas, ms = fitted.kappas, fitted.mus
     excluded = np.isin(np.arange(len(kappas)), fitted.excluded)
     keep = ~excluded
@@ -396,7 +396,7 @@ def _m0_gradients(fitted, frame, counts, resultants, alpha_hat, beta_hat, z, lab
     # m route: kappa_k * (I - m_k m_k^T) zsum_k / beta_k.
     scale = np.divide(kappas, betas, out=np.zeros(len(kappas)), where=keep)
     tangent = (zsum - proj[:, np.newaxis] * ms) * scale[:, np.newaxis]
-    return (beta_coef[:, np.newaxis] * ms + tangent) * (beta0 / len(labels))[:, np.newaxis]
+    return (beta_coef[:, np.newaxis] * ms + tangent) * (beta_hat * fitted.counts / len(labels))[:, np.newaxis]
 
 
 def _fit_bape(train: Dataset, config: ExperimentConfig, seed: int) -> BayesClassifier:
@@ -412,8 +412,7 @@ def _fit_bape(train: Dataset, config: ExperimentConfig, seed: int) -> BayesClass
         frame, steps = build_etf(train.n_classes, train.dim, frame_seed), config.m0_steps
     for step in range(steps + 1):
         if step:
-            g = _m0_gradients(fitted, frame, counts, resultants, config.alpha_hat, config.beta_hat,
-                              feats, train.labels, config.estimation)
+            g = _m0_gradients(fitted, config.beta_hat, feats, train.labels, config.estimation)
             frame = grad_step_m0(frame, g, config.m0_lr)
         fitted = _fit_stats(counts, resultants, config.alpha_hat, config.beta_hat,
                             None if frame is None else frame.vectors, config.estimation, on_degenerate="exclude")

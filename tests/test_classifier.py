@@ -16,6 +16,7 @@ from spherebayes.classifier import (
     BayesClassifier,
     ClassPriors,
     NotFittedError,
+    _fit_stats,
     adjust,
     bape_loss,
     bape_loss_grad_z,
@@ -30,8 +31,10 @@ from spherebayes.classifier import (
     to_json,
 )
 from spherebayes.baselines import LinearClassifier
-from spherebayes.estimation import ConcentrationOverflowError, DegeneratePosteriorError
-from spherebayes.vmf import VmfParams, sample, substream
+from spherebayes.datagen import make_truth
+from spherebayes.estimation import ConcentrationOverflowError, DegeneratePosteriorError, class_posteriors
+from spherebayes.priors import build_etf
+from spherebayes.vmf import VmfParams, as_unit_vector, sample, substream
 
 # Two classes on orthogonal axes, kappa=4 each, uniform priors, z on the first
 # axis. The normalizers cancel, so p(0|z) = sigmoid(4) and the loss is
@@ -534,6 +537,65 @@ class TestFit:
         assert np.all(gap < 1.0 / (6 - 1))  # p = 6
         # the exact solver tracks the generating spreads closely at n=400
         assert_allclose(exact.kappas, kappas, rtol=0.1)
+
+
+class TestFittedPosterior:
+    """A fitted classifier carries the conjugate posterior (alphas, betas) its fit solved."""
+
+    def _data(self):
+        # Classes of 40, 9 and 3 rows in p = 5, and an empty fourth class,
+        # which every fit below excludes (beta = 0).
+        z = random_units(52, 5, 30)
+        y = np.repeat([0, 1, 2], [40, 9, 3])
+        return z, y
+
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    @pytest.mark.parametrize("prior", [False, True])
+    def test_fit_keeps_the_posterior_at_the_renormalised_directions(self, mode, prior):
+        z, y = self._data()
+        counts, resultants = class_stats(as_unit_vector(z), y, 4)  # the rows as `fit` takes them
+        # Directions within the unit-norm tolerance but not on the sphere:
+        # the fit renormalises them before the update.
+        frame = build_etf(4, 5, 31).vectors * (1.0 + 1e-7) if prior else None
+        rates = (1.0, 0.5) if prior else (0.0, 0.0)
+        expected = class_posteriors(counts, resultants, *rates, None if frame is None else as_unit_vector(frame))
+        for clf in (fit(z, y, 4, *rates, frame, mode, "exclude"),
+                    _fit_stats(counts, resultants, *rates, frame, mode, "exclude")):
+            assert clf.excluded == (3,)
+            assert_array_equal(clf.alphas, expected[0])
+            assert_array_equal(clf.betas, expected[1])
+        if prior:  # the update at the directions as given is another posterior
+            assert not np.array_equal(clf.betas, class_posteriors(counts, resultants, *rates, frame)[1])
+
+    @pytest.mark.parametrize("kappa_mode, fixed_kappa", [("keep", None), ("shared_mean", None), ("fixed", 7.0)])
+    def test_adjust_passes_it_through(self, kappa_mode, fixed_kappa):
+        z, y = self._data()
+        clf = fit(z, y, 4, 1.0, 0.5, build_etf(4, 5, 31).vectors, on_degenerate="exclude")
+        adjusted = adjust(clf, AdjustmentPolicy(kappa_mode=kappa_mode, fixed_kappa=fixed_kappa))
+        assert_array_equal(adjusted.alphas, clf.alphas)
+        assert_array_equal(adjusted.betas, clf.betas)
+        assert_array_equal(adjusted.counts, clf.counts)
+
+    def test_none_unless_fitted_from_data(self):
+        z, y = self._data()
+        fitted = fit(z[:49], y[:49], 2)
+        for clf in (two_class(), from_json(to_json(fitted)), make_truth(3, 4, (5.0, 10.0), seed=1).classifier()):
+            assert clf.alphas is None and clf.betas is None
+
+    @pytest.mark.parametrize("name", ["alphas", "betas"])
+    @pytest.mark.parametrize("values", [[1.0, 2.0], [[1.0, 2.0, 3.0]], [1.0, -1.0, 3.0], [1.0, np.nan, 3.0],
+                                        [1.0, np.inf, 3.0]])
+    def test_malformed_values_raise(self, name, values):
+        clf = random_classifier(3, 4, 32)
+        with pytest.raises(ValueError, match=f"{name} must be K finite values >= 0"):
+            BayesClassifier(mus=clf.mus, kappas=clf.kappas, priors=clf.priors, **{name: values})
+
+    def test_json_is_that_of_the_parameters_alone(self):
+        z, y = self._data()
+        clf = fit(z, y, 4, 1.0, 0.5, build_etf(4, 5, 31).vectors, on_degenerate="exclude")
+        bare = BayesClassifier(mus=clf.mus, kappas=clf.kappas, priors=clf.priors, excluded=clf.excluded)
+        assert to_json(clf) == to_json(bare)
+        assert set(json.loads(to_json(clf))) == {"p", "K", "priors", "classes"}
 
 
 class TestBayesAgreement:

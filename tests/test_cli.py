@@ -85,6 +85,28 @@ class TestGenerate:
         assert f"error: argument {flag}: must be below 2**63, got {10**20}" in capsys.readouterr().err
         assert not (tmp_path / "tr.bin").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--head-size", str(2**63 - 513)], "n_classes and head_size give 10237942960908800048 rows",
+                     id="head-size-wraps"),
+        pytest.param(["--head-size", str(2**63 - 512)], "n_classes and head_size give 10237942960908801216 rows",
+                     id="head-size-overflows"),
+        pytest.param(["--test-per-class", str(2**62)], "--classes and --test-per-class give 13835058055282163712 rows",
+                     id="test-per-class"),
+        pytest.param(["--head-size", str(2**62)], "out of memory: 5118971480454400608 rows of 4 float32 features",
+                     id="head-size-too-large-to-allocate"),
+        pytest.param(["--test-per-class", str(2**61)], "out of memory: 6917529027641081856 rows of 4 float32 features",
+                     id="test-per-class-too-large-to-allocate"),
+    ])
+    def test_row_total_past_int64_is_exit_1_before_any_file(self, tmp_path, capsys, flags, message):
+        # numpy wrapped the totals into "negative dimensions are not allowed",
+        # failed with an OverflowError traceback, or called the features "too
+        # big"; a test size failed only after the training file was written.
+        argv = ["generate", "--classes", "3", "--dim", "4", "--head-size", "10", "--out", str(tmp_path / "tr.bin"),
+                "--test-out", str(tmp_path / "te.bin")]
+        assert main(argv + flags) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "tr.bin").exists() and not (tmp_path / "te.bin").exists()
+
     def test_negative_seed_is_exit_1_and_named(self, tmp_path, capsys):
         # This failed in the draw, with numpy's "expected non-negative integer".
         out = tmp_path / "x.bin"
@@ -664,6 +686,10 @@ class TestCompare:
                      "m0_lr must be positive and finite", id="m0_lr-zero"),
         pytest.param({"head_size": 10**20}, "head_size must be below 2**63", id="head_size-1e20"),
         pytest.param({"test_per_class": 2**63}, "test_per_class must be below 2**63", id="test_per_class-2**63"),
+        pytest.param({"head_size": 2**63 - 1}, "n_classes and head_size give 16413934573519398272 rows in total",
+                     id="head_size-total-past-int64"),
+        pytest.param({"test_per_class": 2**62}, "n_classes and test_per_class give 18446744073709551616 rows in total",
+                     id="test_per_class-total-past-int64"),
         pytest.param({"gamma": 10**400}, "gamma must be within the float range", id="gamma-1e400"),
         pytest.param({"kappa_range": [5, 10**400]}, "kappa_range must be within the float range",
                      id="kappa_range-1e400"),

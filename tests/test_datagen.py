@@ -72,6 +72,17 @@ class TestClassSizes:
         with pytest.raises(ValueError):
             LongTailSpec(5, 100, 0.5)
 
+    @pytest.mark.parametrize("head_size", [2**63 - 513, 2**63 - 512, 2**63 - 1])
+    def test_row_total_past_int64_raises(self, head_size):
+        # numpy wrapped the total, or failed to take the head class's size.
+        with pytest.raises(ValueError, match=r"n_classes and head_size give \d+ rows in total, which must be below"):
+            LongTailSpec(3, head_size, 100.0)
+
+    def test_row_total_bound_is_2_to_the_63(self):
+        assert sum(class_sizes(LongTailSpec(2, 2**62 - 512, 1.0))) == 2**63 - 1024
+        with pytest.raises(ValueError, match=f"give {2**63} rows in total"):
+            LongTailSpec(2, 2**62, 1.0)
+
 
 class TestMakeTruth:
     def test_etf_centers_on_circle(self):
@@ -162,6 +173,16 @@ class TestSampleDataset:
     def test_all_zero_counts_raise_their_own_error(self):
         with pytest.raises(ValueError, match="counts are all zero"):
             sample_dataset(self._truth(), [0, 0, 0], seed=0)
+
+    def test_row_total_past_int64_raises(self):
+        # numpy summed the counts into a negative row count.
+        with pytest.raises(ValueError, match="counts give 13835058055282163712 rows in total"):
+            sample_dataset(self._truth(), [2**62] * 3, seed=0)
+
+    def test_features_past_the_address_space_are_out_of_memory(self):
+        # numpy's "array is too big" was a ValueError; no row is drawn.
+        with pytest.raises(MemoryError, match="4611686018427387904 rows of 4 float32 features"):
+            sample_dataset(self._truth(), [2**62, 0, 0], seed=0)
 
     @pytest.mark.parametrize("counts", [[7, 3, 5, 1], [0, 12, 0, 4], [9, 0, 0, 0], [0, 0, 0, 2]])
     def test_bitwise_equal_to_concatenated_blocks(self, counts):

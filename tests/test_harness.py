@@ -406,7 +406,7 @@ class TestM0Gradients:
         # are those the references are given.
         fitted = _fit_stats(counts, resultants, alpha_hat, beta_hat, frame.vectors, mode, "exclude")
         assert_array_equal(fitted.priors.pi, priors.pi)
-        return _m0_gradients(fitted, frame, counts, resultants, alpha_hat, beta_hat, z, labels, mode)
+        return _m0_gradients(fitted, beta_hat, z, labels, mode)
 
     @staticmethod
     def _assert_close(got, expected):
@@ -442,7 +442,7 @@ class TestM0Gradients:
         fitted = _fit_stats(counts, resultants, alpha_hat, beta_hat, frame.vectors, mode, "exclude")
         tracemalloc.start()
         try:
-            _m0_gradients(fitted, frame, counts, resultants, alpha_hat, beta_hat, z, labels, mode)
+            _m0_gradients(fitted, beta_hat, z, labels, mode)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -455,23 +455,28 @@ class TestM0Gradients:
         # fit at the last frame is the one returned.
         import spherebayes.harness as harness
 
-        fits, steps = [], []
+        fits, steps, moved = [], [], []
 
         def fit_stats(*args, **kwargs):  # args[4] holds the prior directions
             fits.append((args[4], _fit_stats(*args, **kwargs)))
             return fits[-1][1]
 
-        def gradients(fitted, frame, *args):
-            steps.append((fitted, frame))
-            return _m0_gradients(fitted, frame, *args)
+        def gradients(fitted, *args):
+            steps.append(fitted)
+            return _m0_gradients(fitted, *args)
+
+        def step(frame, *args):  # the frame each gradient moves
+            moved.append(frame)
+            return grad_step_m0(frame, *args)
 
         monkeypatch.setattr(harness, "_fit_stats", fit_stats)
         monkeypatch.setattr(harness, "_m0_gradients", gradients)
+        monkeypatch.setattr(harness, "grad_step_m0", step)
         cfg = small_config(seeds=(6,), methods=("bape",), alpha_hat=1.0, beta_hat=0.5, m0_steps=3, estimation=mode)
         train_ds = harness._load_data(cfg, 6)[0]
         fitted = harness._fit_bape(train_ds, cfg, 6)
-        assert len(fits) == 4 and len(steps) == 3
-        for (directions, fit), (stepped, frame) in zip(fits, steps):
+        assert len(fits) == 4 and len(steps) == 3 and len(moved) == 3
+        for (directions, fit), stepped, frame in zip(fits, steps, moved):
             assert stepped is fit and directions is frame.vectors
         assert fitted is fits[-1][1]
         assert not np.array_equal(fits[-1][0], fits[0][0])

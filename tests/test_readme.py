@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 from spherebayes.cli import main
@@ -32,3 +33,19 @@ def test_minimal_compare_config_runs(tmp_path, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert sorted((row["method"], row["seed"]) for row in rows) == sorted(
         (method, seed) for method in METHODS for seed in config["seeds"])
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    # Each command of the "Command line" block, its continuation lines
+    # joined, run in one directory; `compare` reads the minimal config.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "experiment.json").write_text(_block("A minimal `compare` config:", "json"))
+    text = _block("Five subcommands; `spherebayes <sub> --help` shows every flag.", "sh").replace("\\\n", " ")
+    commands = [shlex.split(line) for line in text.splitlines() if line.strip() and not line.startswith("#")]
+    assert [argv[:2] for argv in commands] == [["spherebayes", sub] for sub in
+                                              ("generate", "fit", "eval", "compare", "dump-embeddings")]
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    assert capsys.readouterr().err == ""
+    for name in ("train.bapf", "test.bapf", "model.json", "report.csv", "train.csv"):
+        assert (tmp_path / name).stat().st_size > 0
