@@ -117,7 +117,10 @@ class Dataset:
         c = np.asarray(self.class_counts, dtype=np.int64)
         if f.ndim != 2 or y.shape != (f.shape[0],) or c.ndim != 1:
             raise ValueError("inconsistent dataset shapes")
-        if not np.all(np.isfinite(f)):
+        # Checked in blocks of rows, so the check's scratch stays near 64 KB
+        # (not one bool per value) whatever the number of rows.
+        step = max(1, 2**16 // max(f.shape[1], 1))
+        if not all(np.isfinite(f[start : start + step]).all() for start in range(0, f.shape[0], step)):
             raise ValueError("features contain non-finite values")
         if y.size and (y.min() < 0 or y.max() >= c.shape[0]):
             raise ValueError("label out of range of class_counts")
@@ -212,6 +215,13 @@ def sample_dataset(truth: MixtureGroundTruth, counts, seed: int, stream: int = 2
     counts. Distinct `stream` tags give independent datasets under one seed
     (e.g. train vs test).
     """
+    counts, features = _allocate_draw(truth, counts)
+    return _fill_draw(truth, counts, features, seed, stream)
+
+
+def _allocate_draw(truth: MixtureGroundTruth, counts) -> tuple[np.ndarray, np.ndarray]:
+    """The checked int64 counts of a `sample_dataset` draw and its uninitialized
+    float32 feature matrix; a MemoryError if the matrix cannot be addressed."""
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape != (truth.n_classes,) or np.any(counts < 0):
         raise ValueError("counts must give one non-negative size per class")
@@ -220,8 +230,16 @@ def sample_dataset(truth: MixtureGroundTruth, counts, seed: int, stream: int = 2
     n = _check_row_total(sum(counts.tolist()), "counts")
     if 4 * n * truth.dim >= 2**63:  # numpy would call it "too big", not out of memory
         raise MemoryError(f"{n} rows of {truth.dim} float32 features take {4 * n * truth.dim} bytes")
+    return counts, np.empty((n, truth.dim), dtype=np.float32)
+
+
+def _fill_draw(truth: MixtureGroundTruth, counts: np.ndarray, features: np.ndarray, seed: int,
+               stream: int) -> Dataset:
+    """The dataset of `sample_dataset`, drawn into the matrix `_allocate_draw` made for counts.
+
+    Touches nothing but `features` and its own substreams, so it may run on
+    another thread while the caller goes on."""
     # Each block is cast to float32 as it is written, bitwise as astype would.
-    features = np.empty((n, truth.dim), dtype=np.float32)
     start = 0
     for j, cnt in enumerate(counts.tolist()):
         if cnt:

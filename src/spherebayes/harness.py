@@ -16,10 +16,11 @@ from the same mixture, per seed. Methods:
 Each head scores the test rows in the form it was fitted on: the Bayes heads
 the rows validated as unit vectors, the linear heads the rows their SGD loop
 saw (projected onto the sphere under `normalize`, as given otherwise).
-Every head is fitted and every test row checked before any row is scored;
-scoring is then one pass over the test rows in row blocks, which keeps its
-scratch memory at O(block * K) and each prediction bitwise that of the
-full-size arrays.
+Generated test rows are drawn on a worker thread while the heads are fitted,
+and waited for at their first use. Every head is fitted and every test row
+checked before any row is scored; scoring is then one pass over the test
+rows in row blocks, which keeps its scratch memory at O(block * K) and each
+prediction bitwise that of the full-size arrays.
 
 Accuracy is reported overall and over class-frequency splits: many-shot
 (train count > 100), medium-shot (20..100), few-shot (< 20).
@@ -37,8 +38,10 @@ import io
 import json
 import numbers
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -61,7 +64,16 @@ from .classifier import (
     logits,
     top_class,
 )
-from .datagen import Dataset, LongTailSpec, _check_row_total, _kappa_bounds, generate, read_features, sample_dataset
+from .datagen import (
+    Dataset,
+    LongTailSpec,
+    _allocate_draw,
+    _check_row_total,
+    _fill_draw,
+    _kappa_bounds,
+    generate,
+    read_features,
+)
 from .estimation import ClassStats, _check_rates, concentration_slopes
 from .priors import EtfFrame, build_etf, grad_step_m0
 from .special import MAX_DIM, mean_resultant_ratio
@@ -435,15 +447,25 @@ def _fit_linear(train_ds: Dataset, config: ExperimentConfig, modes, seed: int) -
 
 
 def _load_data(config: ExperimentConfig, seed: int):
+    """The training set, a zero-argument call that returns the test set, and
+    the ground truth (None for files).
+
+    Both files are read, and their dimensions checked, here. Generated test
+    rows are checked and allocated here, after the training draw, and drawn
+    by the call, which may run on another thread while the heads are fitted.
+    """
     if config.train_file is not None:
-        return read_features(config.train_file), read_features(config.test_file), None
+        train_ds, test_ds = read_features(config.train_file), read_features(config.test_file)
+        with _charged_to(config.methods[0], seed, config.methods):  # where it would surface otherwise
+            if test_ds.dim != train_ds.dim:
+                raise ValueError(f"test features have dimension {test_ds.dim}, training features {train_ds.dim}")
+        return train_ds, lambda: test_ds, None
     spec = LongTailSpec(config.n_classes, config.head_size, config.gamma)
     train_ds, truth = generate(
         spec, config.dim, config.kappa_range, config.center_mode, seed
     )
-    test_counts = np.full(config.n_classes, config.test_per_class)
-    test_ds = sample_dataset(truth, test_counts, seed, stream=3)
-    return train_ds, test_ds, truth
+    test_counts, test_features = _allocate_draw(truth, np.full(config.n_classes, config.test_per_class))
+    return train_ds, partial(_fill_draw, truth, test_counts, test_features, seed, 3), truth
 
 
 # The weight directions each method's minority collapse is taken on. bape's
@@ -526,10 +548,16 @@ def _tail_collapse(built, method: str, train_counts, threshold: int) -> float | 
 
 
 def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
-    """All configured methods on all seeds; rows sorted by (method, seed)."""
+    """All configured methods on all seeds; rows sorted by (method, seed).
+
+    Each seed's test set is drawn on one worker thread, which lives for this
+    call, while the seed's heads are fitted. Each class draws from its own
+    substream, so no value depends on the threads' timing.
+    """
     rows = []
-    for seed in config.seeds:
-        rows.extend(_run_seed(config, seed))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for seed in config.seeds:
+            rows.extend(_run_seed(config, seed, pool))
     rows.sort(key=lambda r: (r.method, r.seed))
     return rows
 
@@ -549,22 +577,41 @@ class _BuiltOnFirstUse(dict):
         return value
 
 
-def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
-    train_ds, test_ds, truth = _load_data(config, seed)
-    with _charged_to(config.methods[0], seed, config.methods):  # where it would surface otherwise
-        if test_ds.dim != train_ds.dim:
-            raise ValueError(f"test features have dimension {test_ds.dim}, training features {train_ds.dim}")
+def _run_seed(config: ExperimentConfig, seed: int, pool: ThreadPoolExecutor) -> list[ReportRow]:
+    """One seed's report rows; its test set is drawn on `pool` while the heads are fitted."""
+    train_ds, draw_test, truth = _load_data(config, seed)
+    drawn = pool.submit(draw_test)
+    try:
+        return _seed_rows(config, seed, train_ds, drawn.result, truth)
+    finally:
+        # The draw comes before every fit, so once it has ended a failed
+        # draw's own error is the one raised.
+        error = drawn.exception()  # waits for the draw
+        if error is not None:
+            raise error from None
+
+
+def _seed_rows(config: ExperimentConfig, seed: int, train_ds: Dataset, test_set, truth) -> list[ReportRow]:
+    """One seed's report rows; `test_set()` returns the test set, waiting for its draw."""
     # The linear heads this run needs, trained together on the first use of either.
     heads = tuple(head for head in _SGD_HEADS if head in _heads_of(config.methods))
-    features = test_ds.features
+    waited = []  # the one wait for the test set, which no method is charged
 
-    # The heads and the norms of each kind of test rows, built on first use
-    # and shared after: bape+adjust reuses the bape fit. The norms are taken
-    # and checked once, straight from the float32 features: as unit vectors
-    # for the unit rows, and as nonzero under normalize for the linear rows.
+    def joined(_):
+        started = time.perf_counter()
+        test_ds = test_set()
+        waited.append(time.perf_counter() - started)
+        return test_ds
+
+    # The test set, the heads and the norms of each kind of test rows, built
+    # on first use and shared after: bape+adjust reuses the bape fit. The
+    # norms are taken and checked once, straight from the float32 features:
+    # as unit vectors for the unit rows, and as nonzero under normalize for
+    # the linear rows.
     built = _BuiltOnFirstUse({
-        "unit": lambda _: _unit_norms(features),
-        "linear": lambda _: _projection_norms(features) if config.normalize else None,
+        "test": joined,
+        "unit": lambda deps: _unit_norms(deps["test"].features),
+        "linear": lambda deps: _projection_norms(deps["test"].features) if config.normalize else None,
         "bape": lambda _: _fit_bape(train_ds, config, seed),
         "bape+adjust": lambda deps: adjust(
             deps["bape"],
@@ -577,7 +624,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
         "sgd": lambda _: _fit_linear(train_ds, config, heads, seed),
         "softmax": lambda deps: deps["sgd"]["softmax"],
         "logit_adjusted": lambda deps: deps["sgd"]["logit_adjusted"],
-        "oracle": lambda _: truth.classifier(ClassPriors.from_counts(test_ds.class_counts)),
+        "oracle": lambda deps: truth.classifier(ClassPriors.from_counts(deps["test"].class_counts)),
     })
 
     # Every head is fitted, and then its test rows checked, in method order
@@ -590,12 +637,13 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[ReportRow]:
                 built[head]
                 built[_rows_of(head)]
             collapse[method] = _tail_collapse(built, method, train_ds.class_counts, config.thresholds[0])
-        seconds[method] = time.perf_counter() - started
+        seconds[method] = time.perf_counter() - started - (waited.pop() if waited else 0.0)
+    test_ds = built["test"]
     _training_counts(test_ds.labels, train_ds.class_counts)  # the split check, before any row is scored
     scored = config.methods
     if truth is not None and "oracle" not in scored:  # its predictions give every row's oracle_accuracy
         scored += ("oracle",)
-    preds, pass_seconds = _predictions(built, scored, config, features, seed)
+    preds, pass_seconds = _predictions(built, scored, config, test_ds.features, seed)
     oracle_acc = float(np.mean(preds["oracle"] == test_ds.labels)) if truth is not None else None
     rows = []
     for method in config.methods:

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -805,6 +806,56 @@ class TestCompare:
         cfg.write_text(json.dumps(self.SMALL))
         assert main(["compare", "--config", str(cfg)]) == 1
         assert "error: out of memory: Unable to allocate 53.7 TiB" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [{}, {"methods": ["bape"], "head_size": 1}], ids=["fits", "bape-fails"])
+    def test_out_of_memory_in_the_test_draw_names_no_method(self, tmp_path, capsys, monkeypatch, overrides):
+        # The draw runs on a worker thread and fails once bape's fit has
+        # ended; the run waits for it while checking bape's test rows. With
+        # one row per class bape's fit fails as well ("every class is
+        # degenerate"), but the draw comes before every fit.
+        import spherebayes.harness as harness
+
+        fit_bape, fitted = harness._fit_bape, threading.Event()
+
+        def fit_then_signal(*args):
+            try:
+                return fit_bape(*args)
+            finally:
+                fitted.set()
+
+        def fill(*args):
+            fitted.wait(timeout=60)
+            raise MemoryError("Unable to allocate 10.0 MiB")
+
+        monkeypatch.setattr(harness, "_fit_bape", fit_then_signal)
+        monkeypatch.setattr(harness, "_fill_draw", fill)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**self.SMALL, **overrides}))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert fitted.is_set()
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 10.0 MiB\n"
+
+    @pytest.mark.parametrize("train_fails", [True, False])
+    def test_errors_before_the_test_draw_come_in_order(self, tmp_path, capsys, monkeypatch, train_fails):
+        # The training draw, then the test set's size check, then its draw:
+        # 4 * 2**58 rows of 6 float32 values cannot be addressed.
+        import spherebayes.harness as harness
+
+        def generate_fails(*args):
+            raise MemoryError("Unable to allocate the training rows")
+
+        def no_fill(*args):
+            raise AssertionError("test rows drawn after an earlier error")
+
+        if train_fails:
+            monkeypatch.setattr(harness, "generate", generate_fails)
+        monkeypatch.setattr(harness, "_fill_draw", no_fill)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**self.SMALL, "test_per_class": 2**58}))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        message = ("Unable to allocate the training rows" if train_fails else
+                   f"{2**60} rows of 6 float32 features take {4 * 6 * 2**60} bytes")
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 
     @pytest.mark.parametrize("key, literal", [
         ("weight_decay", "NaN"), ("weight_decay", "Infinity"), ("temperature", "Infinity"),

@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,25 @@ class TestSampleDataset:
         assert_array_equal(ds.labels, np.concatenate(labels))
         assert ds.labels.dtype == np.int64
 
+    @pytest.mark.parametrize("k, p, counts, stream", [
+        (100, 128, [100] * 100, 3),  # the lt-exact-m0 test draw's shape, at half its rows
+        (20, 32, class_sizes(LongTailSpec(20, 500, 100.0)), 2),  # the lt-default training draw
+    ])
+    def test_bitwise_equal_to_the_single_loop(self, k, p, counts, stream):
+        # The draw before its check and allocation were split from its fill:
+        # one loop writing each class's block into the allocated matrix.
+        truth = make_truth(k, p, (20.0, 200.0), center_mode="random", seed=4)
+        expected = np.empty((sum(counts), p), dtype=np.float32)
+        start = 0
+        for j, cnt in enumerate(counts):
+            if cnt:
+                expected[start : start + cnt] = sample(truth.components[j], cnt, substream(9, stream, j))
+                start += cnt
+        ds = sample_dataset(truth, counts, seed=9, stream=stream)
+        assert_array_equal(ds.features.view(np.uint32), expected.view(np.uint32))
+        assert_array_equal(ds.labels, np.repeat(np.arange(k), counts))
+        assert_array_equal(ds.class_counts, counts)
+
 
 class TestGenerate:
     def test_deterministic_and_seed_sensitive(self):
@@ -304,6 +324,28 @@ class TestDatasetValidation:
         f = np.full((2, 3), np.nan, dtype=np.float32)
         with pytest.raises(ValueError):
             Dataset(f, np.array([0, 1]), np.array([1, 1]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 999])
+    def test_nonfinite_first_or_last_row_rejected(self, value, row):
+        # 1000 rows of 128 values: the check's blocks of rows end in a partial one.
+        f = np.zeros((1000, 128), dtype=np.float32)
+        f[row, 127 if row else 0] = value
+        with pytest.raises(ValueError, match="^features contain non-finite values$"):
+            Dataset(f, np.zeros(1000, dtype=np.int64), np.array([1000]))
+
+    def test_finiteness_check_makes_no_full_size_temporary(self):
+        # One bool per value would be 2.56 MB at 20000 x 128.
+        f = substream(0, 0).standard_normal((20000, 128)).astype(np.float32)
+        labels, counts = np.repeat(np.arange(4, dtype=np.int64), 5000), np.full(4, 5000, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            ds = Dataset(f, labels, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features is f
+        assert peak < 1_000_000
 
     def test_label_range_rejected(self):
         f = np.eye(2, 3, dtype=np.float32)

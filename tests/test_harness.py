@@ -5,7 +5,11 @@ import gc
 import io
 import json
 import math
+import threading
+import time
 import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from spherebayes.classifier import (
 from spherebayes.datagen import (
     Dataset,
     LongTailSpec,
+    _fill_draw,
     generate,
     make_truth,
     read_features,
@@ -657,7 +662,8 @@ class TestRunExperiment:
         methods = ("bape", "bape+adjust", "oracle")
         run_experiment(small_config(seeds=(3,), methods=methods, alpha_hat=2.0, beta_hat=0.5,
                                     estimation="exact", m0_steps=1))
-        train_ds, test_ds, truth = seen["data"]
+        train_ds, draw_test, truth = seen["data"]
+        test_ds = draw_test()
         raw = np.asarray(test_ds.features, dtype=float)
         oracle = truth.classifier(ClassPriors.from_counts(test_ds.class_counts))
         assert len(preds) == 3
@@ -696,7 +702,8 @@ class TestRunExperiment:
         cfg = small_config(seeds=(2,), methods=("logit_adjusted", "softmax"), eta=2.0, temperature=0.7,
                            weight_decay=1e-3, lr=0.3, epochs=4, batch_size=16)
         run_experiment(cfg)
-        train_ds, test_ds, _ = harness._load_data(cfg, 2)
+        train_ds, draw_test, _ = harness._load_data(cfg, 2)
+        test_ds = draw_test()
         for got, mode, scale in zip(preds, ("logit_adjusted", "softmax"), (2.0, 1.0)):
             alone = train(train_ds.features, train_ds.labels, TrainConfig(
                 lr=0.3, epochs=4, batch_size=16, weight_decay=1e-3, mode=mode, temperature=0.7,
@@ -761,7 +768,8 @@ class TestRunExperiment:
         n_blocks = len(calls) // 4
         assert n_blocks == 3 and len(calls) == 4 * n_blocks
         scores = [np.concatenate(calls[i::4]) for i in range(4)]
-        train_ds, test_ds, _ = harness._load_data(cfg, 4)
+        train_ds, draw_test, _ = harness._load_data(cfg, 4)
+        test_ds = draw_test()
         bape = harness._fit_bape(train_ds, cfg, 4)
         adjusted = adjust(bape, AdjustmentPolicy(ClassPriors.uniform(train_ds.n_classes), kappa_mode, fixed_kappa))
         unit_z = as_unit_vector(test_ds.features)
@@ -783,7 +791,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "logits", lambda head, z: seen.append((head, z)) or logits(head, z))
         cfg = small_config(seeds=(2,), methods=("ensemble",), normalize=True, test_per_class=600)
         run_experiment(cfg)
-        rows = np.asarray(harness._load_data(cfg, 2)[1].features, dtype=float)
+        rows = np.asarray(harness._load_data(cfg, 2)[1]().features, dtype=float)
         blocks = [z for head, z in seen if isinstance(head, LinearClassifier)]
         assert len(blocks) == 2  # one per block of the 2400 rows
         linear_z = np.concatenate(blocks)
@@ -807,7 +815,8 @@ class TestRunExperiment:
         cfg = small_config(seeds=(6,), methods=METHODS, test_per_class=test_per_class, alpha_hat=1.0, beta_hat=0.5,
                            m0_steps=1, temperature=0.8, epochs=2)
         run_experiment(cfg)
-        train_ds, test_ds, truth = harness._load_data(cfg, 6)
+        train_ds, draw_test, truth = harness._load_data(cfg, 6)
+        test_ds = draw_test()
         assert test_ds.n == 4 * test_per_class
         bape = harness._fit_bape(train_ds, cfg, 6)
         linear = harness._fit_linear(train_ds, cfg, ("softmax", "logit_adjusted"), 6)
@@ -900,6 +909,102 @@ class TestRunExperiment:
         )
         with pytest.raises(ExperimentError, match=r"'bape', seed 7"):
             run_experiment(cfg)
+
+
+class InlineExecutor:
+    """ThreadPoolExecutor's stand-in: runs each call when it is submitted, on
+    the calling thread, as the run did before it had a worker."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class TestTestSetDraw:
+    """The test set is drawn on a worker thread while the heads are fitted."""
+
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(seeds=(1,), methods=("bape", "bape+adjust", "oracle"), n_classes=100, dim=128,
+                         head_size=500, kappa_range=(20.0, 200.0), alpha_hat=1.0, beta_hat=0.5,
+                         estimation="exact", m0_steps=3),
+        ExperimentConfig(seeds=(1,), n_classes=20, dim=32, head_size=500, epochs=30),
+        small_config(seeds=(3, 1, 4), alpha_hat=1.0, beta_hat=0.5, m0_steps=2),
+    ], ids=["lt-exact-m0", "lt-default", "three-seeds"])
+    def test_reports_equal_an_inline_draw(self, monkeypatch, cfg):
+        import spherebayes.harness as harness
+
+        threads = []
+
+        def fill(*args):
+            threads.append(threading.current_thread())
+            return _fill_draw(*args)
+
+        monkeypatch.setattr(harness, "_fill_draw", fill)
+        threaded = run_experiment(cfg)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlineExecutor)
+        inline = run_experiment(cfg)
+        n = len(cfg.seeds)
+        assert len(threads) == 2 * n
+        assert threading.current_thread() not in threads[:n] and threads[n:] == [threading.current_thread()] * n
+        assert emit_report([replace(r, wall_time=0.0) for r in threaded]) == emit_report(
+            [replace(r, wall_time=0.0) for r in inline])
+
+    def test_no_worker_outlives_the_run(self, monkeypatch):
+        import spherebayes.harness as harness
+
+        before = set(threading.enumerate())
+        run_experiment(small_config(seeds=(0, 1)))
+        assert set(threading.enumerate()) <= before
+        with pytest.raises(ExperimentError, match="every class is degenerate"):
+            run_experiment(small_config(methods=("bape",), head_size=1))
+        assert set(threading.enumerate()) <= before
+        monkeypatch.setattr(harness, "_fill_draw", lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            run_experiment(small_config())
+        assert set(threading.enumerate()) <= before
+
+    def test_a_failed_fit_waits_for_the_draw(self, monkeypatch):
+        import spherebayes.harness as harness
+
+        drawn = []
+
+        def slow_fill(*args):
+            time.sleep(0.2)
+            drawn.append(_fill_draw(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(harness, "_fill_draw", slow_fill)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(ExperimentError, match="every class is degenerate"):
+                harness._run_seed(small_config(methods=("bape",), head_size=1), 0, pool)
+            assert len(drawn) == 1
+
+    def test_the_wait_for_the_draw_is_charged_to_no_method(self, monkeypatch):
+        # bape's fit of these few rows takes milliseconds, the draw half a second.
+        import spherebayes.harness as harness
+
+        def slow_fill(*args):
+            time.sleep(0.5)
+            return _fill_draw(*args)
+
+        monkeypatch.setattr(harness, "_fill_draw", slow_fill)
+        started = time.perf_counter()
+        (row,) = run_experiment(small_config(methods=("bape",)))
+        assert time.perf_counter() - started >= 0.5
+        assert row.wall_time < 0.25
 
 
 class TestEmitReport:
