@@ -183,12 +183,13 @@ class BayesClassifier:
         return self.mus.shape[1]
 
 
-def logits(head, z: np.ndarray) -> np.ndarray:
+def logits(head, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """z @ W.T + b: the logits of a BayesClassifier's or a LinearClassifier's head.
 
-    The bias is added in place, so the product is the only (n, K) array made.
+    The bias is added in place, so the product is the only (n, K) array made,
+    and none is made when it is written into `out`.
     """
-    s = z @ head.W.T
+    s = np.matmul(z, head.W.T, out=out)
     s += head.b
     return s
 

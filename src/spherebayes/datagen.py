@@ -239,17 +239,40 @@ def _fill_draw(truth: MixtureGroundTruth, counts: np.ndarray, features: np.ndarr
 
     Touches nothing but `features` and its own substreams, so it may run on
     another thread while the caller goes on."""
+    _fill_classes(truth, counts, features, seed, stream, range(truth.n_classes))
+    return _drawn(truth, counts, features)
+
+
+def _fill_classes(truth: MixtureGroundTruth, counts: np.ndarray, features: np.ndarray, seed: int, stream: int,
+                  classes: range) -> None:
+    """Draw the rows of a consecutive range of classes into their rows of `features`.
+
+    Each class j draws from its own substream (seed, stream, j) into its own
+    rows, so two threads may fill disjoint ranges of one matrix at once."""
     # Each block is cast to float32 as it is written, bitwise as astype would.
-    start = 0
-    for j, cnt in enumerate(counts.tolist()):
+    sizes = counts.tolist()
+    start = sum(sizes[: classes.start])
+    for j in classes:
+        cnt = sizes[j]
         if cnt:
             features[start : start + cnt] = sample(truth.components[j], cnt, substream(seed, stream, j))
             start += cnt
+
+
+def _drawn(truth: MixtureGroundTruth, counts: np.ndarray, features: np.ndarray) -> Dataset:
+    """The dataset of a filled draw: each class's rows in class order."""
     return Dataset(
         features=features,
         labels=np.repeat(np.arange(truth.n_classes, dtype=np.int64), counts),
         class_counts=counts,
     )
+
+
+def _long_tail_truth(spec: LongTailSpec, dim: int, kappa_range, center_mode: str, seed: int):
+    """The class sizes of `spec` and the ground truth `generate` draws them from."""
+    sizes = np.array(class_sizes(spec), dtype=np.int64)
+    truth = make_truth(spec.n_classes, dim, kappa_range, center_mode, seed, priors=ClassPriors.from_counts(sizes))
+    return sizes, truth
 
 
 def generate(
@@ -264,15 +287,7 @@ def generate(
     The recorded priors are the realized long-tail proportions, so the truth
     object doubles as the train-time Bayes oracle.
     """
-    sizes = np.array(class_sizes(spec), dtype=np.int64)
-    truth = make_truth(
-        spec.n_classes,
-        dim,
-        kappa_range,
-        center_mode,
-        seed,
-        priors=ClassPriors.from_counts(sizes),
-    )
+    sizes, truth = _long_tail_truth(spec, dim, kappa_range, center_mode, seed)
     return sample_dataset(truth, sizes, seed), truth
 
 

@@ -16,11 +16,13 @@ from the same mixture, per seed. Methods:
 Each head scores the test rows in the form it was fitted on: the Bayes heads
 the rows validated as unit vectors, the linear heads the rows their SGD loop
 saw (projected onto the sphere under `normalize`, as given otherwise).
-Generated test rows are drawn on a worker thread while the heads are fitted,
-and waited for at their first use. Every head is fitted and every test row
-checked before any row is scored; scoring is then one pass over the test
-rows in row blocks, which keeps its scratch memory at O(block * K) and each
-prediction bitwise that of the full-size arrays.
+Each run has one worker thread beside the calling thread. It fills the tail
+classes of a generated training set of at least two _BLOCKs of rows, then
+draws the test rows while the heads are fitted; they are waited for at their
+first use. Every head is fitted and every test row checked before any row is
+scored. The scoring then splits the test rows in two halves, one per thread,
+each scored in row blocks, which keeps the scratch memory at O(block * K)
+and each prediction bitwise that of the full-size arrays.
 
 Accuracy is reported overall and over class-frequency splits: many-shot
 (train count > 100), medium-shot (20..100), few-shot (< 20).
@@ -38,7 +40,7 @@ import io
 import json
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
@@ -69,8 +71,12 @@ from .datagen import (
     LongTailSpec,
     _allocate_draw,
     _check_row_total,
+    _drawn,
+    _fill_classes,
     _fill_draw,
     _kappa_bounds,
+    _long_tail_truth,
+    class_sizes,
     generate,
     read_features,
 )
@@ -332,9 +338,9 @@ def _training_counts(labels: np.ndarray, class_counts) -> np.ndarray:
     return class_counts[labels]
 
 
-# Rows per block of the scoring pass over the test rows and of the m0
-# gradient's pass over the training rows; each makes its (n, K) scratch one
-# block at a time.
+# Rows per block of the m0 gradient's pass over the training rows, and per
+# pair of blocks, one on each thread, of the scoring pass over the test rows;
+# each makes its (n, K) scratch one block at a time.
 _BLOCK = 2048
 
 
@@ -446,11 +452,14 @@ def _fit_linear(train_ds: Dataset, config: ExperimentConfig, modes, seed: int) -
     return {mode: clf for mode, (clf, _) in zip(modes, fitted)}
 
 
-def _load_data(config: ExperimentConfig, seed: int):
+def _load_data(config: ExperimentConfig, seed: int, pool: ThreadPoolExecutor | None = None):
     """The training set, a zero-argument call that returns the test set, and
     the ground truth (None for files).
 
-    Both files are read, and their dimensions checked, here. Generated test
+    Both files are read, and their dimensions checked, here. A generated
+    training set of at least two _BLOCKs of rows is drawn on two threads
+    when `pool` is given: its worker fills the tail classes that hold the
+    second half of the rows while this thread fills the rest. Generated test
     rows are checked and allocated here, after the training draw, and drawn
     by the call, which may run on another thread while the heads are fitted.
     """
@@ -461,11 +470,32 @@ def _load_data(config: ExperimentConfig, seed: int):
                 raise ValueError(f"test features have dimension {test_ds.dim}, training features {train_ds.dim}")
         return train_ds, lambda: test_ds, None
     spec = LongTailSpec(config.n_classes, config.head_size, config.gamma)
-    train_ds, truth = generate(
-        spec, config.dim, config.kappa_range, config.center_mode, seed
-    )
+    if pool is None or sum(class_sizes(spec)) < 2 * _BLOCK:
+        train_ds, truth = generate(spec, config.dim, config.kappa_range, config.center_mode, seed)
+    else:
+        sizes, truth = _long_tail_truth(spec, config.dim, config.kappa_range, config.center_mode, seed)
+        counts, features = _allocate_draw(truth, sizes)
+        classes = range(truth.n_classes)
+        split = int(np.searchsorted(np.cumsum(counts), len(features) / 2)) + 1
+        _on_both_threads(pool, partial(_fill_classes, truth, counts, features, seed, 2, classes[:split]),
+                         partial(_fill_classes, truth, counts, features, seed, 2, classes[split:]))
+        train_ds = _drawn(truth, counts, features)
     test_counts, test_features = _allocate_draw(truth, np.full(config.n_classes, config.test_per_class))
     return train_ds, partial(_fill_draw, truth, test_counts, test_features, seed, 3), truth
+
+
+def _on_both_threads(pool: ThreadPoolExecutor, own, other):
+    """The results of own(), run on this thread, and of other(), run on
+    `pool`'s worker at the same time, once both have ended. An error of
+    own() is raised before one of other(), and either only once both have
+    ended. Only the thread that owns `pool` may call this: its one worker
+    must never wait for itself."""
+    theirs = pool.submit(other)
+    try:
+        mine = own()
+    finally:
+        wait((theirs,))
+    return mine, theirs.result()
 
 
 # The weight directions each method's minority collapse is taken on. bape's
@@ -474,9 +504,37 @@ def _load_data(config: ExperimentConfig, seed: int):
 _COLLAPSE_ON = {"bape": "mus", "bape+adjust": "mus", "softmax": "W", "logit_adjusted": "W"}
 
 
-def _head_scores(head: str, built, features: np.ndarray, block: slice, cache: dict) -> np.ndarray:
-    """`head`'s class scores on one block of test rows, made once per block in
-    `cache`, as is each kind of rows they need.
+def _score_slots(methods) -> dict:
+    """The score buffer each head of `methods` is written into. A head keeps
+    its buffer from the first method that reads it to the last; a buffer
+    freed then goes to the next head scored."""
+    last = {head: i for i, method in enumerate(methods) for head in _HEADS[method]}
+    slots, free = {}, []
+    for i, method in enumerate(methods):
+        for head in _HEADS[method]:
+            if head not in slots:
+                slots[head] = free.pop() if free else len(set(slots.values()))
+        free += [slots[head] for head in _HEADS[method] if last[head] == i]
+    return slots
+
+
+class _Scratch:
+    """One thread's buffers for scoring blocks of up to `size` test rows: one
+    rows buffer, which holds the kind of rows last made, bape's product, and
+    the score buffers of `slots`. Made by the thread that runs the pass: a
+    buffer the worker made would stay in the worker's malloc arena."""
+
+    def __init__(self, size: int, dim: int, n_classes: int, slots: dict):
+        self.rows = np.empty((size, dim))
+        self.product = np.empty((size, n_classes))
+        self.scores = [np.empty((size, n_classes)) for _ in range(max(slots.values()) + 1)]
+        self.slots = slots
+
+
+def _head_scores(head: str, built, features: np.ndarray, block: slice, scratch: _Scratch, cache: dict) -> np.ndarray:
+    """`head`'s class scores on one block of test rows, written once per block
+    into its buffer in `scratch`, as are the rows they need; `cache` records
+    what the buffers hold for this block.
 
     Each head scores the rows it was fitted on. Those are the float64
     features divided by the norms that `built` holds for their kind (none for
@@ -486,43 +544,67 @@ def _head_scores(head: str, built, features: np.ndarray, block: slice, cache: di
     the unit rows with that W.
     """
     if head not in cache:
-        kind, clf = _rows_of(head), built[head]
-        if kind not in cache:
-            rows, norms = features[block], built[kind]
-            cache[kind] = np.asarray(rows, dtype=float) if norms is None else np.divide(rows, norms[block, np.newaxis])
+        kind, clf, n = _rows_of(head), built[head], block.stop - block.start
+        rows = scratch.rows[:n]
+        if cache.get("rows") != kind:
+            norms = built[kind]
+            if norms is None:
+                np.copyto(rows, features[block])
+            else:
+                np.divide(features[block], norms[block, np.newaxis], out=rows)
+            cache["rows"] = kind
+        out = scratch.scores[scratch.slots[head]][:n]
         if "bape" in built and clf.W is built["bape"].W:
             if "bape_product" not in cache:
-                cache["bape_product"] = cache[kind] @ clf.W.T
-            cache[head] = cache["bape_product"] + clf.b
+                cache["bape_product"] = np.matmul(rows, clf.W.T, out=scratch.product[:n])
+            cache[head] = np.add(cache["bape_product"], clf.b, out=out)
         else:
-            cache[head] = logits(clf, cache[kind])
+            cache[head] = logits(clf, rows, out=out)
     return cache[head]
 
 
-def _predictions(built, methods, config: ExperimentConfig, features: np.ndarray, seed: int):
-    """Each method's predicted class on every test row, from one pass over the
-    rows in blocks of _BLOCK, and the seconds each method spent in the pass.
+def _predictions(built, methods, config: ExperimentConfig, features: np.ndarray, seed: int,
+                 pool: ThreadPoolExecutor):
+    """Each method's predicted class on every test row, and the seconds each
+    method spent scoring them, summed over both threads.
 
-    Each method scores with its heads in `_HEADS`, whose scores on a block
-    are made once and shared by every method of the block; the ensemble
-    scores the mean of the bape and logit_adjusted log-posteriors, the latter
-    at the training temperature. Scores live for one block, so the scratch
-    is a few (_BLOCK, K) arrays whatever the number of rows.
+    This thread scores the first half of the rows while `pool`'s worker
+    scores the second, each in blocks of _BLOCK // 2 rows, so both threads
+    together hold the scratch of one _BLOCK. Every head and kind of rows the
+    methods read must be in `built` already: the threads only read it. Each
+    method scores with its heads in `_HEADS`, whose scores on a block are
+    made once and kept while a later method of the block reads them; the
+    ensemble scores the mean of the bape and logit_adjusted log-posteriors,
+    the latter at the training temperature. An error of the first half is
+    raised before one of the second, each once both halves have ended.
     """
-    preds = {method: np.empty(len(features), dtype=np.intp) for method in methods}
+    n, slots = len(features), _score_slots(methods)
+    preds = {method: np.empty(n, dtype=np.intp) for method in methods}
+    n_classes = len(built[next(iter(slots))].b)
+    halves = [range(0, (n + 1) // 2), range((n + 1) // 2, n)]
+    score = [partial(_score_rows, built, methods, config, features, seed, preds, rows,
+                     _Scratch(min(_BLOCK // 2, len(rows)), features.shape[1], n_classes, slots)) for rows in halves]
+    seconds = _on_both_threads(pool, *score)
+    return preds, {method: seconds[0][method] + seconds[1][method] for method in methods}
+
+
+def _score_rows(built, methods, config: ExperimentConfig, features: np.ndarray, seed: int, preds: dict, rows: range,
+                scratch: _Scratch) -> dict:
+    """Each method's predictions on `rows`, written into `preds`, a block of
+    _BLOCK // 2 rows at a time; returns the seconds each method spent."""
     seconds = dict.fromkeys(methods, 0.0)
-    for block in _blocks(len(features)):
-        cache = {}
+    for start in range(rows.start, rows.stop, _BLOCK // 2):
+        block, cache = slice(start, min(start + _BLOCK // 2, rows.stop)), {}
         for method in methods:
             started = time.perf_counter()
             with _charged_to(method, seed, methods):
-                scores = [_head_scores(head, built, features, block, cache) for head in _HEADS[method]]
+                scores = [_head_scores(head, built, features, block, scratch, cache) for head in _HEADS[method]]
                 if method == "ensemble":
                     linear, bape = scores
                     scores = [0.5 * (log_softmax(bape) + log_softmax(linear / config.temperature))]
                 preds[method][block] = top_class(scores[0])
             seconds[method] += time.perf_counter() - started
-    return preds, seconds
+    return seconds
 
 
 @contextmanager
@@ -550,9 +632,12 @@ def _tail_collapse(built, method: str, train_counts, threshold: int) -> float | 
 def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
     """All configured methods on all seeds; rows sorted by (method, seed).
 
-    Each seed's test set is drawn on one worker thread, which lives for this
-    call, while the seed's heads are fitted. Each class draws from its own
-    substream, so no value depends on the threads' timing.
+    One worker thread, which lives for this call, works beside the calling
+    thread on each seed: it fills the tail classes of a large training draw,
+    draws the test set while the heads are fitted, and scores the second half
+    of the test rows. Each class draws from its own substream and each row's
+    scores depend on that row alone, so no value depends on the threads'
+    timing.
     """
     rows = []
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -579,10 +664,10 @@ class _BuiltOnFirstUse(dict):
 
 def _run_seed(config: ExperimentConfig, seed: int, pool: ThreadPoolExecutor) -> list[ReportRow]:
     """One seed's report rows; its test set is drawn on `pool` while the heads are fitted."""
-    train_ds, draw_test, truth = _load_data(config, seed)
+    train_ds, draw_test, truth = _load_data(config, seed, pool)
     drawn = pool.submit(draw_test)
     try:
-        return _seed_rows(config, seed, train_ds, drawn.result, truth)
+        return _seed_rows(config, seed, train_ds, drawn.result, truth, pool)
     finally:
         # The draw comes before every fit, so once it has ended a failed
         # draw's own error is the one raised.
@@ -591,8 +676,10 @@ def _run_seed(config: ExperimentConfig, seed: int, pool: ThreadPoolExecutor) -> 
             raise error from None
 
 
-def _seed_rows(config: ExperimentConfig, seed: int, train_ds: Dataset, test_set, truth) -> list[ReportRow]:
-    """One seed's report rows; `test_set()` returns the test set, waiting for its draw."""
+def _seed_rows(config: ExperimentConfig, seed: int, train_ds: Dataset, test_set, truth,
+               pool: ThreadPoolExecutor) -> list[ReportRow]:
+    """One seed's report rows; `test_set()` returns the test set, waiting for
+    its draw, and `pool`'s worker scores half the test rows."""
     # The linear heads this run needs, trained together on the first use of either.
     heads = tuple(head for head in _SGD_HEADS if head in _heads_of(config.methods))
     waited = []  # the one wait for the test set, which no method is charged
@@ -627,10 +714,14 @@ def _seed_rows(config: ExperimentConfig, seed: int, train_ds: Dataset, test_set,
         "oracle": lambda deps: truth.classifier(ClassPriors.from_counts(deps["test"].class_counts)),
     })
 
+    scored = config.methods
+    if truth is not None and "oracle" not in scored:  # its predictions give every row's oracle_accuracy
+        scored += ("oracle",)
     # Every head is fitted, and then its test rows checked, in method order
-    # before any row is scored: each error names the method that meets it first.
+    # before any row is scored: each error names the method that meets it
+    # first. The scoring threads then only read `built`.
     seconds, collapse = {}, {}
-    for method in config.methods:
+    for method in scored:
         started = time.perf_counter()
         with _charged_to(method, seed, config.methods):
             for head in _HEADS[method]:
@@ -640,10 +731,7 @@ def _seed_rows(config: ExperimentConfig, seed: int, train_ds: Dataset, test_set,
         seconds[method] = time.perf_counter() - started - (waited.pop() if waited else 0.0)
     test_ds = built["test"]
     _training_counts(test_ds.labels, train_ds.class_counts)  # the split check, before any row is scored
-    scored = config.methods
-    if truth is not None and "oracle" not in scored:  # its predictions give every row's oracle_accuracy
-        scored += ("oracle",)
-    preds, pass_seconds = _predictions(built, scored, config, test_ds.features, seed)
+    preds, pass_seconds = _predictions(built, scored, config, test_ds.features, seed, pool)
     oracle_acc = float(np.mean(preds["oracle"] == test_ds.labels)) if truth is not None else None
     rows = []
     for method in config.methods:

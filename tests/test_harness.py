@@ -32,6 +32,7 @@ from spherebayes.classifier import (
 from spherebayes.datagen import (
     Dataset,
     LongTailSpec,
+    MixtureGroundTruth,
     _fill_draw,
     generate,
     make_truth,
@@ -62,7 +63,7 @@ from spherebayes.harness import (
 )
 from spherebayes.priors import EtfFrame, build_etf, grad_step_m0
 from spherebayes.special import log_vmf_normalizer, mean_resultant_ratio
-from spherebayes.vmf import as_unit_vector, substream
+from spherebayes.vmf import _unit_norms, as_unit_vector, substream
 
 
 class TestSplitAccuracy:
@@ -520,6 +521,33 @@ def test_blocked_product_is_bitwise_the_full_product(n, p, k):
     assert_array_equal(np.concatenate([z[rows] @ w.T for rows in _blocks(n)]), z @ w.T)
 
 
+def _scoring_rise(monkeypatch) -> int:
+    """How far traced memory rises above its start in the scoring pass of a
+    K=100, p=128 run of the closed-form methods on 20000 test rows."""
+    import spherebayes.harness as harness
+
+    scoring = harness._predictions
+    rises = []
+
+    def measured(built, methods, config, features, seed, pool):
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = scoring(built, methods, config, features, seed, pool)
+        rises.append(tracemalloc.get_traced_memory()[1] - held)
+        return out
+
+    monkeypatch.setattr(harness, "_predictions", measured)
+    cfg = ExperimentConfig(seeds=(0,), methods=("bape", "bape+adjust", "oracle"), n_classes=100, dim=128,
+                           head_size=60, gamma=10.0, kappa_range=(20.0, 200.0), test_per_class=200)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+    finally:
+        tracemalloc.stop()
+    (rise,) = rises
+    return rise
+
+
 def small_config(**overrides):
     base = dict(
         seeds=(0,),
@@ -534,6 +562,12 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def split_config(**overrides):
+    """A config whose training draw, 4966 rows, is large enough to be split."""
+    return small_config(**{"n_classes": 8, "dim": 8, "head_size": 1500, "test_per_class": 300, "epochs": 2,
+                           **overrides})
 
 
 class TestRunExperiment:
@@ -746,10 +780,10 @@ class TestRunExperiment:
         # "keep" bape+adjust's W is bape's own array, and it adds its b to the
         # same product, bitwise its own logits too. The other modes change W
         # and score with their own call. The pass sees one array per block
-        # (three here, the last partial), in method order with the oracle
-        # last; each method's blocks are compared concatenated. Only the
-        # scoring pass is spied on: the m0 step of the fit scores with its
-        # own call too.
+        # (three per half of the rows here, the last partial), in method
+        # order with the oracle last; each method's blocks are compared
+        # concatenated, this thread's half first. Only the scoring pass is
+        # spied on: the m0 step of the fit scores with its own call too.
         import spherebayes.harness as harness
 
         calls, own_calls = [], []
@@ -757,16 +791,21 @@ class TestRunExperiment:
 
         def spied_scoring_pass(*args):
             with monkeypatch.context() as spy:
-                spy.setattr(harness, "logits", lambda head, z: own_calls.append(head) or logits(head, z))
+                spy.setattr(harness, "logits", lambda head, z, **kw: own_calls.append(
+                    (threading.get_ident(), head)) or logits(head, z, **kw))
                 return scoring_pass(*args)
 
-        monkeypatch.setattr(harness, "top_class", lambda s: calls.append(s) or s.argmax(axis=-1))
+        monkeypatch.setattr(harness, "top_class", lambda s: calls.append(
+            (threading.get_ident(), s.copy())) or s.argmax(axis=-1))
         monkeypatch.setattr(harness, "_predictions", spied_scoring_pass)
         cfg = small_config(seeds=(4,), methods=("bape", "bape+adjust", "ensemble"), kappa_mode=kappa_mode,
                            fixed_kappa=fixed_kappa, alpha_hat=1.0, beta_hat=0.5, m0_steps=1, test_per_class=1100)
         run_experiment(cfg)
+        # Each thread's calls in its own order, this thread's first.
+        calls, own_calls = ([call for _, call in sorted(seen, key=lambda c: c[0] != threading.get_ident())]
+                            for seen in (calls, own_calls))
         n_blocks = len(calls) // 4
-        assert n_blocks == 3 and len(calls) == 4 * n_blocks
+        assert n_blocks == 6 and len(calls) == 4 * n_blocks
         scores = [np.concatenate(calls[i::4]) for i in range(4)]
         train_ds, draw_test, _ = harness._load_data(cfg, 4)
         test_ds = draw_test()
@@ -788,12 +827,14 @@ class TestRunExperiment:
         import spherebayes.harness as harness
 
         seen = []
-        monkeypatch.setattr(harness, "logits", lambda head, z: seen.append((head, z)) or logits(head, z))
+        monkeypatch.setattr(harness, "logits", lambda head, z, **kw: seen.append(
+            (threading.get_ident(), head, z.copy())) or logits(head, z, **kw))
         cfg = small_config(seeds=(2,), methods=("ensemble",), normalize=True, test_per_class=600)
         run_experiment(cfg)
         rows = np.asarray(harness._load_data(cfg, 2)[1]().features, dtype=float)
-        blocks = [z for head, z in seen if isinstance(head, LinearClassifier)]
-        assert len(blocks) == 2  # one per block of the 2400 rows
+        seen.sort(key=lambda call: call[0] != threading.get_ident())  # this thread's half first
+        blocks = [z for _, head, z in seen if isinstance(head, LinearClassifier)]
+        assert len(blocks) == 4  # two per half of the 2400 rows
         linear_z = np.concatenate(blocks)
         assert not np.array_equal(linear_z, rows)  # the float32 rows are off the sphere in their last bits
         assert_array_equal(linear_z, rows / np.linalg.norm(rows, axis=1, keepdims=True))
@@ -836,29 +877,15 @@ class TestRunExperiment:
     def test_scoring_holds_no_full_size_scores(self, monkeypatch):
         # K=100, p=128 and 200 test rows per class, the closed-form methods:
         # one (n_test, K) float64 array is 16 MB, so scores held at full size
-        # fail this. The blocked pass rises about 9 MB above what it starts with.
-        import spherebayes.harness as harness
+        # fail this. The blocked pass rises about 6 MB above what it starts with.
+        assert 0 < _scoring_rise(monkeypatch) < 20000 * 100 * 8
 
-        scoring = harness._predictions
-        rises = []
-
-        def measured(built, methods, config, features, seed):
-            held, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            out = scoring(built, methods, config, features, seed)
-            rises.append(tracemalloc.get_traced_memory()[1] - held)
-            return out
-
-        monkeypatch.setattr(harness, "_predictions", measured)
-        cfg = ExperimentConfig(seeds=(0,), methods=("bape", "bape+adjust", "oracle"), n_classes=100, dim=128,
-                               head_size=60, gamma=10.0, kappa_range=(20.0, 200.0), test_per_class=200)
-        tracemalloc.start()
-        try:
-            run_experiment(cfg)
-        finally:
-            tracemalloc.stop()
-        (rise,) = rises
-        assert 0 < rise < 20000 * 100 * 8
+    def test_scoring_keeps_only_the_scores_a_method_reads(self, monkeypatch):
+        # The same pass. Each thread holds one rows buffer, bape's product and
+        # one score buffer for a block of 1024 rows (each head is read by one
+        # method only), 2.7 MB; the predictions take 0.5 MB. A pass that kept
+        # every head's scores for the block rose 8.8 MiB.
+        assert 0 < _scoring_rise(monkeypatch) < 7 * 2**20
 
     # No np.errstate wrapper below: a leaked RuntimeWarning would fail them.
     @pytest.mark.parametrize("methods, culprit", [
@@ -942,7 +969,12 @@ class TestTestSetDraw:
                          estimation="exact", m0_steps=3),
         ExperimentConfig(seeds=(1,), n_classes=20, dim=32, head_size=500, epochs=30),
         small_config(seeds=(3, 1, 4), alpha_hat=1.0, beta_hat=0.5, m0_steps=2),
-    ], ids=["lt-exact-m0", "lt-default", "three-seeds"])
+        split_config(seeds=(3, 1, 4), alpha_hat=1.0, beta_hat=0.5, m0_steps=2),  # each training draw split
+        small_config(test_per_class=100),  # 400 test rows: one partial block per half
+        small_config(n_classes=3, test_per_class=683),  # 2049 rows: two blocks on this thread, one on the worker
+        small_config(test_per_class=768),  # 3072 rows: three half-blocks of rows
+    ], ids=["lt-exact-m0", "lt-default", "three-seeds", "three-split-seeds", "partial-block", "odd-half-blocks",
+            "three-half-blocks"])
     def test_reports_equal_an_inline_draw(self, monkeypatch, cfg):
         import spherebayes.harness as harness
 
@@ -967,6 +999,8 @@ class TestTestSetDraw:
 
         before = set(threading.enumerate())
         run_experiment(small_config(seeds=(0, 1)))
+        assert set(threading.enumerate()) <= before
+        run_experiment(split_config(seeds=(0, 1)))  # each training draw split, each test set scored in halves
         assert set(threading.enumerate()) <= before
         with pytest.raises(ExperimentError, match="every class is degenerate"):
             run_experiment(small_config(methods=("bape",), head_size=1))
@@ -1006,6 +1040,177 @@ class TestTestSetDraw:
         assert time.perf_counter() - started >= 0.5
         assert row.wall_time < 0.25
 
+
+class TestWorkOnTwoThreads:
+    """The scoring pass, and a large training draw, are split between the
+    calling thread and the run's worker."""
+
+    def test_one_test_row_equals_an_inline_run(self, tmp_path, monkeypatch):
+        import spherebayes.harness as harness
+
+        train_ds, truth = generate(LongTailSpec(4, 60, 10.0), 6, seed=3)
+        test_ds = sample_dataset(truth, [1, 0, 0, 0], seed=3, stream=3)
+        paths = [str(tmp_path / "tr.bin"), str(tmp_path / "te.bin")]
+        write_features(paths[0], train_ds)
+        write_features(paths[1], test_ds)
+        cfg = ExperimentConfig(methods=METHODS[:-1], train_file=paths[0], test_file=paths[1], epochs=2)
+        threaded = run_experiment(cfg)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlineExecutor)
+        inline = run_experiment(cfg)
+        assert emit_report([replace(r, wall_time=0.0) for r in threaded]) == emit_report(
+            [replace(r, wall_time=0.0) for r in inline])
+
+    def test_each_half_is_scored_on_its_own_thread(self, monkeypatch):
+        import spherebayes.harness as harness
+
+        halves = []
+        score_rows = harness._score_rows
+
+        def recorded(*args):
+            halves.append((threading.current_thread(), args[6]))
+            return score_rows(*args)
+
+        monkeypatch.setattr(harness, "_score_rows", recorded)
+        run_experiment(small_config(test_per_class=501))  # 2004 rows
+        here = threading.current_thread()
+        (first, first_rows), (second, second_rows) = sorted(halves, key=lambda half: half[1].start)
+        assert first is here and second is not here
+        assert (first_rows, second_rows) == (range(0, 1002), range(1002, 2004))
+
+    @pytest.mark.parametrize("methods", [("bape",), ("softmax", "ensemble"), ("bape+adjust", "oracle")])
+    def test_the_oracle_is_built_once_before_the_pass(self, monkeypatch, methods):
+        # An unlisted oracle is scored for oracle_accuracy: it and the unit
+        # norms it reads are built on this thread, before either half runs.
+        import spherebayes.harness as harness
+
+        builds = []
+        classifier = MixtureGroundTruth.classifier
+        monkeypatch.setattr(MixtureGroundTruth, "classifier",
+                            lambda truth, priors=None: builds.append(threading.current_thread()) or classifier(
+                                truth, priors))
+        monkeypatch.setattr(harness, "_unit_norms",
+                            lambda features: builds.append(threading.current_thread()) or _unit_norms(features))
+        run_experiment(small_config(methods=methods, test_per_class=600))
+        assert builds == [threading.current_thread()] * 2
+
+    @pytest.mark.parametrize("methods, failures, culprit", [
+        (METHODS, (("oracle", 1500),), ("oracle", "oracle", 1500)),  # the second half only
+        (METHODS, (("logit_adjusted", 100),), ("logit_adjusted", "logit_adjusted", 100)),  # the first half only
+        (METHODS, (("bape", 1500), ("oracle", 100)), ("oracle", "oracle", 100)),  # both: the first half's first
+        (METHODS, (("bape", 100), ("bape+adjust", 100)), ("bape", "bape", 100)),  # one block: method order
+        (("bape", "ensemble", "logit_adjusted"), (("logit_adjusted", 1500),),  # the first method to read it
+         ("ensemble", "logit_adjusted", 1500)),
+    ])
+    def test_an_error_in_either_half_names_the_serial_method(self, monkeypatch, methods, failures, culprit):
+        # 2200 test rows: this thread scores rows 0-1099, the worker 1100-2199.
+        # The worker's half is slowed down; the error waits for it.
+        import spherebayes.harness as harness
+
+        head_scores, score_rows, ended = harness._head_scores, harness._score_rows, []
+
+        def failing(head, built, features, block, *args):
+            for failed, row in failures:
+                if head == failed and block.start <= row < block.stop:
+                    raise ValueError(f"{head} fails on row {row}")
+            return head_scores(head, built, features, block, *args)
+
+        def slow_worker(*args):
+            try:
+                return score_rows(*args)
+            finally:
+                if threading.current_thread() is not here:
+                    time.sleep(0.2)
+                ended.append(args[6])
+
+        here = threading.current_thread()
+        monkeypatch.setattr(harness, "_head_scores", failing)
+        monkeypatch.setattr(harness, "_score_rows", slow_worker)
+        cfg = small_config(methods=methods, test_per_class=550)
+        message = rf"^method '{culprit[0]}', seed 0: {culprit[1]} fails on row {culprit[2]}$"
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(ExperimentError, match=message):
+                harness._run_seed(cfg, 0, pool)
+            assert sorted(ended, key=lambda rows: rows.start) == [range(0, 1100), range(1100, 2200)]
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlineExecutor)
+        with pytest.raises(ExperimentError, match=message):
+            run_experiment(cfg)
+
+    def test_a_split_training_draw_equals_sample_dataset(self, monkeypatch):
+        import spherebayes.harness as harness
+
+        fills, fill = [], harness._fill_classes
+        monkeypatch.setattr(harness, "_fill_classes",
+                            lambda *args: fills.append((threading.current_thread(), args[-1])) or fill(*args))
+        cfg = split_config()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            train_ds, _, truth = harness._load_data(cfg, 5, pool)
+        expected, _ = generate(LongTailSpec(8, 1500, 10.0), 8, cfg.kappa_range, cfg.center_mode, 5)
+        assert train_ds.n == expected.n >= 2 * _BLOCK
+        assert_array_equal(train_ds.features, expected.features)
+        assert_array_equal(train_ds.labels, expected.labels)
+        assert_array_equal(train_ds.class_counts, expected.class_counts)
+        # This thread fills the head classes and the worker the tail classes
+        # that hold the second half of the rows.
+        (own, head), (worker, tail) = sorted(fills, key=lambda fill: fill[1].start)
+        assert own is threading.current_thread() and worker is not own
+        assert head == range(0, head.stop) and tail == range(head.stop, 8)
+        rows = np.cumsum(train_ds.class_counts)
+        assert rows[head.stop - 2] < train_ds.n / 2 <= rows[head.stop - 1]
+
+    def test_a_small_or_poolless_training_draw_is_serial(self, monkeypatch):
+        import spherebayes.harness as harness
+
+        class NoPool:
+            def submit(self, *args):
+                raise AssertionError("a small draw was split")
+
+        monkeypatch.setattr(harness, "_fill_classes", lambda *args: pytest.fail("the draw was split"))
+        expected, _ = generate(LongTailSpec(4, 40, 10.0), 6, (8.0, 25.0), "random", 2)
+        train_ds, _, _ = harness._load_data(small_config(), 2, NoPool())
+        assert_array_equal(train_ds.features, expected.features)
+        before = set(threading.enumerate())
+        harness._load_data(split_config(), 2)
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("failing, culprit", [((1,), 1), ((6,), 6), ((1, 6), 1)],
+                             ids=["head-range", "tail-range", "both"])
+    def test_a_failing_class_reports_its_own_error(self, monkeypatch, failing, culprit):
+        # Classes 0-1 hold the first half of the 4966 rows, 2-7 the second.
+        # A failure in the worker's range is slowed down; the error waits for it.
+        import spherebayes.datagen as datagen
+        import spherebayes.harness as harness
+
+        cfg = split_config()
+        _, truth = datagen._long_tail_truth(LongTailSpec(8, 1500, 10.0), 8, cfg.kappa_range, cfg.center_mode, 5)
+        kappas, sample, failed = [c.kappa for c in truth.components], datagen.sample, []
+
+        def failing_sample(params, n, rng):
+            j = kappas.index(params.kappa)
+            if j in failing:
+                if j > 1:
+                    time.sleep(0.2)
+                failed.append(j)
+                raise ValueError(f"class {j} fails")
+            return sample(params, n, rng)
+
+        monkeypatch.setattr(datagen, "sample", failing_sample)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(ValueError, match=rf"^class {culprit} fails$"):
+                harness._load_data(cfg, 5, pool)
+            assert sorted(failed) == sorted(failing)
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match=rf"^class {culprit} fails$"):
+            run_experiment(split_config(seeds=(5,)))
+        assert set(threading.enumerate()) <= before
+
+    def test_split_work_leaves_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            run_experiment(split_config(seeds=(0, 1), epochs=1))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 class TestEmitReport:
     def _rows(self):

@@ -1,0 +1,63 @@
+"""bench/pairs.py's summary of benchmark pairs, on fixed numbers (no benchmark runs)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "bench" / "pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pairs = _load_pairs()
+OP_S = {"name": "op_s.p50.host_norm", "unit": "s", "better": "lower", "bound": 0.2}
+ACC = {"name": "acc_all.bape_adjust", "unit": "ratio", "better": "higher", "bound": 0.1}
+PARENT = [0.30, 0.32, 0.31, 0.33, 0.29, 0.34, 0.30, 0.31, 0.32, 0.33]
+CHANGE = [0.24, 0.25, 0.23, 0.26, 0.24, 0.25, 0.31, 0.24, 0.23, 0.25]  # worse in the seventh pair only
+
+
+def test_a_gain_in_nine_of_ten_pairs_beyond_the_parents_spread():
+    s = pairs.summarize(OP_S, PARENT, CHANGE)
+    assert s["parent"] == pytest.approx((0.3025, 0.315, 0.3275))
+    assert s["change"] == pytest.approx((0.24, 0.245, 0.25))
+    assert (s["wins"], s["pairs"], s["gain"]) == (9, 10, True)
+    assert s["relative"] == pytest.approx(0.245 / 0.315 - 1.0)
+
+
+def test_eight_wins_in_ten_show_no_gain():
+    change = CHANGE[:-1] + [0.40]
+    s = pairs.summarize(OP_S, PARENT, change)
+    assert (s["wins"], s["gain"]) == (8, False)
+
+
+def test_a_median_gap_inside_the_parents_spread_shows_no_gain():
+    change = [p - 0.001 for p in PARENT]
+    s = pairs.summarize(OP_S, PARENT, change)
+    assert (s["wins"], s["gain"]) == (10, False)
+
+
+def test_ties_count_for_neither_and_higher_can_be_better():
+    s = pairs.summarize(ACC, [0.6, 0.6, 0.6], [0.6, 0.7, 0.5])
+    assert (s["wins"], s["gain"], s["relative"]) == (1, False, 0.0)
+
+
+def test_report_prints_every_pair_and_the_verdict():
+    text = pairs.report(OP_S, list(range(801, 811)), PARENT, CHANGE)
+    lines = text.splitlines()
+    assert lines[0] == "op_s.p50.host_norm (s, lower is better, bound 0.2)"
+    assert lines[1] == "  seed 801: 0.3 -> 0.24"
+    assert lines[-2] == "  median 0.315 (quartiles 0.3025-0.3275) -> 0.245 (0.24-0.25), -22.22%"
+    assert lines[-1] == "  change better in 9 of 10 pairs; gap beyond the parent's IQR 0.025: yes"
+
+
+def test_reads_the_end_to_end_metrics_of_the_benchmark():
+    names = [m["name"] for m in pairs.end_to_end_metrics(str(ROOT))]
+    assert names == [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert "op_s.p50.host_norm" in names
