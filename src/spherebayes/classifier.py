@@ -27,6 +27,9 @@ from .estimation import (
 from .special import MAX_KAPPA, log_vmf_normalizer, logsumexp
 from .vmf import as_unit_vector
 
+# The concentration policies of AdjustmentPolicy.
+KAPPA_MODES = ("keep", "shared_mean", "fixed")
+
 __all__ = [
     "ClassPriors",
     "BayesClassifier",
@@ -105,7 +108,7 @@ class AdjustmentPolicy:
     fixed_kappa: float | None = None
 
     def __post_init__(self):
-        if self.kappa_mode not in ("keep", "shared_mean", "fixed"):
+        if self.kappa_mode not in KAPPA_MODES:
             raise ValueError(f"unknown kappa_mode {self.kappa_mode!r}")
         if self.kappa_mode == "fixed":
             if self.fixed_kappa is None or not 0.0 < self.fixed_kappa <= MAX_KAPPA:

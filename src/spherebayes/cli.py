@@ -34,7 +34,10 @@ from .datagen import (
     write_features,
 )
 from .harness import (
+    _KINDS,
+    _ROWS,
     ExperimentConfig,
+    _failure,
     _fit_bape,
     _fit_linear,
     _is_real,
@@ -58,26 +61,39 @@ def _fail(message: str, code: int = 1) -> int:
     return code
 
 
-def _count(text: str) -> int:
-    """An integer flag that counts something: past int64 it would fail in numpy."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value >= 2**63:
-        raise argparse.ArgumentTypeError(f"must be below 2**63, got {text}")
-    return value
+def _flag_type(row):
+    """The argparse type of a setting's flag: its text read as a value of the
+    row's kind (a pair as 'lo,hi'), in a list of one for a key that holds a
+    list. A rejection is argparse's error, which names the flag."""
+    tests, convert = _KINDS[row.kind]
+    read = float if row.kind == "pair" else convert
+
+    def parse(text: str):
+        try:
+            value = [read(part) for part in text.split(",")] if row.kind == "pair" else read(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {read.__name__} value: {text!r}") from None
+        if failed := _failure(tests, value):
+            raise argparse.ArgumentTypeError(failed)
+        return (convert(value),) if row.many else convert(value)
+
+    return parse
 
 
-def _seed(text: str) -> int:
-    """A seed flag: the random streams take only non-negative seeds."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
+    """The flags of `command` that set ExperimentConfig keys, each with its
+    key's default, kind and choices."""
+    for key, row in _ROWS.items():
+        flag = getattr(row, command)
+        if flag is None:
+            continue
+        if row.kind == "bool":
+            parser.add_argument(flag, dest=key, action="store_true", default=row.default, help=row.help)
+        else:
+            # The help names a value as argparse would for a dest named after the flag.
+            parser.add_argument(flag, dest=key, type=_flag_type(row), default=row.default, help=row.help,
+                                choices=row.choices or None,
+                                metavar=None if row.choices else flag[2:].replace("-", "_").upper())
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,30 +104,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic long-tailed feature file")
-    gen.add_argument("--classes", type=_count, default=20)
-    gen.add_argument("--dim", type=_count, default=32)
-    gen.add_argument("--head-size", type=_count, default=500)
-    gen.add_argument("--gamma", type=float, default=100.0)
-    gen.add_argument("--kappa-range", default="5,50", help="log-uniform range 'lo,hi'")
-    gen.add_argument("--center-mode", choices=("etf", "random"), default="random")
-    gen.add_argument("--seed", type=_seed, default=0)
+    _add_settings(gen, "generate")
     gen.add_argument("--out", required=True, help="feature file path (.csv for CSV)")
     gen.add_argument("--test-out", help="also write a balanced test file from the same mixture")
-    gen.add_argument("--test-per-class", type=_count, default=200)
 
     fit_p = sub.add_parser("fit", help="fit a classifier from a feature file")
     fit_p.add_argument("--model", choices=("bape", "softmax", "logit_adjusted"), default="bape")
-    fit_p.add_argument("--alpha-hat", type=float, default=0.0)
-    fit_p.add_argument("--beta-hat", type=float, default=0.0)
-    fit_p.add_argument("--estimation", choices=("approx", "exact"), default="approx")
-    fit_p.add_argument("--eta", type=float, default=1.0, help="gradient scale of the logit_adjusted loss")
-    fit_p.add_argument("--lr", type=float, default=0.5)
-    fit_p.add_argument("--epochs", type=_count, default=30)
-    fit_p.add_argument("--batch-size", type=_count, default=64)
-    fit_p.add_argument("--weight-decay", type=float, default=0.0)
-    fit_p.add_argument("--temperature", type=float, default=1.0)
-    fit_p.add_argument("--normalize", action="store_true", help="renormalize features to the sphere")
-    fit_p.add_argument("--seed", type=_seed, default=0)
+    _add_settings(fit_p, "fit")
     fit_p.add_argument("--train", required=True, help="training feature file")
     fit_p.add_argument("--out", required=True, help="classifier JSON path")
 
@@ -141,51 +140,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_kappa_range(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 'lo,hi', got {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
 def _cmd_generate(args) -> int:
+    # The draw checks the kappa range and the long-tail profile itself.
+    per_class, dim = _ROWS["test_per_class"], _ROWS["dim"]
     if args.test_out:
-        if args.test_per_class < 1:
-            raise ValueError(f"--test-per-class must be >= 1, got {args.test_per_class}")
-        _check_row_total(args.classes * args.test_per_class, "--classes and --test-per-class")
-    spec = LongTailSpec(args.classes, args.head_size, args.gamma)
-    train_ds, truth = generate(
-        spec, args.dim, _parse_kappa_range(args.kappa_range), args.center_mode, args.seed
-    )
+        per_class.check(per_class.generate, args.test_per_class)
+        names = f"{_ROWS['n_classes'].generate} and {per_class.generate}"
+        _check_row_total(args.n_classes * args.test_per_class, names)
+    dim.check(dim.generate, args.dim)
+    spec = LongTailSpec(args.n_classes, args.head_size, args.gamma)
+    seed = args.seeds[0]
+    train_ds, truth = generate(spec, args.dim, args.kappa_range, args.center_mode, seed)
     # Both sets are drawn before either is written: a test set too large to
     # allocate leaves no training file behind.
-    counts = np.full(args.classes, args.test_per_class)
-    test_ds = sample_dataset(truth, counts, args.seed, stream=3) if args.test_out else None
+    counts = np.full(args.n_classes, args.test_per_class)
+    test_ds = sample_dataset(truth, counts, seed, stream=3) if args.test_out else None
     write_features(args.out, train_ds)
     if args.test_out:
         write_features(args.test_out, test_ds)
     return 0
 
 
-# `fit` flags that configure the same fitters as `compare` (same names).
-_FIT_SETTINGS = (
-    "alpha_hat", "beta_hat", "estimation", "eta", "lr", "epochs", "batch_size",
-    "weight_decay", "temperature", "normalize",
-)
-
-
 def _cmd_fit(args) -> int:
     ds = read_features(args.train)
-    config = ExperimentConfig(
-        seeds=(args.seed,), methods=(args.model,), **{name: getattr(args, name) for name in _FIT_SETTINGS}
-    )
+    settings = {key: getattr(args, key) for key, row in _ROWS.items() if row.fit}
+    config = ExperimentConfig(methods=(args.model,), **settings)
+    seed = config.seeds[0]
     if args.model == "bape":
-        text = to_json(_fit_bape(ds, config, args.seed))
+        text = to_json(_fit_bape(ds, config, seed))
     else:
-        text = linear_to_json(_fit_linear(ds, config, (args.model,), args.seed)[args.model], args.normalize)
+        text = linear_to_json(_fit_linear(ds, config, (args.model,), seed)[args.model], config.normalize)
     with open(args.out, "w") as fh:
         fh.write(text + "\n")
     return 0
+
+
+def _real_in(text: str, flag: str) -> float:
+    """text as a float, or a ValueError naming the flag it was given to."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{flag} needs a real number, got {text!r}") from None
 
 
 def _parse_adjustment(args, n_classes: int) -> AdjustmentPolicy | None:
@@ -195,7 +190,7 @@ def _parse_adjustment(args, n_classes: int) -> AdjustmentPolicy | None:
     if mode_text == "shared-mean":
         kappa_mode, fixed = "shared_mean", None
     elif mode_text.startswith("fixed:"):
-        kappa_mode, fixed = "fixed", float(mode_text.split(":", 1)[1])
+        kappa_mode, fixed = "fixed", _real_in(mode_text.split(":", 1)[1], "--kappa-mode fixed:<v>")
     elif mode_text == "keep":
         kappa_mode, fixed = "keep", None
     else:
@@ -212,9 +207,9 @@ def _parse_adjustment(args, n_classes: int) -> AdjustmentPolicy | None:
             raise ValueError(f"prior file {path} must hold a JSON list of numbers")
         target = ClassPriors(np.asarray(values, dtype=float))
     elif spec.startswith("imbalance:"):
-        gamma = float(spec.split(":", 1)[1])
-        if gamma < 1.0:
-            raise ValueError(f"imbalance factor must be >= 1, got {gamma}")
+        gamma = _real_in(spec.split(":", 1)[1], "--adjust-priors imbalance:<gamma>")
+        if not 1.0 <= gamma < np.inf:
+            raise ValueError(f"imbalance factor must be >= 1 and finite, got {gamma}")
         weights = gamma ** (-np.arange(n_classes) / (n_classes - 1))
         target = ClassPriors(weights / weights.sum())
     else:

@@ -23,6 +23,9 @@ import numpy as np
 from .special import MAX_KAPPA, mean_resultant_ratio
 from .vmf import VmfParams, as_unit_vector
 
+# How a MAP kappa is found: the closed-form approximation, or a solve of A_p(kappa) = r.
+ESTIMATION_MODES = ("approx", "exact")
+
 __all__ = [
     "ClassStats",
     "PriorSpec",
@@ -228,7 +231,7 @@ def concentrations(p: int, r, mode: str) -> np.ndarray:
     once by safeguarded Newton below that value (residual below 1e-10). r = 0
     gives kappa = 0. Classes whose kappa is unbounded (r >= 1 by float slop) or
     above MAX_KAPPA raise one ConcentrationOverflowError that lists them all."""
-    if mode not in ("approx", "exact"):
+    if mode not in ESTIMATION_MODES:
         raise ValueError(f"unknown estimation mode {mode!r}")
     r = np.asarray(r, dtype=float)
     with np.errstate(divide="ignore"):
@@ -250,7 +253,7 @@ def concentration_slopes(p: int, alpha, beta, kappa, a, mode: str) -> np.ndarray
     """dkappa/dbeta at fixed alpha of `concentrations`' kappa at beta/alpha > 0, given that
     kappa and a = A_p(kappa). Mode "approx" differentiates p*beta*alpha/(alpha^2 - beta^2);
     mode "exact" takes 1/(alpha A'(kappa)), A' = 1 - a^2 - (p-1)a/kappa."""
-    if mode not in ("approx", "exact"):
+    if mode not in ESTIMATION_MODES:
         raise ValueError(f"unknown estimation mode {mode!r}")
     if mode == "approx":
         return p * alpha * (alpha**2 + beta**2) / (alpha**2 - beta**2) ** 2

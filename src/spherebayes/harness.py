@@ -42,7 +42,7 @@ import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -56,6 +56,7 @@ from .baselines import (
     minority_collapse_metric,
 )
 from .classifier import (
+    KAPPA_MODES,
     AdjustmentPolicy,
     BayesClassifier,
     ClassPriors,
@@ -80,7 +81,7 @@ from .datagen import (
     generate,
     read_features,
 )
-from .estimation import ClassStats, _check_rates, concentration_slopes
+from .estimation import ESTIMATION_MODES, ClassStats, _check_rates, concentration_slopes
 from .priors import EtfFrame, build_etf, grad_step_m0
 from .special import MAX_DIM, mean_resultant_ratio
 from .vmf import _unit_norms, as_unit_vector, substream
@@ -145,24 +146,75 @@ class ReportRow:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-# ExperimentConfig fields that count something; seeds holds a list of them.
-_INTEGER_FIELDS = ("seeds", "n_classes", "dim", "head_size", "test_per_class", "m0_steps", "epochs", "batch_size")
-# Fields that hold a real number (fixed_kappa may also be None), and fields
-# that hold a pair of them.
-_REAL_FIELDS = ("gamma", "alpha_hat", "beta_hat", "fixed_kappa", "m0_lr", "eta", "lr", "weight_decay", "temperature")
-_PAIR_FIELDS = ("kappa_range", "thresholds")
-
-
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _as_float(key: str, value) -> float:
-    """float(value), or a ValueError naming key for an integer past the float range."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{key} must be within the float range, got {value}") from None
+def _failure(tests, value) -> str | None:
+    """'must be <what>, got <value>' for the first (holds, what) of `tests` that value fails."""
+    return next((f"must be {what}, got {value!r}" for holds, what in tests if not holds(value)), None)
+
+
+_INTEGER = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer")
+# Each kind's tests, in order, and the conversion of a value that passes
+# them. A count past int64 fails in numpy; a seed of any size works, but the
+# random streams take only non-negative ones.
+_KINDS = {
+    "count": ([_INTEGER, (lambda v: v < 2**63, "below 2**63")], int),
+    "seed": ([_INTEGER, (lambda v: v >= 0, ">= 0")], int),
+    "real": ([(_is_real, "a real number")], float),
+    "pair": ([(lambda v: isinstance(v, (list, tuple, np.ndarray)) and len(v) == 2 and all(map(_is_real, v)),
+               "a pair of real numbers")], lambda v: (float(v[0]), float(v[1]))),
+    "choice": ([(lambda v: isinstance(v, str), "a string")], str),
+    "bool": ([(lambda v: isinstance(v, bool), "true or false")], bool),
+    "path": ([(lambda v: isinstance(v, str), "a file path")], str),
+}
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One ExperimentConfig key: its default, kind and domain, and the flags that set it."""
+
+    default: object
+    kind: str  # a key of _KINDS
+    domain: tuple | None = None  # (holds, what) of a value of the kind, a list's on the whole list
+    applies: str = "always"  # when the domain is checked: always, for "generated" data, or when "m0_steps" > 0
+    choices: tuple = ()
+    many: bool = False  # a non-empty list of values of the kind
+    generate: str | None = None  # the flag of `spherebayes generate` that sets the key
+    fit: str | None = None  # and of `spherebayes fit`
+    help: str | None = None
+
+    def load(self, name: str, value):
+        """value as stored; a ValueError naming `name` unless it is of the row's kind
+        (or None, where that is the default)."""
+        if value is None and self.default is None:
+            return None
+        if not self.many:
+            return self._one(name, value)
+        if not (isinstance(value, (list, tuple)) and value):
+            raise ValueError(f"{name} must be a list of one or more values, got {value!r}")
+        return tuple(self._one(name, v) for v in value)
+
+    def _one(self, name: str, value):
+        tests, convert = _KINDS[self.kind]
+        if failed := _failure(tests, value):
+            raise ValueError(f"{name} {failed}")
+        if self.choices and value not in self.choices:
+            raise ValueError(f"unknown {name} {value!r}")
+        try:
+            return convert(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be within the float range, got {value!r}") from None
+
+    def check(self, name: str, value) -> None:
+        """A ValueError naming `name` if value is outside the row's domain."""
+        if self.domain and (failed := _failure([self.domain], value)):
+            raise ValueError(f"{name} {failed}")
+
+
+def _key(default, *row, **rest):
+    return field(default=default, metadata={"row": _Row(default, *row, **rest)})
 
 
 @dataclass(frozen=True)
@@ -175,106 +227,68 @@ class ExperimentConfig:
     unavailable). eta weighs the logit_adjusted loss inside the joint
     objective. m0_steps > 0 turns on gradient refinement of the prior
     directions (requires beta_hat > 0 to have any effect).
+
+    Each key's row (`_key`) gives its default, kind, own domain and flags.
+    Library checks cover several keys at once: LongTailSpec n_classes,
+    head_size and gamma, _kappa_bounds kappa_range, _check_rates the prior
+    rates, AdjustmentPolicy kappa_mode with fixed_kappa, and TrainConfig the
+    SGD settings.
     """
 
-    seeds: tuple[int, ...] = (0,)
-    methods: tuple[str, ...] = METHODS
+    seeds: tuple[int, ...] = _key((0,), "seed", many=True, generate="--seed", fit="--seed")
+    methods: tuple[str, ...] = _key(METHODS, "choice", (lambda v: len(set(v)) == len(v), "distinct"), many=True,
+                                    choices=METHODS)
     # generated data source
-    n_classes: int = 20
-    dim: int = 32
-    head_size: int = 500
-    gamma: float = 100.0
-    kappa_range: tuple[float, float] = (5.0, 50.0)
-    center_mode: str = "random"
-    test_per_class: int = 200
+    n_classes: int = _key(20, "count", generate="--classes")
+    dim: int = _key(32, "count", (lambda v: 2 <= v <= MAX_DIM, f"in [2, {MAX_DIM}]"), "generated", generate="--dim")
+    head_size: int = _key(500, "count", generate="--head-size")
+    gamma: float = _key(100.0, "real", generate="--gamma")
+    kappa_range: tuple[float, float] = _key((5.0, 50.0), "pair", generate="--kappa-range",
+                                            help="log-uniform range 'lo,hi'")
+    center_mode: str = _key("random", "choice", choices=("etf", "random"), generate="--center-mode")
+    test_per_class: int = _key(200, "count", (lambda v: v >= 1, ">= 1"), generate="--test-per-class")
     # file data source (overrides the generator when set)
-    train_file: str | None = None
-    test_file: str | None = None
+    train_file: str | None = _key(None, "path")
+    test_file: str | None = _key(None, "path")
     # explicit-classifier settings
-    alpha_hat: float = 0.0
-    beta_hat: float = 0.0
-    estimation: str = "approx"
-    kappa_mode: str = "keep"
-    fixed_kappa: float | None = None
-    m0_steps: int = 0
-    m0_lr: float = 0.1
+    alpha_hat: float = _key(0.0, "real", fit="--alpha-hat")
+    beta_hat: float = _key(0.0, "real", fit="--beta-hat")
+    estimation: str = _key("approx", "choice", choices=ESTIMATION_MODES, fit="--estimation")
+    kappa_mode: str = _key("keep", "choice", choices=KAPPA_MODES)
+    fixed_kappa: float | None = _key(None, "real")
+    m0_steps: int = _key(0, "count", (lambda v: v >= 0, ">= 0"))
+    m0_lr: float = _key(0.1, "real", (lambda v: 0.0 < v < np.inf, "positive and finite when m0_steps > 0"), "m0_steps")
     # baseline settings
-    eta: float = 1.0
-    lr: float = 0.5
-    epochs: int = 30
-    batch_size: int = 64
-    weight_decay: float = 0.0
-    temperature: float = 1.0
-    normalize: bool = False
+    eta: float = _key(1.0, "real", (lambda v: 0.0 <= v < np.inf, ">= 0"), fit="--eta",
+                      help="gradient scale of the logit_adjusted loss")
+    lr: float = _key(0.5, "real", fit="--lr")
+    epochs: int = _key(30, "count", fit="--epochs")
+    batch_size: int = _key(64, "count", fit="--batch-size")
+    weight_decay: float = _key(0.0, "real", fit="--weight-decay")
+    temperature: float = _key(1.0, "real", fit="--temperature")
+    normalize: bool = _key(False, "bool", fit="--normalize", help="renormalize features to the sphere")
     # split thresholds: few < thresholds[0] <= medium <= thresholds[1] < many
-    thresholds: tuple[int, int] = (20, 100)
+    thresholds: tuple[float, float] = _key((20, 100), "pair", (lambda v: 0 < v[0] <= v[1], "an ordered pair"))
 
     def __post_init__(self):
-        if not isinstance(self.seeds, (list, tuple)):
-            raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
-        if not (isinstance(self.methods, (list, tuple)) and all(isinstance(m, str) for m in self.methods)):
-            raise ValueError(f"methods must be a list of strings, got {self.methods!r}")
-        for key in _INTEGER_FIELDS:
-            for value in self.seeds if key == "seeds" else (getattr(self, key),):
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ValueError(f"{key} must be an integer, got {value!r}")
-                # A count past int64 fails in numpy; a seed of any size works
-                # (a negative one fails below).
-                if key != "seeds" and value >= 2**63:
-                    raise ValueError(f"{key} must be below 2**63, got {value}")
-        for key in _REAL_FIELDS:
-            value = getattr(self, key)
-            if not (_is_real(value) or value is None and key == "fixed_kappa"):
-                raise ValueError(f"{key} must be a real number, got {value!r}")
-            if value is not None:
-                object.__setattr__(self, key, _as_float(key, value))
-        for key in _PAIR_FIELDS:
-            value = getattr(self, key)
-            if not (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2 and all(map(_is_real, value))):
-                raise ValueError(f"{key} must be a pair of real numbers, got {value!r}")
-        if not isinstance(self.normalize, bool):
-            raise ValueError(f"normalize must be true or false, got {self.normalize!r}")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "kappa_range", tuple(_as_float("kappa_range", v) for v in self.kappa_range))
-        object.__setattr__(self, "thresholds", tuple(self.thresholds))
-        if not self.seeds:
-            raise ValueError("seeds list must not be empty")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods {sorted(unknown)}")
-        if not self.methods:
-            raise ValueError("methods list must not be empty")
-        if len(set(self.methods)) != len(self.methods):
-            raise ValueError(f"methods must be distinct, got {list(self.methods)}")
-        if self.eta < 0.0 or not np.isfinite(self.eta):
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
-        if len(self.thresholds) != 2 or not 0 < self.thresholds[0] <= self.thresholds[1]:
-            raise ValueError(f"thresholds must be an ordered pair, got {self.thresholds}")
-        if (self.train_file is None) != (self.test_file is None):
+        for key, row in _ROWS.items():
+            object.__setattr__(self, key, row.load(key, getattr(self, key)))
+        generated = self.train_file is None
+        applies = {"always": True, "generated": generated, "m0_steps": self.m0_steps > 0}
+        for key, row in _ROWS.items():
+            if applies[row.applies]:
+                row.check(key, getattr(self, key))
+        if generated != (self.test_file is None):
             raise ValueError("train_file and test_file must be given together")
-        if self.train_file is not None and "oracle" in self.methods:
+        if not generated and "oracle" in self.methods:
             raise ValueError("the oracle method needs generated data (no ground truth in files)")
-        if self.estimation not in ("approx", "exact"):
-            raise ValueError(f"unknown estimation mode {self.estimation!r}")
-        if self.center_mode not in ("etf", "random"):
-            raise ValueError(f"unknown center_mode {self.center_mode!r}")
         AdjustmentPolicy(kappa_mode=self.kappa_mode, fixed_kappa=self.fixed_kappa)  # checks the pair
-        if self.m0_steps < 0:
-            raise ValueError("m0_steps must be >= 0")
-        # Checked at load: the run would meet these only after generating the data.
         _check_rates(self.alpha_hat, self.beta_hat)
-        if self.m0_steps > 0 and not 0.0 < self.m0_lr < np.inf:
-            raise ValueError(f"m0_lr must be positive and finite when m0_steps > 0, got {self.m0_lr}")
         heads = _heads_of(self.methods)
-        if self.train_file is None:
+        if generated:
             _kappa_bounds(self.kappa_range, "kappa_range")
             LongTailSpec(self.n_classes, self.head_size, self.gamma)  # its errors name these keys
             _check_row_total(self.n_classes * self.test_per_class, "n_classes and test_per_class")
-            if not 2 <= self.dim <= MAX_DIM:
-                raise ValueError(f"dim must be in [2, {MAX_DIM}], got {self.dim}")
             # An equiangular frame of K directions, the class centres under
             # "etf" or bape's prior frame, needs K - 1 dimensions.
             frame = self.center_mode == "etf" or self.beta_hat > 0.0 and heads & {"bape", "bape+adjust"}
@@ -283,8 +297,6 @@ class ExperimentConfig:
                                  f"got {self.dim}")
         if heads & set(_SGD_HEADS):
             _schedule(self, 0)
-        if self.test_per_class < 1:
-            raise ValueError("test_per_class must be >= 1")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -299,6 +311,10 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         return cls.from_dict(json.loads(text))
+
+
+# Each key's row, in field order.
+_ROWS = {f.name: f.metadata["row"] for f in fields(ExperimentConfig)}
 
 
 def split_accuracy(predictions, labels, class_counts, thresholds=(20, 100)) -> dict:

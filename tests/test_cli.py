@@ -116,6 +116,16 @@ class TestGenerate:
         assert "error: argument --seed: must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dim", ["1", "5000"])
+    def test_dim_outside_the_supported_range_is_exit_1_before_any_file(self, tmp_path, capsys, dim):
+        # 5000 wrote files that fit and compare then rejected; 1 failed in
+        # the draw as "unit vectors must have dimension >= 2", naming no flag.
+        argv = ["generate", "--classes", "3", "--dim", dim, "--head-size", "10", "--out", str(tmp_path / "tr.bin"),
+                "--test-out", str(tmp_path / "te.bin")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: --dim must be in [2, 4096], got {dim}\n"
+        assert not (tmp_path / "tr.bin").exists() and not (tmp_path / "te.bin").exists()
+
     @pytest.mark.parametrize("kappa_range", ["5,inf", "5,2e6", "nan,5", "0,5"])
     def test_kappa_range_outside_the_supported_one_is_exit_1(self, tmp_path, capsys, kappa_range):
         # "5,inf" escaped as an OverflowError traceback from the draw, and
@@ -660,6 +670,14 @@ class TestCompare:
         assert main(["compare", "--config", str(cfg)]) == 1
         assert f"error: {key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("train_file", 5), ("train_file", True), ("test_file", ["tr.bapf"])])
+    def test_file_path_that_is_not_a_string_is_exit_1_and_named(self, tmp_path, capsys, key, value):
+        # These exited 2 as I/O errors, such as "No such file or directory: 'True'".
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"methods": ["bape"], "train_file": "tr.bapf", "test_file": "te.bapf", key: value}))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {key} must be a file path, got {value!r}\n"
+
     @pytest.mark.parametrize("kappa_range", [[5, float("inf")], [5, 2e6]])
     def test_kappa_range_outside_the_supported_one_is_exit_1(self, tmp_path, capsys, monkeypatch, kappa_range):
         import spherebayes.harness as harness
@@ -920,6 +938,31 @@ class TestUsageErrors:
         assert main(["generate", "--classes", "x"]) == 1
         assert "error: argument --classes: invalid int value: 'x'" in capsys.readouterr().err
         assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["generate", "--kappa-range", "a,b"], "argument --kappa-range: invalid float value: 'a,b'",
+                     id="kappa-range"),
+        pytest.param(["eval", "--kappa-mode", "fixed:abc"], "--kappa-mode fixed:<v> needs a real number, got 'abc'",
+                     id="fixed-kappa"),
+        pytest.param(["eval", "--adjust-priors", "imbalance:abc"],
+                     "--adjust-priors imbalance:<gamma> needs a real number, got 'abc'", id="imbalance"),
+        pytest.param(["eval", "--adjust-priors", "imbalance:inf"], "imbalance factor must be >= 1 and finite, got inf",
+                     id="imbalance-inf"),
+        pytest.param(["eval", "--adjust-priors", "imbalance:nan"], "imbalance factor must be >= 1 and finite, got nan",
+                     id="imbalance-nan"),
+    ])
+    def test_number_in_flag_text_is_checked_and_named(self, workspace, capsys, argv, message):
+        # Each exited 1 with only "could not convert string to float: 'a'",
+        # or, for inf and nan, failed later inside ClassPriors.
+        tmp, train, test = workspace
+        assert main(["fit", "--train", str(train), "--out", str(tmp / "clf.json")]) == 0
+        files = {"generate": ["--out", str(tmp / "x.bin")],
+                 "eval": ["--classifier", str(tmp / "clf.json"), "--data", str(test)]}[argv[0]]
+        assert main(argv + files) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"error: {message}"
+        assert "could not convert" not in err
+        assert not (tmp / "x.bin").exists()
 
     def test_unknown_subcommand_is_exit_1(self, capsys):
         assert main(["frobnicate"]) == 1

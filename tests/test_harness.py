@@ -5,11 +5,12 @@ import gc
 import io
 import json
 import math
+import re
 import threading
 import time
 import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,7 @@ from spherebayes.harness import (
     run_experiment,
     split_accuracy,
 )
+from spherebayes.cli import main
 from spherebayes.priors import EtfFrame, build_etf, grad_step_m0
 from spherebayes.special import log_vmf_normalizer, mean_resultant_ratio
 from spherebayes.vmf import _unit_norms, as_unit_vector, substream
@@ -197,7 +199,30 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="eta must be within the float range"):
             ExperimentConfig(eta=10**400)
 
-    @pytest.mark.parametrize("key, value", [
+    # What a value of another kind is told, for each key that holds no integer.
+    WRONG_KIND = {
+        "methods": "methods must be a string, got 5",
+        "gamma": "gamma must be a real number, got '100'",
+        "kappa_range": "kappa_range must be a pair of real numbers, got '5,50'",
+        "center_mode": "center_mode must be a string, got ['etf']",
+        "train_file": "train_file must be a file path, got 5",
+        "test_file": "test_file must be a file path, got True",
+        "alpha_hat": "alpha_hat must be a real number, got '0'",
+        "beta_hat": "beta_hat must be a real number, got [0.5]",
+        "estimation": "estimation must be a string, got ['exact']",
+        "kappa_mode": "kappa_mode must be a string, got ['keep']",
+        "fixed_kappa": "fixed_kappa must be a real number, got '5'",
+        "m0_lr": "m0_lr must be a real number, got '0.1'",
+        "eta": "eta must be a real number, got '1'",
+        "lr": "lr must be a real number, got '0.5'",
+        "weight_decay": "weight_decay must be a real number, got '0'",
+        "temperature": "temperature must be a real number, got '1'",
+        "normalize": "normalize must be true or false, got 1",
+        "thresholds": "thresholds must be a pair of real numbers, got '20,100'",
+    }
+
+    # A value of the wrong kind for every key.
+    KIND_CASES = [
         ("seeds", [0.5]),
         ("seeds", [True]),
         ("n_classes", 2.5),
@@ -207,10 +232,48 @@ class TestExperimentConfig:
         ("m0_steps", True),
         ("epochs", 2.5),
         ("batch_size", False),
-    ])
-    def test_integer_fields_reject_other_values(self, key, value):
-        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        ("methods", ["bape", 5]),
+        ("gamma", "100"),
+        ("kappa_range", "5,50"),
+        ("center_mode", ["etf"]),
+        ("train_file", 5),
+        ("test_file", True),
+        ("alpha_hat", "0"),
+        ("beta_hat", [0.5]),
+        ("estimation", ["exact"]),
+        ("kappa_mode", ["keep"]),
+        ("fixed_kappa", "5"),
+        ("m0_lr", "0.1"),
+        ("eta", "1"),
+        ("lr", "0.5"),
+        ("weight_decay", "0"),
+        ("temperature", "1"),
+        ("normalize", 1),
+        ("thresholds", "20,100"),
+    ]
+
+    @pytest.mark.parametrize("key, value", KIND_CASES)
+    def test_integer_fields_reject_other_values(self, key, value, tmp_path, capsys, monkeypatch):
+        # Every key's kind is checked at load, before any data is drawn.
+        import spherebayes.datagen as datagen
+        import spherebayes.harness as harness
+
+        message = self.WRONG_KIND.get(key, f"{key} must be an integer")
+        with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig.from_dict({key: value})
+
+        def no_data(*args):
+            raise AssertionError("data generated for an invalid config")
+
+        for module in (datagen, harness):
+            monkeypatch.setattr(module, "generate", no_data)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_every_key_has_a_kind_case(self):
+        assert {key for key, _ in self.KIND_CASES} == {f.name for f in fields(ExperimentConfig)}
 
     def test_integer_fields_take_numpy_integers(self):
         cfg = ExperimentConfig(seeds=(np.int64(3),), epochs=np.int32(4))

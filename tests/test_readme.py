@@ -3,10 +3,11 @@
 import json
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 from spherebayes.cli import main
-from spherebayes.harness import METHODS
+from spherebayes.harness import METHODS, ExperimentConfig
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -49,3 +50,7 @@ def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
     for name in ("train.bapf", "test.bapf", "model.json", "report.csv", "train.csv"):
         assert (tmp_path / name).stat().st_size > 0
+
+
+def test_every_config_key_is_named():
+    assert [f.name for f in fields(ExperimentConfig) if f"`{f.name}`" not in README] == []
