@@ -25,7 +25,7 @@ from .estimation import (
     concentrations,
 )
 from .special import MAX_KAPPA, log_vmf_normalizer, logsumexp
-from .vmf import as_unit_vector
+from .vmf import _float_rows, _unit_norms, as_unit_vector
 
 # The concentration policies of AdjustmentPolicy.
 KAPPA_MODES = ("keep", "shared_mean", "fixed")
@@ -330,24 +330,43 @@ def kappa_report(clf: BayesClassifier) -> list[dict]:
     ]
 
 
-def class_stats(features: np.ndarray, labels: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class sufficient statistics of a labelled batch of unit rows:
-    counts (K,) and resultants (K, p).
+# Rows per block of the passes that read training rows: `class_stats` and
+# the m0 gradient's pass, which each divide one block at a time into their
+# float64 scratch. The order of the m0 gradient's sums depends on it.
+_BLOCK = 2048
 
-    The rows are gathered class by class (a stable sort keeps their order)
-    and each class sums one contiguous slice, so every resultant is bitwise
-    the sum of features[labels == y]. Labels that are already non-decreasing,
-    as every generated dataset's are, need no gather.
+
+def class_stats(features: np.ndarray, labels: np.ndarray, n_classes: int,
+                norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class sufficient statistics of a labelled batch of rows: counts
+    (K,) and resultants (K, p) of the unit rows, each row divided by its
+    entry of `norms`.
+
+    The rows are read class by class (a stable sort keeps their order), a
+    _BLOCK at a time, into one float64 scratch buffer. A class's first block
+    is summed alone; every later one is summed with the running sum in the
+    row before it, which continues the same row-by-row sum. So every
+    resultant is bitwise the sum of the unit rows of its class as one call
+    over all of them takes it, and no float64 copy of all the rows is made.
+    Labels that are already non-decreasing, as every generated dataset's
+    are, need no gather.
     """
     counts = np.bincount(labels, minlength=n_classes)
-    if np.all(labels[1:] >= labels[:-1]):
-        grouped = features
-    else:
-        grouped = features[np.argsort(labels, kind="stable")]
+    order = None if np.all(labels[1:] >= labels[:-1]) else np.argsort(labels, kind="stable")
     ends = np.cumsum(counts)
     resultants = np.zeros((n_classes, features.shape[1]))
+    scratch = np.empty((min(_BLOCK, len(labels)) + 1, features.shape[1]))
     for y in np.flatnonzero(counts):
-        resultants[y] = grouped[ends[y] - counts[y] : ends[y]].sum(axis=0)
+        first = ends[y] - counts[y]
+        for start in range(first, ends[y], _BLOCK):
+            stop = min(start + _BLOCK, ends[y])
+            rows = slice(start, stop) if order is None else order[start:stop]
+            block = scratch[1 : stop - start + 1]
+            np.divide(features[rows], norms[rows, np.newaxis], out=block)
+            if start > first:
+                scratch[0] = resultants[y]
+                block = scratch[: stop - start + 1]
+            np.add.reduce(block, axis=0, out=resultants[y])
     return counts, resultants
 
 
@@ -371,15 +390,20 @@ def fit(
     on_degenerate="error" (the default) fitting fails loudly, naming the
     class; with "exclude" the class is dropped from the posterior (flagged in
     `excluded`, zero prior mass) and the rest renormalized.
+
+    The rows are checked as `as_unit_vector` checks them, and their norms
+    taken once; `class_stats` divides them a block at a time, so float32
+    rows are never converted as a whole.
     """
-    features = as_unit_vector(features)
+    features = _float_rows(features)
+    norms = _unit_norms(features)
     if features.ndim != 2:
         raise ValueError("features must be an (n, p) array")
     k = int(n_classes)
     labels = _check_labels(labels, k)
     if labels.shape != (features.shape[0],):
         raise ValueError("labels length does not match features")
-    counts, resultants = class_stats(features, labels, k)
+    counts, resultants = class_stats(features, labels, k, norms)
     return _fit_stats(counts, resultants, alpha_hat, beta_hat, prior_directions, mode, on_degenerate)
 
 

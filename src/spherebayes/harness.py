@@ -56,6 +56,7 @@ from .baselines import (
     minority_collapse_metric,
 )
 from .classifier import (
+    _BLOCK,
     KAPPA_MODES,
     AdjustmentPolicy,
     BayesClassifier,
@@ -84,7 +85,7 @@ from .datagen import (
 from .estimation import ESTIMATION_MODES, ClassStats, _check_rates, concentration_slopes
 from .priors import EtfFrame, build_etf, grad_step_m0
 from .special import MAX_DIM, mean_resultant_ratio
-from .vmf import _unit_norms, as_unit_vector, substream
+from .vmf import _float_rows, _unit_norms, substream
 
 __all__ = [
     "METHODS",
@@ -246,7 +247,8 @@ class ExperimentConfig:
     kappa_range: tuple[float, float] = _key((5.0, 50.0), "pair", generate="--kappa-range",
                                             help="log-uniform range 'lo,hi'")
     center_mode: str = _key("random", "choice", choices=("etf", "random"), generate="--center-mode")
-    test_per_class: int = _key(200, "count", (lambda v: v >= 1, ">= 1"), generate="--test-per-class")
+    test_per_class: int = _key(200, "count", (lambda v: v >= 1, ">= 1"), "generated",
+                               generate="--test-per-class")
     # file data source (overrides the generator when set)
     train_file: str | None = _key(None, "path")
     test_file: str | None = _key(None, "path")
@@ -354,12 +356,10 @@ def _training_counts(labels: np.ndarray, class_counts) -> np.ndarray:
     return class_counts[labels]
 
 
-# Rows per block of the m0 gradient's pass over the training rows, and per
-# pair of blocks, one on each thread, of the scoring pass over the test rows;
-# each makes its (n, K) scratch one block at a time.
-_BLOCK = 2048
-
-
+# _BLOCK, the rows per block of the fit's passes over the training rows
+# (see `classifier`), is also the rows per pair of blocks, one on each
+# thread, of the scoring pass over the test rows, which makes its (n, K)
+# scratch one block at a time.
 def _blocks(n: int):
     """Slices of _BLOCK consecutive rows covering n rows, the last one partial."""
     return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
@@ -389,41 +389,57 @@ def m0_loss_gradients(
     kappa) get a zero gradient; their samples add nothing to the mean.
 
     The sum over samples is one pass over blocks of rows, so the scratch
-    memory is O(block * K) whatever the number of rows.
+    memory is O(block * (p + K)) whatever the number of rows.
     """
-    z = as_unit_vector(features, dim=frame.dim)
+    features = _float_rows(features)
+    norms = _unit_norms(features, dim=frame.dim)
     counts = np.array([st.count for st in stats])
     resultants = np.stack([st.resultant for st in stats])
     fitted = _fit_stats(counts, resultants, alpha_hat, beta_hat, frame.vectors, mode, "exclude")
     fitted = adjust(fitted, AdjustmentPolicy(priors))
-    return _m0_gradients(fitted, beta_hat, z, labels, mode)
+    return _m0_gradients(fitted, beta_hat, features, norms, labels, mode)
 
 
-def _m0_gradients(fitted, beta_hat, z, labels, mode):
+def _m0_buffers(n: int, dim: int, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The buffers of the m0 gradient's pass over n rows: one block of unit rows and its logits."""
+    size = min(_BLOCK, n)
+    return np.empty((size, dim)), np.empty((size, n_classes))
+
+
+def _m0_gradients(fitted, beta_hat, features, norms, labels, mode, buffers=None):
     """`m0_loss_gradients` of `fitted`, a classifier `_fit_stats` returned, through the posterior
-    it carries (alphas, betas, mus) with beta0 = beta_hat * counts, on validated unit rows z.
+    it carries (alphas, betas, mus) with beta0 = beta_hat * counts, on the unit rows: `features`
+    divided by their validated `norms`.
     One pass over blocks of rows sums g = d loss / d logit (zero on the rows of excluded
-    classes) into zsum_k = sum_n g_nk z_n and psum_k = sum_n g_nk, all that both routes need."""
+    classes) into zsum_k = sum_n g_nk z_n and psum_k = sum_n g_nk, all that both routes need.
+    Each block's unit rows and logits are written into `buffers` (made here when None)."""
     p, alphas, betas = fitted.dim, fitted.alphas, fitted.betas
     kappas, ms = fitted.kappas, fitted.mus
-    excluded = np.isin(np.arange(len(kappas)), fitted.excluded)
+    k = len(kappas)
+    excluded = np.isin(np.arange(k), fitted.excluded)
     keep = ~excluded
     a_vals = mean_resultant_ratio(p, kappas)
-    dk_db = np.zeros(len(kappas))
+    dk_db = np.zeros(k)
     dk_db[keep] = concentration_slopes(p, alphas[keep], betas[keep], kappas[keep], a_vals[keep], mode)
     # Excluded classes score -inf. Each block's softmax is its logits shifted
     # by the row maxima, exponentiated and divided by the row sums.
     zsum = np.zeros_like(ms)
-    psum = np.zeros(len(kappas))
+    psum = np.zeros(k)
+    unit, scores = buffers or _m0_buffers(len(labels), p, k)
+    row_reduce, col_reduce, index = np.empty((len(unit), 1)), np.empty(k), np.arange(len(unit))
     for rows in _blocks(len(labels)):
-        block = logits(fitted, z[rows])
-        block -= block.max(axis=1, keepdims=True)
+        y = labels[rows]
+        n = len(y)
+        z = np.divide(features[rows], norms[rows, np.newaxis], out=unit[:n])
+        block, reduced = logits(fitted, z, out=scores[:n]), row_reduce[:n]
+        block -= np.maximum.reduce(block, axis=1, keepdims=True, out=reduced)
         np.exp(block, out=block)
-        block /= block.sum(axis=1, keepdims=True)
-        block[np.arange(len(block)), labels[rows]] -= 1.0
-        block[excluded[labels[rows]]] = 0.0
-        zsum += block.T @ z[rows]
-        psum += block.sum(axis=0)
+        block /= np.add.reduce(block, axis=1, keepdims=True, out=reduced)
+        block[index[:n], y] -= 1.0
+        if fitted.excluded:
+            block[excluded[y]] = 0.0
+        zsum += block.T @ z
+        psum += np.add.reduce(block, axis=0, out=col_reduce)
     proj = np.einsum("kp,kp->k", zsum, ms)
     # beta route: sum_n g_nk (m_k.T z_n - A_k) = m_k.T zsum_k - A_k psum_k, times dkappa/dbeta, along m_k.
     beta_coef = (proj - a_vals * psum) * dk_db
@@ -436,17 +452,22 @@ def _m0_gradients(fitted, beta_hat, z, labels, mode):
 def _fit_bape(train: Dataset, config: ExperimentConfig, seed: int) -> BayesClassifier:
     """Conjugate MAP fit, with the prior frame seeded from `seed` when beta_hat > 0
     and refined by config.m0_steps gradient steps, each on the loss of the
-    classifier fitted at the frame it moves."""
-    feats = as_unit_vector(train.features)
-    counts, resultants = class_stats(feats, train.labels, train.n_classes)
+    classifier fitted at the frame it moves. The training rows' norms are
+    taken once; the statistics and each gradient pass divide the rows by them
+    a block at a time into buffers made once, so no float64 copy of the rows
+    is made."""
+    norms = _unit_norms(train.features)
+    counts, resultants = class_stats(train.features, train.labels, train.n_classes, norms)
     frame, steps = None, 0
     if config.beta_hat > 0.0:
         # Prior frame seeded independently of the data-generating streams.
         frame_seed = int(substream(seed, 4).integers(2**63 - 1))
         frame, steps = build_etf(train.n_classes, train.dim, frame_seed), config.m0_steps
+    buffers = _m0_buffers(train.n, train.dim, train.n_classes) if steps else None
     for step in range(steps + 1):
         if step:
-            g = _m0_gradients(fitted, config.beta_hat, feats, train.labels, config.estimation)
+            g = _m0_gradients(fitted, config.beta_hat, train.features, norms, train.labels, config.estimation,
+                              buffers)
             frame = grad_step_m0(frame, g, config.m0_lr)
         fitted = _fit_stats(counts, resultants, config.alpha_hat, config.beta_hat,
                             None if frame is None else frame.vectors, config.estimation, on_degenerate="exclude")

@@ -42,6 +42,16 @@ def as_unit_vector(v, dim: int | None = None) -> np.ndarray:
     return u
 
 
+def _float_rows(v) -> np.ndarray:
+    """v as an array whose rows, divided by their `_unit_norms`, are bitwise
+    as_unit_vector(v): float32, float64 and integer arrays as they are, since
+    numpy converts each of their values to float64 as as_unit_vector's copy
+    does, so float32 rows are never converted as a whole; any other dtype
+    (objects, strings, float128) converted as as_unit_vector converts it."""
+    u = np.asarray(v)
+    return u if np.can_cast(u.dtype, float) else np.asarray(v, dtype=float)
+
+
 def _unit_norms(u: np.ndarray, dim: int | None = None) -> np.ndarray:
     """The float64 norms of a float array's rows, validated as `as_unit_vector`
     validates them, so that as_unit_vector(u, dim) is bitwise u divided by

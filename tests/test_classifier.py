@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import ive, logsumexp
 
 from spherebayes.classifier import (
+    _BLOCK,
     AdjustmentPolicy,
     BayesClassifier,
     ClassPriors,
@@ -34,7 +35,7 @@ from spherebayes.baselines import LinearClassifier
 from spherebayes.datagen import make_truth
 from spherebayes.estimation import ConcentrationOverflowError, DegeneratePosteriorError, class_posteriors
 from spherebayes.priors import build_etf
-from spherebayes.vmf import VmfParams, as_unit_vector, sample, substream
+from spherebayes.vmf import VmfParams, _unit_norms, as_unit_vector, sample, substream
 
 # Two classes on orthogonal axes, kappa=4 each, uniform priors, z on the first
 # axis. The normalizers cancel, so p(0|z) = sigmoid(4) and the loss is
@@ -393,7 +394,7 @@ class TestClassStats:
         z = rng.standard_normal((500, 7))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         y = rng.choice([0, 1, 3, 4, 6], size=500, p=[0.5, 0.3, 0.1, 0.07, 0.03])
-        counts, resultants = class_stats(z, y, 9)
+        counts, resultants = class_stats(z, y, 9, np.ones(500))  # unit rows: x / 1.0 is x
         assert_array_equal(counts, [np.sum(y == c) for c in range(9)])
         expected = np.stack([z[y == c].sum(axis=0) for c in range(9)])
         assert np.array_equal(resultants, expected)
@@ -422,11 +423,68 @@ class TestClassStats:
             y = rng.permutation(y)
         elif order == "one_swap":
             y[[10, 2990]] = y[[2990, 10]]
-        counts, resultants = class_stats(z, y, 9)
+        counts, resultants = class_stats(z, y, 9, np.ones(3000))
         expected_counts, expected = self._gathered(z, y, 9)
         assert_array_equal(counts, expected_counts)
         assert np.array_equal(resultants, expected)
         assert np.array_equal(resultants, np.stack([z[y == c].sum(axis=0) for c in range(9)]))
+
+    @staticmethod
+    def _float32_rows():
+        # Rows normalised in float64 and stored as float32, so each norm is
+        # off 1 by up to ~1e-7, as generated features' are. Class 1 holds
+        # rows 3000-6199, across the block boundaries at 4096 and 6144;
+        # class 3 is empty.
+        rng = np.random.default_rng(11)
+        z = rng.standard_normal((7000, 24))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        y = np.repeat([0, 1, 2, 4], [3000, 3200, 700, 100])
+        return z.astype(np.float32), y
+
+    @pytest.mark.parametrize("order", ["sorted", "shuffled"])
+    def test_blocked_float32_rows_equal_the_unit_copy(self, order):
+        # class_stats divides a block of rows at a time by their norms; each
+        # resultant is bitwise that of a full float64 unit copy of the rows.
+        features, y = self._float32_rows()
+        if order == "shuffled":
+            y = np.random.default_rng(12).permutation(y)
+        assert _BLOCK == 2048
+        counts, resultants = class_stats(features, y, 5, _unit_norms(features))
+        expected_counts, expected = self._gathered(as_unit_vector(features), y, 5)
+        assert_array_equal(counts, expected_counts)
+        assert np.array_equal(resultants, expected)
+        assert np.all(resultants[3] == 0.0)
+        assert not np.array_equal(resultants, class_stats(features, y, 5, np.ones(7000))[1])  # the norms matter
+
+    @pytest.mark.parametrize("kind", ["float32", "float64", "list"])
+    def test_fit_equals_the_unit_copy_fit(self, kind):
+        # `fit` takes its rows' norms once and divides the rows a block at a
+        # time; whatever it is given, it fits bitwise the statistics of
+        # as_unit_vector's copy.
+        features, y = self._float32_rows()
+        y = np.random.default_rng(13).permutation(y)
+        given = {"float32": features, "float64": features.astype(float), "list": features.tolist()}[kind]
+        expected = _fit_stats(*self._gathered(as_unit_vector(features), y, 5), 1.0, 0.0, None, "exact", "exclude")
+        clf = fit(given, y, 5, 1.0, 0.0, None, "exact", "exclude")
+        assert clf.excluded == (3,)
+        for name in ("counts", "alphas", "betas", "mus", "kappas"):
+            assert np.array_equal(getattr(clf, name), getattr(expected, name)), name
+
+    def test_fit_makes_no_float64_copy_of_float32_rows(self):
+        # A float64 copy of these rows is 7.7 MB; the fit's scratch (one
+        # block of rows, and the norm pass's blocks) stays near 1 MB.
+        rng = np.random.default_rng(14)
+        features = rng.standard_normal((30000, 32))
+        features /= np.linalg.norm(features, axis=1, keepdims=True)
+        features = features.astype(np.float32)
+        y = rng.permutation(np.repeat(np.arange(6), 5000))
+        tracemalloc.start()
+        try:
+            fit(features, y, 6, 1.0, 0.0, None, "approx", "exclude")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < features.size * 8 / 2
 
 
 class TestFit:
@@ -553,7 +611,7 @@ class TestFittedPosterior:
     @pytest.mark.parametrize("prior", [False, True])
     def test_fit_keeps_the_posterior_at_the_renormalised_directions(self, mode, prior):
         z, y = self._data()
-        counts, resultants = class_stats(as_unit_vector(z), y, 4)  # the rows as `fit` takes them
+        counts, resultants = class_stats(as_unit_vector(z), y, 4, np.ones(52))  # the rows as `fit` takes them
         # Directions within the unit-norm tolerance but not on the sphere:
         # the fit renormalises them before the update.
         frame = build_etf(4, 5, 31).vectors * (1.0 + 1e-7) if prior else None

@@ -172,6 +172,22 @@ class TestFit:
         assert code == 0
         assert from_json(out.read_text()).n_classes == 4
 
+    def test_prior_frame_is_checked_against_the_training_file(self, tmp_path, capsys):
+        # Six classes need five dimensions for the prior frame; the config's
+        # own frame rule sees only its generated-data defaults (K 20, p 32).
+        train, out = tmp_path / "narrow.bapf", tmp_path / "clf.json"
+        assert main(["generate", "--classes", "6", "--dim", "3", "--head-size", "10", "--out", str(train)]) == 0
+        code = main(["fit", "--alpha-hat", "1", "--beta-hat", "0.5", "--train", str(train), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert ("error: --beta-hat > 0 builds an equiangular prior frame of 6 directions, which needs "
+                "training features of dimension >= 5, got 3") in err
+        assert not out.exists()
+        # Without the prior, or with a linear head, the file fits.
+        assert main(["fit", "--alpha-hat", "1", "--train", str(train), "--out", str(out)]) == 0
+        assert main(["fit", "--model", "softmax", "--alpha-hat", "1", "--beta-hat", "0.5", "--epochs", "1",
+                     "--train", str(train), "--out", str(out)]) == 0
+
     def test_linear_models(self, workspace):
         tmp, train, _ = workspace
         for model in ("softmax", "logit_adjusted"):

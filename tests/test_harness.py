@@ -191,6 +191,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="n_classes must be below 2[*][*]63"):
             ExperimentConfig(n_classes=2**63)
 
+    def test_test_per_class_is_checked_for_generated_data_only(self):
+        # File-backed configs never read test_per_class; a value of the
+        # wrong kind still fails, since every key's kind is checked.
+        cfg = ExperimentConfig(train_file="a", test_file="b", methods=("bape",), test_per_class=0)
+        assert cfg.test_per_class == 0
+        with pytest.raises(ValueError, match="test_per_class must be >= 1, got 0"):
+            ExperimentConfig(methods=("bape",), test_per_class=0)
+        with pytest.raises(ValueError, match="test_per_class must be an integer"):
+            ExperimentConfig(train_file="a", test_file="b", methods=("bape",), test_per_class=2.5)
+
     def test_real_fields_load_as_floats(self):
         cfg = ExperimentConfig.from_dict({"gamma": 10**20, "eta": 1, "fixed_kappa": 5, "kappa_mode": "fixed",
                                           "kappa_range": [5, 50]})
@@ -460,7 +470,7 @@ class TestM0Gradients:
         sizes = [90 * scale, 40 * scale, 25 * scale, 9 * scale, 4 * scale, 0 if with_excluded else 2]
         ds = sample_dataset(truth, sizes, 12)
         feats = as_unit_vector(ds.features)
-        counts, resultants = class_stats(feats, ds.labels, 6)
+        counts, resultants = class_stats(feats, ds.labels, 6, np.ones(ds.n))
         priors = ClassPriors.from_counts(counts)
         args = (build_etf(6, 9, 13), counts, resultants, 1.0, 0.5, priors, feats, ds.labels, mode)
         assert (ds.n > 2 * _BLOCK and ds.n % _BLOCK) if scale > 1 else ds.n < _BLOCK
@@ -475,7 +485,7 @@ class TestM0Gradients:
         # are those the references are given.
         fitted = _fit_stats(counts, resultants, alpha_hat, beta_hat, frame.vectors, mode, "exclude")
         assert_array_equal(fitted.priors.pi, priors.pi)
-        return _m0_gradients(fitted, beta_hat, z, labels, mode)
+        return _m0_gradients(fitted, beta_hat, z, np.ones(len(labels)), labels, mode)
 
     @staticmethod
     def _assert_close(got, expected):
@@ -491,7 +501,7 @@ class TestM0Gradients:
         seed = 11
         train, _ = generate(LongTailSpec(100, 500, 100.0), 128, (20.0, 200.0), "random", seed)
         feats = as_unit_vector(train.features)
-        counts, resultants = class_stats(feats, train.labels, 100)
+        counts, resultants = class_stats(feats, train.labels, 100, np.ones(train.n))
         frame = build_etf(100, 128, int(substream(seed, 4).integers(2**63 - 1)))
         assert train.n > 5 * _BLOCK and train.n % _BLOCK
         return frame, counts, resultants, 1.0, 0.5, ClassPriors.from_counts(counts), feats, train.labels, "exact"
@@ -506,16 +516,51 @@ class TestM0Gradients:
 
     def test_holds_no_full_size_array(self):
         # One (n_train, K) float64 array is 8.7 MB at this shape; the blocked
-        # pass keeps O(block * K) scratch and peaks near 3.8 MB.
+        # pass keeps O(block * (p + K)) scratch and peaks near 4.3 MB.
         frame, counts, resultants, alpha_hat, beta_hat, _, z, labels, mode = self._lt_exact_m0_args()
         fitted = _fit_stats(counts, resultants, alpha_hat, beta_hat, frame.vectors, mode, "exclude")
         tracemalloc.start()
         try:
-            _m0_gradients(fitted, beta_hat, z, labels, mode)
+            _m0_gradients(fitted, beta_hat, z, np.ones(len(labels)), labels, mode)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < len(labels) * 100 * 8
+
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    @pytest.mark.parametrize("with_excluded", [False, True])
+    def test_float32_rows_and_norms_equal_the_unit_copy(self, mode, with_excluded):
+        # `_fit_bape` passes the float32 training rows and their norms; each
+        # block divided into the pass's buffer is bitwise those rows of
+        # as_unit_vector's copy, so the gradient is bitwise its gradient.
+        truth = make_truth(6, 9, (8.0, 40.0), center_mode="random", seed=12)
+        ds = sample_dataset(truth, [2250, 1000, 625, 225, 100, 0 if with_excluded else 50], 12)
+        norms, feats = _unit_norms(ds.features), as_unit_vector(ds.features)
+        counts, resultants = class_stats(ds.features, ds.labels, 6, norms)
+        assert ds.features.dtype == np.float32 and ds.n > 2 * _BLOCK and ds.n % _BLOCK
+        assert np.array_equal(resultants, class_stats(feats, ds.labels, 6, np.ones(ds.n))[1])
+        fitted = _fit_stats(counts, resultants, 1.0, 0.5, build_etf(6, 9, 13).vectors, mode, "exclude")
+        assert fitted.excluded == ((5,) if with_excluded else ())
+        got = _m0_gradients(fitted, 0.5, ds.features, norms, ds.labels, mode)
+        assert np.array_equal(got, _m0_gradients(fitted, 0.5, feats, np.ones(ds.n), ds.labels, mode))
+
+    def test_fit_makes_no_float64_copy_of_the_training_rows(self):
+        # The lt-exact-m0 benchmark's fit: K = 100, p = 128, 10899 rows and
+        # three exact m0 steps. A float64 copy of the rows is 11.2 MB; the
+        # fit reads them a block at a time and peaks near 5.2 MB.
+        import spherebayes.harness as harness
+
+        cfg = ExperimentConfig(methods=("bape",), n_classes=100, dim=128, head_size=500, gamma=100.0,
+                               kappa_range=(20.0, 200.0), alpha_hat=1.0, beta_hat=0.5, estimation="exact",
+                               m0_steps=3, seeds=(11,))
+        train = harness._load_data(cfg, 11)[0]
+        tracemalloc.start()
+        try:
+            harness._fit_bape(train, cfg, 11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < train.n * train.dim * 8
 
     @pytest.mark.parametrize("mode", ["approx", "exact"])
     def test_each_step_differentiates_the_fit_at_its_frame(self, monkeypatch, mode):
@@ -1143,7 +1188,8 @@ class TestWorkOnTwoThreads:
     @pytest.mark.parametrize("methods", [("bape",), ("softmax", "ensemble"), ("bape+adjust", "oracle")])
     def test_the_oracle_is_built_once_before_the_pass(self, monkeypatch, methods):
         # An unlisted oracle is scored for oracle_accuracy: it and the unit
-        # norms it reads are built on this thread, before either half runs.
+        # norms of the test rows it reads are built on this thread, before
+        # either half runs. (The bape fit takes its training rows' norms too.)
         import spherebayes.harness as harness
 
         builds = []
@@ -1151,8 +1197,13 @@ class TestWorkOnTwoThreads:
         monkeypatch.setattr(MixtureGroundTruth, "classifier",
                             lambda truth, priors=None: builds.append(threading.current_thread()) or classifier(
                                 truth, priors))
-        monkeypatch.setattr(harness, "_unit_norms",
-                            lambda features: builds.append(threading.current_thread()) or _unit_norms(features))
+
+        def norms(features):
+            if len(features) == 4 * 600:  # the test rows
+                builds.append(threading.current_thread())
+            return _unit_norms(features)
+
+        monkeypatch.setattr(harness, "_unit_norms", norms)
         run_experiment(small_config(methods=methods, test_per_class=600))
         assert builds == [threading.current_thread()] * 2
 
