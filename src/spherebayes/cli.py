@@ -37,6 +37,7 @@ from .harness import (
     _KINDS,
     _ROWS,
     ExperimentConfig,
+    _check_prior_frame,
     _failure,
     _fit_bape,
     _fit_linear,
@@ -167,12 +168,7 @@ def _cmd_fit(args) -> int:
     config = ExperimentConfig(methods=(args.model,), **settings)
     seed = config.seeds[0]
     if args.model == "bape":
-        # The config checks the frame rule against its generated-data
-        # defaults; the fit's frame has the training file's K and p.
-        if config.beta_hat > 0.0 and ds.dim < ds.n_classes - 1:
-            raise ValueError(f"{_ROWS['beta_hat'].fit} > 0 builds an equiangular prior frame of {ds.n_classes} "
-                             f"directions, which needs training features of dimension >= {ds.n_classes - 1}, "
-                             f"got {ds.dim}")
+        _check_prior_frame(ds, config.beta_hat, _ROWS["beta_hat"].fit)
         text = to_json(_fit_bape(ds, config, seed))
     else:
         text = linear_to_json(_fit_linear(ds, config, (args.model,), seed)[args.model], config.normalize)

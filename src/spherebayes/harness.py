@@ -400,46 +400,37 @@ def m0_loss_gradients(
     return _m0_gradients(fitted, beta_hat, features, norms, labels, mode)
 
 
-def _m0_buffers(n: int, dim: int, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The buffers of the m0 gradient's pass over n rows: one block of unit rows and its logits."""
-    size = min(_BLOCK, n)
-    return np.empty((size, dim)), np.empty((size, n_classes))
-
-
-def _m0_gradients(fitted, beta_hat, features, norms, labels, mode, buffers=None):
+def _m0_gradients(fitted, beta_hat, features, norms, labels, mode):
     """`m0_loss_gradients` of `fitted`, a classifier `_fit_stats` returned, through the posterior
     it carries (alphas, betas, mus) with beta0 = beta_hat * counts, on the unit rows: `features`
     divided by their validated `norms`.
     One pass over blocks of rows sums g = d loss / d logit (zero on the rows of excluded
     classes) into zsum_k = sum_n g_nk z_n and psum_k = sum_n g_nk, all that both routes need.
-    Each block's unit rows and logits are written into `buffers` (made here when None)."""
+    Each block's unit rows and logits are written into one buffer each."""
     p, alphas, betas = fitted.dim, fitted.alphas, fitted.betas
     kappas, ms = fitted.kappas, fitted.mus
-    k = len(kappas)
-    excluded = np.isin(np.arange(k), fitted.excluded)
+    excluded = np.isin(np.arange(len(kappas)), fitted.excluded)
     keep = ~excluded
     a_vals = mean_resultant_ratio(p, kappas)
-    dk_db = np.zeros(k)
+    dk_db = np.zeros(len(kappas))
     dk_db[keep] = concentration_slopes(p, alphas[keep], betas[keep], kappas[keep], a_vals[keep], mode)
     # Excluded classes score -inf. Each block's softmax is its logits shifted
     # by the row maxima, exponentiated and divided by the row sums.
     zsum = np.zeros_like(ms)
-    psum = np.zeros(k)
-    unit, scores = buffers or _m0_buffers(len(labels), p, k)
-    row_reduce, col_reduce, index = np.empty((len(unit), 1)), np.empty(k), np.arange(len(unit))
+    psum = np.zeros(len(kappas))
+    size = min(_BLOCK, len(labels))
+    unit, scores = np.empty((size, p)), np.empty((size, len(kappas)))
     for rows in _blocks(len(labels)):
         y = labels[rows]
-        n = len(y)
-        z = np.divide(features[rows], norms[rows, np.newaxis], out=unit[:n])
-        block, reduced = logits(fitted, z, out=scores[:n]), row_reduce[:n]
-        block -= np.maximum.reduce(block, axis=1, keepdims=True, out=reduced)
+        z = np.divide(features[rows], norms[rows, np.newaxis], out=unit[: len(y)])
+        block = logits(fitted, z, out=scores[: len(y)])
+        block -= block.max(axis=1, keepdims=True)
         np.exp(block, out=block)
-        block /= np.add.reduce(block, axis=1, keepdims=True, out=reduced)
-        block[index[:n], y] -= 1.0
-        if fitted.excluded:
-            block[excluded[y]] = 0.0
+        block /= block.sum(axis=1, keepdims=True)
+        block[np.arange(len(y)), y] -= 1.0
+        block[excluded[y]] = 0.0
         zsum += block.T @ z
-        psum += np.add.reduce(block, axis=0, out=col_reduce)
+        psum += block.sum(axis=0)
     proj = np.einsum("kp,kp->k", zsum, ms)
     # beta route: sum_n g_nk (m_k.T z_n - A_k) = m_k.T zsum_k - A_k psum_k, times dkappa/dbeta, along m_k.
     beta_coef = (proj - a_vals * psum) * dk_db
@@ -449,13 +440,22 @@ def _m0_gradients(fitted, beta_hat, features, norms, labels, mode, buffers=None)
     return (beta_coef[:, np.newaxis] * ms + tangent) * (beta_hat * fitted.counts / len(labels))[:, np.newaxis]
 
 
+def _check_prior_frame(train: Dataset, beta_hat: float, name: str) -> None:
+    """A ValueError naming `name`, where beta_hat was set, when beta_hat > 0 and
+    the training rows' dimension cannot hold bape's prior frame: an equiangular
+    frame of one direction per class needs K - 1 dimensions."""
+    k = train.n_classes
+    if beta_hat > 0.0 and train.dim < k - 1:
+        raise ValueError(f"{name} > 0 builds an equiangular prior frame of {k} directions, which needs "
+                         f"training features of dimension >= {k - 1}, got {train.dim}")
+
+
 def _fit_bape(train: Dataset, config: ExperimentConfig, seed: int) -> BayesClassifier:
     """Conjugate MAP fit, with the prior frame seeded from `seed` when beta_hat > 0
     and refined by config.m0_steps gradient steps, each on the loss of the
     classifier fitted at the frame it moves. The training rows' norms are
     taken once; the statistics and each gradient pass divide the rows by them
-    a block at a time into buffers made once, so no float64 copy of the rows
-    is made."""
+    a block at a time, so no float64 copy of the rows is made."""
     norms = _unit_norms(train.features)
     counts, resultants = class_stats(train.features, train.labels, train.n_classes, norms)
     frame, steps = None, 0
@@ -463,11 +463,9 @@ def _fit_bape(train: Dataset, config: ExperimentConfig, seed: int) -> BayesClass
         # Prior frame seeded independently of the data-generating streams.
         frame_seed = int(substream(seed, 4).integers(2**63 - 1))
         frame, steps = build_etf(train.n_classes, train.dim, frame_seed), config.m0_steps
-    buffers = _m0_buffers(train.n, train.dim, train.n_classes) if steps else None
     for step in range(steps + 1):
         if step:
-            g = _m0_gradients(fitted, config.beta_hat, train.features, norms, train.labels, config.estimation,
-                              buffers)
+            g = _m0_gradients(fitted, config.beta_hat, train.features, norms, train.labels, config.estimation)
             frame = grad_step_m0(frame, g, config.m0_lr)
         fitted = _fit_stats(counts, resultants, config.alpha_hat, config.beta_hat,
                             None if frame is None else frame.vectors, config.estimation, on_degenerate="exclude")
@@ -505,6 +503,12 @@ def _load_data(config: ExperimentConfig, seed: int, pool: ThreadPoolExecutor | N
         with _charged_to(config.methods[0], seed, config.methods):  # where it would surface otherwise
             if test_ds.dim != train_ds.dim:
                 raise ValueError(f"test features have dimension {test_ds.dim}, training features {train_ds.dim}")
+        # The config checks the frame rule on generated data only; here the
+        # frame has the files' K and p. The first method to fit bape meets it.
+        bape = [m for m in config.methods if {"bape", "bape+adjust"} & set(_HEADS[m])]
+        if bape:
+            with _charged_to(bape[0], seed, config.methods):
+                _check_prior_frame(train_ds, config.beta_hat, "beta_hat")
         return train_ds, lambda: test_ds, None
     spec = LongTailSpec(config.n_classes, config.head_size, config.gamma)
     if pool is None or sum(class_sizes(spec)) < 2 * _BLOCK:

@@ -546,6 +546,26 @@ class TestCompare:
         assert "test features have dimension 6, training features 8" in err
         assert "matmul" not in err
 
+    def test_prior_frame_is_checked_against_the_files(self, tmp_path, capsys):
+        # Six classes need five dimensions for bape's prior frame; the
+        # config's own frame rule checks generated data only. The error is
+        # charged to the first method that fits bape, before softmax trains.
+        train_path, test_path = tmp_path / "train.bin", tmp_path / "test.bin"
+        assert main(["generate", "--classes", "6", "--dim", "3", "--head-size", "10", "--out", str(train_path),
+                     "--test-out", str(test_path), "--test-per-class", "2"]) == 0
+        cfg = tmp_path / "config.json"
+        doc = {"seeds": [0], "methods": ["softmax", "ensemble", "bape"], "epochs": 1, "alpha_hat": 1.0,
+               "beta_hat": 0.5, "train_file": str(train_path), "test_file": str(test_path)}
+        cfg.write_text(json.dumps(doc))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert ("error: method 'ensemble', seed 0: beta_hat > 0 builds an equiangular prior frame of 6 "
+                "directions, which needs training features of dimension >= 5, got 3") in capsys.readouterr().err
+        # Without the prior, or without bape, the files run.
+        cfg.write_text(json.dumps({**doc, "beta_hat": 0.0}))
+        assert main(["compare", "--config", str(cfg)]) == 0
+        cfg.write_text(json.dumps({**doc, "methods": ["softmax"]}))
+        assert main(["compare", "--config", str(cfg)]) == 0
+
     def test_off_sphere_test_file_is_charged_to_bape(self, tmp_path, capsys):
         # softmax scores the rows as given and runs first; only bape needs
         # unit rows, so the error must name bape.

@@ -35,6 +35,7 @@ from spherebayes.datagen import (
     LongTailSpec,
     MixtureGroundTruth,
     _fill_draw,
+    class_sizes,
     generate,
     make_truth,
     read_features,
@@ -1188,23 +1189,22 @@ class TestWorkOnTwoThreads:
     @pytest.mark.parametrize("methods", [("bape",), ("softmax", "ensemble"), ("bape+adjust", "oracle")])
     def test_the_oracle_is_built_once_before_the_pass(self, monkeypatch, methods):
         # An unlisted oracle is scored for oracle_accuracy: it and the unit
-        # norms of the test rows it reads are built on this thread, before
-        # either half runs. (The bape fit takes its training rows' norms too.)
+        # norms it reads are built on this thread, before either half runs.
         import spherebayes.harness as harness
 
-        builds = []
+        builds, norms = [], []
         classifier = MixtureGroundTruth.classifier
         monkeypatch.setattr(MixtureGroundTruth, "classifier",
                             lambda truth, priors=None: builds.append(threading.current_thread()) or classifier(
                                 truth, priors))
-
-        def norms(features):
-            if len(features) == 4 * 600:  # the test rows
-                builds.append(threading.current_thread())
-            return _unit_norms(features)
-
-        monkeypatch.setattr(harness, "_unit_norms", norms)
+        monkeypatch.setattr(harness, "_unit_norms",
+                            lambda features: norms.append((threading.current_thread(), len(features)))
+                            or _unit_norms(features))
         run_experiment(small_config(methods=methods, test_per_class=600))
+        # Each of these runs fits bape, which takes its training rows' norms
+        # once, on this thread; every other call is counted.
+        norms.remove((threading.current_thread(), sum(class_sizes(LongTailSpec(4, 40, 10.0)))))
+        builds += [thread for thread, _ in norms]
         assert builds == [threading.current_thread()] * 2
 
     @pytest.mark.parametrize("methods, failures, culprit", [
