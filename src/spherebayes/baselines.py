@@ -252,7 +252,7 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     temperature = schedule.temperature
     weight_decay = schedule.weight_decay
     shuffler = substream(schedule.rng_seed, 1)
-    size = schedule.batch_size
+    size = min(schedule.batch_size, n)  # a batch never holds more than the n rows
     starts = range(0, n, size)
     batch_sizes = np.diff([*starts, n], prepend=0)[:, np.newaxis]  # row i + 1: step i's m; row 0: 0
     # Each sample's flat index in the (H, K, m) logits of its batch of m
@@ -401,9 +401,11 @@ def minority_collapse_metric(clf: LinearClassifier, tail_classes) -> float:
     if np.any(norms == 0.0):
         raise ValueError("zero weight row has no direction")
     unit = rows / scale[:, np.newaxis] / norms[:, np.newaxis]
-    cos = unit @ unit.T
+    # The sum of every pairwise cosine, sum_ij u_i.u_j = ||sum_i u_i||^2, in
+    # one order that no BLAS thread count changes.
+    total = np.add.reduce(unit, axis=0)
     m = len(tail)
-    return float((cos.sum() - m) / (m * (m - 1)))
+    return float((np.add.reduce(total * total) - m) / (m * (m - 1)))
 
 
 def norm_report(clf: LinearClassifier, features, labels) -> list[dict]:

@@ -286,13 +286,17 @@ def class_posteriors(counts, resultants, alpha_hat: float, beta_hat: float, m0=N
     direction undefined). m0 (K, p) may be omitted when beta_hat = 0."""
     a, b = _check_rates(alpha_hat, beta_hat)
     counts = np.asarray(counts, dtype=float)
-    beta0 = b * counts
+    with np.errstate(over="ignore"):
+        alpha = a * counts + counts
+    if not np.isfinite(alpha).all():
+        raise ValueError(f"alpha_hat={a:g} times a class size of {counts.max():.0f} overflows the pseudo-count")
+    beta0 = b * counts  # finite: beta_hat <= alpha_hat
     v = np.array(resultants, dtype=float)
     if m0 is not None:
         v += beta0[:, np.newaxis] * m0
     beta = np.linalg.norm(v, axis=1)
     m = np.divide(v, beta[:, np.newaxis], out=np.zeros_like(v), where=beta[:, np.newaxis] > 0.0)
-    return a * counts + counts, beta, m, beta0
+    return alpha, beta, m, beta0
 
 
 def scale_prior(alpha_hat: float, beta_hat: float, m0, class_count: float) -> PriorSpec:

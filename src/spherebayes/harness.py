@@ -545,37 +545,24 @@ def _on_both_threads(pool: ThreadPoolExecutor, own, other):
 _COLLAPSE_ON = {"bape": "mus", "bape+adjust": "mus", "softmax": "W", "logit_adjusted": "W"}
 
 
-def _score_slots(methods) -> dict:
-    """The score buffer each head of `methods` is written into. A head keeps
-    its buffer from the first method that reads it to the last; a buffer
-    freed then goes to the next head scored."""
-    last = {head: i for i, method in enumerate(methods) for head in _HEADS[method]}
-    slots, free = {}, []
-    for i, method in enumerate(methods):
-        for head in _HEADS[method]:
-            if head not in slots:
-                slots[head] = free.pop() if free else len(set(slots.values()))
-        free += [slots[head] for head in _HEADS[method] if last[head] == i]
-    return slots
-
-
 class _Scratch:
     """One thread's buffers for scoring blocks of up to `size` test rows: one
     rows buffer, which holds the kind of rows last made, bape's product, and
-    the score buffers of `slots`. Made by the thread that runs the pass: a
-    buffer the worker made would stay in the worker's malloc arena."""
+    one score buffer per head of the method with the most `heads`. Made by
+    the thread that runs the pass: a buffer the worker made would stay in the
+    worker's malloc arena."""
 
-    def __init__(self, size: int, dim: int, n_classes: int, slots: dict):
+    def __init__(self, size: int, dim: int, n_classes: int, heads: int):
         self.rows = np.empty((size, dim))
         self.product = np.empty((size, n_classes))
-        self.scores = [np.empty((size, n_classes)) for _ in range(max(slots.values()) + 1)]
-        self.slots = slots
+        self.scores = [np.empty((size, n_classes)) for _ in range(heads)]
 
 
-def _head_scores(head: str, built, features: np.ndarray, block: slice, scratch: _Scratch, cache: dict) -> np.ndarray:
-    """`head`'s class scores on one block of test rows, written once per block
-    into its buffer in `scratch`, as are the rows they need; `cache` records
-    what the buffers hold for this block.
+def _head_scores(head: str, built, features: np.ndarray, block: slice, scratch: _Scratch, cache: dict,
+                 out: np.ndarray) -> np.ndarray:
+    """`head`'s class scores on one block of test rows, written into `out`;
+    `cache` records which kind of rows `scratch.rows` holds for this block,
+    and bape's product once it is made.
 
     Each head scores the rows it was fitted on. Those are the float64
     features divided by the norms that `built` holds for their kind (none for
@@ -584,24 +571,21 @@ def _head_scores(head: str, built, features: np.ndarray, block: slice, scratch: 
     (bape+adjust under kappa_mode "keep") adds its own b to one product of
     the unit rows with that W.
     """
-    if head not in cache:
-        kind, clf, n = _rows_of(head), built[head], block.stop - block.start
-        rows = scratch.rows[:n]
-        if cache.get("rows") != kind:
-            norms = built[kind]
-            if norms is None:
-                np.copyto(rows, features[block])
-            else:
-                np.divide(features[block], norms[block, np.newaxis], out=rows)
-            cache["rows"] = kind
-        out = scratch.scores[scratch.slots[head]][:n]
-        if "bape" in built and clf.W is built["bape"].W:
-            if "bape_product" not in cache:
-                cache["bape_product"] = np.matmul(rows, clf.W.T, out=scratch.product[:n])
-            cache[head] = np.add(cache["bape_product"], clf.b, out=out)
+    clf, kind, n = built[head], _rows_of(head), block.stop - block.start
+    shared = "bape" in built and clf.W is built["bape"].W
+    # Once bape's product is made, a head that shares it needs no rows.
+    if not (shared and "product" in cache) and cache.get("rows") != kind:
+        norms = built[kind]
+        if norms is None:
+            np.copyto(scratch.rows[:n], features[block])
         else:
-            cache[head] = logits(clf, rows, out=out)
-    return cache[head]
+            np.divide(features[block], norms[block, np.newaxis], out=scratch.rows[:n])
+        cache["rows"] = kind
+    if not shared:
+        return logits(clf, scratch.rows[:n], out=out[:n])
+    if "product" not in cache:
+        cache["product"] = np.matmul(scratch.rows[:n], clf.W.T, out=scratch.product[:n])
+    return np.add(cache["product"], clf.b, out=out[:n])
 
 
 def _predictions(built, methods, config: ExperimentConfig, features: np.ndarray, seed: int,
@@ -613,18 +597,19 @@ def _predictions(built, methods, config: ExperimentConfig, features: np.ndarray,
     scores the second, each in blocks of _BLOCK // 2 rows, so both threads
     together hold the scratch of one _BLOCK. Every head and kind of rows the
     methods read must be in `built` already: the threads only read it. Each
-    method scores with its heads in `_HEADS`, whose scores on a block are
-    made once and kept while a later method of the block reads them; the
-    ensemble scores the mean of the bape and logit_adjusted log-posteriors,
-    the latter at the training temperature. An error of the first half is
-    raised before one of the second, each once both halves have ended.
+    method scores with its heads in `_HEADS`, whose scores on a block live
+    only while that method is scored; the ensemble scores the mean of the
+    bape and logit_adjusted log-posteriors, the latter at the training
+    temperature. An error of the first half is raised before one of the
+    second, each once both halves have ended.
     """
-    n, slots = len(features), _score_slots(methods)
+    n = len(features)
     preds = {method: np.empty(n, dtype=np.intp) for method in methods}
-    n_classes = len(built[next(iter(slots))].b)
+    heads = max(len(_HEADS[method]) for method in methods)
+    n_classes = len(built[_HEADS[methods[0]][0]].b)
     halves = [range(0, (n + 1) // 2), range((n + 1) // 2, n)]
     score = [partial(_score_rows, built, methods, config, features, seed, preds, rows,
-                     _Scratch(min(_BLOCK // 2, len(rows)), features.shape[1], n_classes, slots)) for rows in halves]
+                     _Scratch(min(_BLOCK // 2, len(rows)), features.shape[1], n_classes, heads)) for rows in halves]
     seconds = _on_both_threads(pool, *score)
     return preds, {method: seconds[0][method] + seconds[1][method] for method in methods}
 
@@ -639,7 +624,8 @@ def _score_rows(built, methods, config: ExperimentConfig, features: np.ndarray, 
         for method in methods:
             started = time.perf_counter()
             with _charged_to(method, seed, methods):
-                scores = [_head_scores(head, built, features, block, scratch, cache) for head in _HEADS[method]]
+                scores = [_head_scores(head, built, features, block, scratch, cache, out)
+                          for head, out in zip(_HEADS[method], scratch.scores)]
                 if method == "ensemble":
                     linear, bape = scores
                     scores = [0.5 * (log_softmax(bape) + log_softmax(linear / config.temperature))]

@@ -28,18 +28,12 @@ def as_unit_vector(v, dim: int | None = None) -> np.ndarray:
 
     Accepts norm deviations up to `UNIT_NORM_TOL` and rescales; anything
     further off the sphere raises ValueError, as does a dimension mismatch
-    when `dim` is given. The result is bitwise v / ||v||. When the float64
-    conversion had to copy v (float32 rows, a list), the copy is divided in
-    place; memory shared with the caller is never written.
+    when `dim` is given. The result is bitwise v / ||v||, one float64 array
+    divided out of v's rows, which are never converted as a whole.
     """
-    u = np.asarray(v, dtype=float)
+    u = _float_rows(v)
     norms = _unit_norms(u, dim)
-    if u.ndim == 2:
-        norms = norms[:, np.newaxis]
-    if np.may_share_memory(u, v):
-        return u / norms
-    u /= norms
-    return u
+    return np.divide(u, norms[:, np.newaxis] if u.ndim == 2 else norms, dtype=float)
 
 
 def _float_rows(v) -> np.ndarray:

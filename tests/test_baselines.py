@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -289,6 +290,23 @@ class TestTrain:
     def test_integer_fields_reject_other_numbers(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             TrainConfig(**{"lr": 0.1, "epochs": 2, "batch_size": 4, key: value})
+
+    def test_a_batch_above_the_row_count_is_one_batch_of_every_row(self):
+        # Its per-step buffers are sized by the rows, not by batch_size: a
+        # batch_size of 10**6 on 108 rows made them 38 MiB.
+        z, y = blob_data(n_per=36)
+        history, expected = [], []
+        one_batch = train(z, y, TrainConfig(lr=0.3, epochs=3, batch_size=108, rng_seed=2), expected)
+        tracemalloc.start()
+        try:
+            clf = train(z, y, TrainConfig(lr=0.3, epochs=3, batch_size=10**6, rng_seed=2), history)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_array_equal(clf.W, one_batch.W)
+        assert_array_equal(clf.b, one_batch.b)
+        assert history == expected
+        assert peak < 2**20
 
     def test_integer_fields_take_numpy_integers(self):
         z, y = blob_data(n_per=10)

@@ -581,6 +581,13 @@ class TestFit:
             assert strong.mus[c] @ frame[c] > 0.99
             assert strong.mus[c] @ frame[c] > weak.mus[c] @ frame[c]
 
+    def test_overflowing_pseudo_count_names_alpha_hat(self):
+        # alpha_hat * n + n overflows: the fit said every class had an
+        # unbounded kappa, after a RuntimeWarning from inf / inf.
+        z, y, _, _ = self._toy_data()
+        with pytest.raises(ValueError, match=r"^alpha_hat=1e\+308 times a class size of 400 overflows the pseudo-count$"):
+            fit(z, y, 3, alpha_hat=1e308, beta_hat=1e308, prior_directions=np.eye(3, 6))
+
     def test_beta_without_directions_rejected(self):
         z, y, _, _ = self._toy_data()
         with pytest.raises(ValueError):

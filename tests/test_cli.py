@@ -637,7 +637,7 @@ class TestCompare:
         assert f"error: method {culprit}: non-finite loss" in err
         assert "RuntimeWarning" not in err
 
-    def _compare_in_subprocess(self, tmp_path, config):
+    def _compare_in_subprocess(self, tmp_path, config, **env):
         # Outside pytest's warning filter numpy would print a RuntimeWarning
         # line to stderr, so these runs show any warning the CLI leaks.
         import spherebayes
@@ -645,7 +645,7 @@ class TestCompare:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config))
         src = os.path.dirname(os.path.dirname(os.path.abspath(spherebayes.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         return subprocess.run([sys.executable, "-W", "default", "-m", "spherebayes.cli", "compare", "--config", str(cfg)],
                               env=env, capture_output=True, text=True)
 
@@ -654,6 +654,27 @@ class TestCompare:
         assert out.returncode == 1
         assert out.stderr == ("error: method 'ensemble', seed 0: logit_adjusted head: non-finite loss "
                               "at epoch 0, sample offset 64 (lr=1e+300)\n")
+
+    def test_overflowing_pseudo_count_is_exit_1_naming_alpha_hat(self, tmp_path):
+        out = self._compare_in_subprocess(tmp_path, {**self.SMALL, "methods": ["bape"], "alpha_hat": 1e308,
+                                                     "beta_hat": 1e308})
+        assert out.returncode == 1
+        assert out.stderr == ("error: method 'bape', seed 0: alpha_hat=1e+308 times a class size of 40 "
+                              "overflows the pseudo-count\n")
+
+    def test_report_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # 148 tail classes of p=256: a Gram-matrix collapse, unit @ unit.T,
+        # read -0.0008222274719354902 under one BLAS thread and
+        # -0.0008222274719354915 under two.
+        config = {"seeds": [0], "methods": ["bape"], "n_classes": 300, "dim": 256, "head_size": 200,
+                  "gamma": 100.0, "kappa_range": [50.0, 500.0], "test_per_class": 5}
+        reports = []
+        for threads in ("1", "2"):
+            out = self._compare_in_subprocess(tmp_path, config, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            assert out.returncode == 0, out.stderr
+            rows = json.loads(out.stdout)
+            reports.append([{**row, "wall_time": 0.0} for row in rows])
+        assert reports[0] == reports[1]
 
     def test_huge_finite_weights_print_nothing(self, tmp_path):
         # lr = 1e300 trains without diverging to weights near 1e300, whose

@@ -991,9 +991,9 @@ class TestRunExperiment:
 
     def test_scoring_keeps_only_the_scores_a_method_reads(self, monkeypatch):
         # The same pass. Each thread holds one rows buffer, bape's product and
-        # one score buffer for a block of 1024 rows (each head is read by one
-        # method only), 2.7 MB; the predictions take 0.5 MB. A pass that kept
-        # every head's scores for the block rose 8.8 MiB.
+        # one score buffer for a block of 1024 rows (no method here has two
+        # heads), 2.7 MB; the predictions take 0.5 MB. A pass that kept every
+        # head's scores for the block rose 8.8 MiB.
         assert 0 < _scoring_rise(monkeypatch) < 7 * 2**20
 
     # No np.errstate wrapper below: a leaked RuntimeWarning would fail them.
