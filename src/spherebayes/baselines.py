@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ClassPriors, _check_labels, log_softmax, logits, top_class
-from .vmf import _norms, substream
+from .vmf import _float_rows, _norms, _row_norms, substream
 
 __all__ = [
     "LinearClassifier",
@@ -215,7 +215,7 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     non-finite, as a per-step check would.
     Returns one (classifier, per-epoch mean losses) pair per head.
     """
-    z = np.asarray(z)
+    z = _float_rows(z)
     y = _check_labels(y, None)
     if z.ndim != 2 or z.shape[0] == 0:
         raise ValueError("features must be a nonempty (n, p) array")
@@ -229,10 +229,7 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     # The training rows with a trailing 1, the only float64 copy of z.
     rows = np.empty((n, p + 1))
     rows[:, p] = 1.0
-    if schedule.normalize:
-        np.divide(z, _projection_norms(z)[:, np.newaxis], out=rows[:, :p])
-    else:
-        rows[:, :p] = z
+    np.divide(z, _linear_norms(z, schedule.normalize)[:, np.newaxis], out=rows[:, :p])
     h = len(heads)
     modes = [mode for mode, _ in heads]
     scales = np.array([s for _, s in heads], dtype=float)
@@ -337,18 +334,13 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     return [(LinearClassifier(theta[i, :, :p].copy(), theta[i, :, p].copy()), histories[:, i].tolist()) for i in range(h)]
 
 
-def _linear_rows(z: np.ndarray, normalize: bool) -> np.ndarray:
-    """The rows a linear head is scored on, as `_train_heads` trains it: z as
-    given, or under normalize z projected onto the sphere; a zero row raises
-    ValueError."""
+def _linear_norms(z: np.ndarray, normalize: bool) -> np.ndarray:
+    """The float64 norms a linear head's rows are divided by, in training and
+    scoring alike: under normalize the rows' norms, which project them onto
+    the sphere (a zero row raises ValueError), otherwise ones, which leave
+    them bitwise as given."""
     if not normalize:
-        return z
-    return z / _projection_norms(z)[:, np.newaxis]
-
-
-def _projection_norms(z: np.ndarray) -> np.ndarray:
-    """The float64 norms that `_linear_rows` divides z's rows by under
-    normalize; a zero row raises ValueError."""
+        return np.ones(len(z))
     norms = _norms(z)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -365,24 +357,6 @@ def _diverged(finite, modes, what) -> TrainingDivergedError:
 def predict_linear(clf: LinearClassifier, z) -> int | np.ndarray:
     """Argmax of W z + b; ties break to the lowest index."""
     return top_class(logits(clf, np.asarray(z, dtype=float)))
-
-
-_MIN_NORMAL_NORM = np.sqrt(np.finfo(float).tiny)  # a smaller norm's sum of squares is subnormal
-
-
-def _row_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's Euclidean norm as scale * norm. Where the sum of squares
-    overflows or leaves the normal range, the norm is that of the row divided
-    by its largest |entry|, its scale; other rows, zero rows too, have scale 1."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(rows, axis=1)
-    scale = np.ones(len(rows))
-    lost = np.flatnonzero((norms < _MIN_NORMAL_NORM) | (norms == np.inf))
-    peak = np.abs(rows[lost]).max(axis=1, initial=0.0)
-    lost, peak = lost[peak > 0.0], peak[peak > 0.0]
-    scale[lost] = peak
-    norms[lost] = np.linalg.norm(rows[lost] / peak[:, np.newaxis], axis=1)
-    return scale, norms
 
 
 def minority_collapse_metric(clf: LinearClassifier, tail_classes) -> float:

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .baselines import _linear_rows, linear_from_json, linear_to_json, predict_linear
+from .baselines import _linear_norms, linear_from_json, linear_to_json, predict_linear
 from .classifier import AdjustmentPolicy, ClassPriors, adjust, from_json, predict, to_json
 from .datagen import (
     FeatureFileError,
@@ -240,7 +240,7 @@ def _cmd_eval(args) -> int:
         if not isinstance(normalize, bool):
             raise ValueError(f"malformed classifier document: normalize must be true or false, got {normalize!r}")
         # The rows the head was trained on: projected onto the sphere under `fit --normalize`.
-        score, rows = predict_linear, _linear_rows(np.asarray(ds.features, dtype=float), normalize)
+        score, rows = predict_linear, ds.features / _linear_norms(ds.features, normalize)[:, np.newaxis]
     if ds.dim != clf.dim:
         raise ValueError(f"dimension mismatch: expected {clf.dim}, got {ds.dim}")
     if ds.labels.size and ds.labels.max() >= clf.n_classes:

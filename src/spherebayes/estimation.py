@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import MAX_KAPPA, mean_resultant_ratio
-from .vmf import VmfParams, as_unit_vector
+from .vmf import VmfParams, _row_norms, as_unit_vector
 
 # How a MAP kappa is found: the closed-form approximation, or a solve of A_p(kappa) = r.
 ESTIMATION_MODES = ("approx", "exact")
@@ -169,7 +169,7 @@ def posterior(prior: PriorSpec, stats: ClassStats) -> PosteriorSpec:
     v = stats.resultant.copy()
     if prior.beta0 > 0.0:
         v += prior.beta0 * prior.m0
-    beta = float(np.linalg.norm(v))
+    beta = float(np.multiply(*_row_norms(v[np.newaxis]))[0])  # no overflow of the squares of huge rates
     if beta == 0.0:
         raise DegeneratePosteriorError(
             "combined resultant is the zero vector; the mean direction is undefined"
@@ -294,7 +294,7 @@ def class_posteriors(counts, resultants, alpha_hat: float, beta_hat: float, m0=N
     v = np.array(resultants, dtype=float)
     if m0 is not None:
         v += beta0[:, np.newaxis] * m0
-    beta = np.linalg.norm(v, axis=1)
+    beta = np.multiply(*_row_norms(v))  # the squares of beta_hat * n past ~1e154 would overflow
     m = np.divide(v, beta[:, np.newaxis], out=np.zeros_like(v), where=beta[:, np.newaxis] > 0.0)
     return alpha, beta, m, beta0
 

@@ -13,9 +13,9 @@ from the same mixture, per seed. Methods:
                   logit_adjusted baseline (a naive combination rule)
   oracle          the true-parameter Bayes rule (generated data only)
 
-Each head scores the test rows in the form it was fitted on: the Bayes heads
-the rows validated as unit vectors, the linear heads the rows their SGD loop
-saw (projected onto the sphere under `normalize`, as given otherwise).
+Each head scores the test rows in the form it was fitted on: the features
+divided by the norms of its kind of rows, the unit norms for the Bayes heads
+and `_linear_norms` for the linear heads (ones unless `normalize`).
 Each run has one worker thread beside the calling thread. It fills the tail
 classes of a generated training set of at least two _BLOCKs of rows, then
 draws the test rows while the heads are fitted; they are waited for at their
@@ -51,7 +51,7 @@ from .baselines import (
     LinearClassifier,
     TrainConfig,
     TrainingDivergedError,
-    _projection_norms,
+    _linear_norms,
     _train_heads,
     minority_collapse_metric,
 )
@@ -406,7 +406,10 @@ def _m0_gradients(fitted, beta_hat, features, norms, labels, mode):
     divided by their validated `norms`.
     One pass over blocks of rows sums g = d loss / d logit (zero on the rows of excluded
     classes) into zsum_k = sum_n g_nk z_n and psum_k = sum_n g_nk, all that both routes need.
-    Each block's unit rows and logits are written into one buffer each."""
+    Each block's unit rows and logits are written into one buffer each of _BLOCK rows. Every
+    transpose product is of the full buffers, a partial block's unused rows zeroed (rows of
+    zero gradient): the product of a partial block's rows alone rounded differently under
+    one and two BLAS threads."""
     p, alphas, betas = fitted.dim, fitted.alphas, fitted.betas
     kappas, ms = fitted.kappas, fitted.mus
     excluded = np.isin(np.arange(len(kappas)), fitted.excluded)
@@ -418,8 +421,7 @@ def _m0_gradients(fitted, beta_hat, features, norms, labels, mode):
     # by the row maxima, exponentiated and divided by the row sums.
     zsum = np.zeros_like(ms)
     psum = np.zeros(len(kappas))
-    size = min(_BLOCK, len(labels))
-    unit, scores = np.empty((size, p)), np.empty((size, len(kappas)))
+    unit, scores = np.empty((_BLOCK, p)), np.empty((_BLOCK, len(kappas)))
     for rows in _blocks(len(labels)):
         y = labels[rows]
         z = np.divide(features[rows], norms[rows, np.newaxis], out=unit[: len(y)])
@@ -429,7 +431,9 @@ def _m0_gradients(fitted, beta_hat, features, norms, labels, mode):
         block /= block.sum(axis=1, keepdims=True)
         block[np.arange(len(y)), y] -= 1.0
         block[excluded[y]] = 0.0
-        zsum += block.T @ z
+        unit[len(y) :] = 0.0
+        scores[len(y) :] = 0.0
+        zsum += scores.T @ unit
         psum += block.sum(axis=0)
     proj = np.einsum("kp,kp->k", zsum, ms)
     # beta route: sum_n g_nk (m_k.T z_n - A_k) = m_k.T zsum_k - A_k psum_k, times dkappa/dbeta, along m_k.
@@ -564,22 +568,17 @@ def _head_scores(head: str, built, features: np.ndarray, block: slice, scratch: 
     `cache` records which kind of rows `scratch.rows` holds for this block,
     and bape's product once it is made.
 
-    Each head scores the rows it was fitted on. Those are the float64
-    features divided by the norms that `built` holds for their kind (none for
-    linear rows taken as given), bitwise those rows of the full-size
-    as_unit_vector or _linear_rows result. Every head whose W *is* bape's
-    (bape+adjust under kappa_mode "keep") adds its own b to one product of
-    the unit rows with that W.
+    Each head scores the rows it was fitted on: the features divided by the
+    norms that `built` holds for their kind, bitwise those rows of the
+    full-size division. Every head whose W *is* bape's (bape+adjust under
+    kappa_mode "keep") adds its own b to one product of the unit rows with
+    that W.
     """
     clf, kind, n = built[head], _rows_of(head), block.stop - block.start
     shared = "bape" in built and clf.W is built["bape"].W
     # Once bape's product is made, a head that shares it needs no rows.
     if not (shared and "product" in cache) and cache.get("rows") != kind:
-        norms = built[kind]
-        if norms is None:
-            np.copyto(scratch.rows[:n], features[block])
-        else:
-            np.divide(features[block], norms[block, np.newaxis], out=scratch.rows[:n])
+        np.divide(features[block], built[kind][block, np.newaxis], out=scratch.rows[:n])
         cache["rows"] = kind
     if not shared:
         return logits(clf, scratch.rows[:n], out=out[:n])
@@ -725,7 +724,7 @@ def _seed_rows(config: ExperimentConfig, seed: int, train_ds: Dataset, test_set,
     built = _BuiltOnFirstUse({
         "test": joined,
         "unit": lambda deps: _unit_norms(deps["test"].features),
-        "linear": lambda deps: _projection_norms(deps["test"].features) if config.normalize else None,
+        "linear": lambda deps: _linear_norms(deps["test"].features, config.normalize),
         "bape": lambda _: _fit_bape(train_ds, config, seed),
         "bape+adjust": lambda deps: adjust(
             deps["bape"],

@@ -84,6 +84,24 @@ def _norms(u: np.ndarray) -> np.ndarray:
     return norms
 
 
+_MIN_NORMAL_NORM = np.sqrt(np.finfo(float).tiny)  # a smaller norm's sum of squares is subnormal
+
+
+def _row_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's Euclidean norm as scale * norm. Where the sum of squares
+    overflows or leaves the normal range, the norm is that of the row divided
+    by its largest |entry|, its scale; other rows, zero rows too, have scale 1."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    scale = np.ones(len(rows))
+    lost = np.flatnonzero((norms < _MIN_NORMAL_NORM) | (norms == np.inf))
+    peak = np.abs(rows[lost]).max(axis=1, initial=0.0)
+    lost, peak = lost[peak > 0.0], peak[peak > 0.0]
+    scale[lost] = peak
+    norms[lost] = np.linalg.norm(rows[lost] / peak[:, np.newaxis], axis=1)
+    return scale, norms
+
+
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Named RNG stream: a PCG64 generator keyed by (seed, *key).
 

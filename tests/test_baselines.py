@@ -20,6 +20,7 @@ from spherebayes.baselines import (
     linear_to_json,
     minority_collapse_metric,
     norm_report,
+    _linear_norms,
     _train_heads,
     predict_linear,
     train,
@@ -714,6 +715,47 @@ class TestTrainInputs:
         # Rows of zero width have zero norms too (the blocked norms divide by the width).
         with pytest.raises(ValueError, match="row 0 has zero norm"):
             train(np.zeros((30, 0)), y, TrainConfig(lr=0.1, epochs=2, batch_size=8, normalize=True))
+        # The rule itself, as `eval` and `compare` call it.
+        with pytest.raises(ValueError, match="row 3 has zero norm"):
+            _linear_norms(z, True)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_object_and_string_rows_train_as_their_float64_values(self, normalize):
+        z = unit_rows(30, 4, 22) * 3.0
+        y = np.arange(30) % 3
+        config = TrainConfig(lr=0.1, epochs=2, batch_size=8, normalize=normalize)
+        expected = train(z, y, config)
+        for rows in (z.astype(object), z.astype(str)):
+            got = train(rows, y, config)
+            assert_array_equal(got.W, expected.W)
+            assert_array_equal(got.b, expected.b)
+
+
+class TestLinearNorms:
+    """Every linear head's rows are z divided by `_linear_norms(z, normalize)`."""
+
+    @staticmethod
+    def rows(dtype):
+        if dtype is np.int64:  # 2**62 + 1 and 2**53 + 1 round on conversion to float64
+            return np.array([[0, -3, 2**62 + 1], [2**53 + 1, -(2**63), 7], [1, 2, 3]], dtype=dtype)
+        # -0.0, a float32 subnormal, and +-3.4e38, whose float32 squares overflow.
+        z = np.array([[-0.0, 1.5, -2.25], [1e-45, -3.4e38, 3.4e38], [7.0, -0.0, -1e-3]], dtype=dtype)
+        assert z[1, 0] != 0.0
+        return z
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_as_given_is_bitwise_the_float64_rows(self, dtype):
+        z = self.rows(dtype)
+        got = z / _linear_norms(z, False)[:, np.newaxis]
+        assert got.dtype == np.float64
+        assert_array_equal(got.view(np.int64), np.asarray(z, dtype=float).view(np.int64))  # -0.0 stays -0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_normalize_is_bitwise_the_projection(self, dtype):
+        z = self.rows(dtype)
+        rows = np.asarray(z, dtype=float)
+        got = z / _linear_norms(z, True)[:, np.newaxis]
+        assert_array_equal(got.view(np.int64), (rows / np.linalg.norm(rows, axis=1, keepdims=True)).view(np.int64))
 
 
 class TestPredictLinear:

@@ -662,19 +662,47 @@ class TestCompare:
         assert out.stderr == ("error: method 'bape', seed 0: alpha_hat=1e+308 times a class size of 40 "
                               "overflows the pseudo-count\n")
 
+    def test_huge_prior_rates_fit_without_warnings(self, tmp_path):
+        # beta_hat * n past ~1e154 overflowed the squares of the posterior
+        # norm: two RuntimeWarnings, then every class read as unbounded.
+        out = self._compare_in_subprocess(tmp_path, {**self.SMALL, "methods": ["bape"], "alpha_hat": 1e200,
+                                                     "beta_hat": 1e160})
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""
+
+    def test_prior_resultant_at_its_pseudo_count_is_exit_1_without_warnings(self, tmp_path):
+        # With alpha_hat = beta_hat the prior's resultant equals its
+        # pseudo-count, so every kappa is unbounded.
+        out = self._compare_in_subprocess(tmp_path, {**self.SMALL, "methods": ["bape"], "alpha_hat": 1e200,
+                                                     "beta_hat": 1e200})
+        assert out.returncode == 1
+        assert out.stderr == ("error: method 'bape', seed 0: every class is degenerate (0 with no samples and no "
+                              "directional prior, 4 with an unbounded kappa): no class is left to fit\n")
+
     def test_report_does_not_depend_on_the_blas_thread_count(self, tmp_path):
         # 148 tail classes of p=256: a Gram-matrix collapse, unit @ unit.T,
         # read -0.0008222274719354902 under one BLAS thread and
-        # -0.0008222274719354915 under two.
-        config = {"seeds": [0], "methods": ["bape"], "n_classes": 300, "dim": 256, "head_size": 200,
-                  "gamma": 100.0, "kappa_range": [50.0, 500.0], "test_per_class": 5}
-        reports = []
-        for threads in ("1", "2"):
-            out = self._compare_in_subprocess(tmp_path, config, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            assert out.returncode == 0, out.stderr
-            rows = json.loads(out.stdout)
-            reports.append([{**row, "wall_time": 0.0} for row in rows])
-        assert reports[0] == reports[1]
+        # -0.0008222274719354915 under two. The two m0-step runs, a 665-row
+        # training set (one partial block) and lt-exact-m0's seed-1 shape,
+        # moved their collapse by an ulp while the m0 gradient's transpose
+        # product was of a partial block's rows only.
+        m0 = {"seeds": [1], "methods": ["bape"], "n_classes": 100, "dim": 128, "gamma": 100.0,
+              "kappa_range": [20.0, 200.0], "alpha_hat": 1.0, "beta_hat": 0.5, "estimation": "exact",
+              "m0_steps": 3, "test_per_class": 5}
+        for config in [
+            {"seeds": [0], "methods": ["bape"], "n_classes": 300, "dim": 256, "head_size": 200, "gamma": 100.0,
+             "kappa_range": [50.0, 500.0], "test_per_class": 5},
+            {**m0, "head_size": 30},
+            {**m0, "head_size": 500},
+        ]:
+            reports = []
+            for threads in ("1", "2"):
+                out = self._compare_in_subprocess(tmp_path, config, OPENBLAS_NUM_THREADS=threads,
+                                                  OMP_NUM_THREADS=threads)
+                assert out.returncode == 0, out.stderr
+                rows = json.loads(out.stdout)
+                reports.append([{**row, "wall_time": 0.0} for row in rows])
+            assert reports[0] == reports[1], config
 
     def test_huge_finite_weights_print_nothing(self, tmp_path):
         # lr = 1e300 trains without diverging to weights near 1e300, whose

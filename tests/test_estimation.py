@@ -18,6 +18,7 @@ from spherebayes.estimation import (
     DegeneratePosteriorError,
     PosteriorSpec,
     PriorSpec,
+    class_posteriors,
     concentration_slopes,
     concentrations,
     map_estimate,
@@ -124,6 +125,32 @@ class TestPosterior:
         stats = update_stats(ClassStats.empty(2), np.array([[-1.0, 0.0]]))
         with pytest.raises(DegeneratePosteriorError):
             posterior(prior, stats)
+
+    def test_huge_prior_rates_give_a_finite_beta(self):
+        # beta0 past ~1e154 overflowed the squares of the norm (a warning,
+        # an error under pytest): posterior raised "invalid posterior
+        # parameters ... beta=inf" and class_posteriors returned inf betas.
+        m0 = _unit([1.0, 2.0, -2.0])
+        batch = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], _unit([1.0, 1.0, 1.0])])
+        stats = update_stats(ClassStats.empty(3), batch)
+        post = posterior(PriorSpec(4e201, 4e161, m0), stats)
+        _, betas, ms, _ = class_posteriors([4, 4], np.stack([stats.resultant, -stats.resultant]), 1e200, 1e160,
+                                           np.stack([m0, -m0]))
+        assert_allclose(post.beta, 4e161, rtol=1e-15)
+        assert_allclose(betas, 4e160, rtol=1e-15)
+        assert_allclose(np.linalg.norm(post.m), 1.0, rtol=1e-15)
+        assert_allclose(np.linalg.norm(ms, axis=1), 1.0, rtol=1e-15)
+        assert_allclose(post.m, m0, rtol=1e-15)
+        assert_allclose(ms, np.stack([m0, -m0]), rtol=1e-15)
+
+    def test_class_posteriors_beta_is_the_plain_norm_of_normal_rows(self):
+        rng = substream(5, 0)
+        counts = np.array([3, 40, 7, 0])
+        resultants = rng.standard_normal((4, 8)) * np.array([[0.5], [20.0], [4.0], [0.0]])
+        m0 = rng.standard_normal((4, 8))
+        m0 /= np.linalg.norm(m0, axis=1, keepdims=True)
+        _, beta, _, beta0 = class_posteriors(counts, resultants, 2.0, 1.5, m0)
+        np.testing.assert_array_equal(beta, np.linalg.norm(resultants + beta0[:, np.newaxis] * m0, axis=1))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
