@@ -69,6 +69,7 @@ from .harness import (
     METHODS,
     ExperimentConfig,
     ExperimentError,
+    ExperimentMemoryError,
     ReportRow,
     emit_report,
     m0_loss_gradients,

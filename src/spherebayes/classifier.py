@@ -332,8 +332,11 @@ def kappa_report(clf: BayesClassifier) -> list[dict]:
 
 # Rows per block of the passes that read training rows: `class_stats` and
 # the m0 gradient's pass, which each divide one block at a time into their
-# float64 scratch. The order of the m0 gradient's sums depends on it.
-_BLOCK = 2048
+# float64 scratch, (512, p + K) at most. The order of the m0 gradient's sums
+# depends on it, so it is fixed in rows: a block sized from p and K instead
+# (431 rows at K=100, p=128) made a gradient differ by an ulp between one
+# and two BLAS threads, where blocks of 512 and 1024 rows did not.
+_BLOCK = 512
 
 
 def class_stats(features: np.ndarray, labels: np.ndarray, n_classes: int,

@@ -294,10 +294,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (FeatureFileError, OSError) as exc:
         return _fail(str(exc), code=2)
+    except MemoryError as exc:  # before RuntimeError: a method's is an ExperimentError as well
+        return _fail(f"out of memory: {exc}")
     except (ValueError, KeyError, RuntimeError) as exc:
         return _fail(str(exc))
-    except MemoryError as exc:
-        return _fail(f"out of memory: {exc}")
 
 
 if __name__ == "__main__":

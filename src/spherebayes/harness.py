@@ -17,12 +17,12 @@ Each head scores the test rows in the form it was fitted on: the features
 divided by the norms of its kind of rows, the unit norms for the Bayes heads
 and `_linear_norms` for the linear heads (ones unless `normalize`).
 Each run has one worker thread beside the calling thread. It fills the tail
-classes of a generated training set of at least two _BLOCKs of rows, then
+classes of a generated training set of at least _SPLIT_ROWS rows, then
 draws the test rows while the heads are fitted; they are waited for at their
 first use. Every head is fitted and every test row checked before any row is
 scored. The scoring then splits the test rows in two halves, one per thread,
-each scored in row blocks, which keeps the scratch memory at O(block * K)
-and each prediction bitwise that of the full-size arrays.
+each scored in row blocks sized to about _SCORE_BYTES of float64 scratch per
+thread, which keeps each prediction bitwise that of the full-size arrays.
 
 Accuracy is reported overall and over class-frequency splits: many-shot
 (train count > 100), medium-shot (20..100), few-shot (< 20).
@@ -92,6 +92,7 @@ __all__ = [
     "ExperimentConfig",
     "ReportRow",
     "ExperimentError",
+    "ExperimentMemoryError",
     "split_accuracy",
     "run_experiment",
     "emit_report",
@@ -123,7 +124,13 @@ def _rows_of(head: str) -> str:
 
 
 class ExperimentError(RuntimeError):
-    """A module error, annotated with the method and seed it occurred under."""
+    """A module error, annotated with the method and seed it occurred under.
+    A method's MemoryError is raised as an ExperimentMemoryError, which is
+    both an ExperimentError and a MemoryError."""
+
+
+class ExperimentMemoryError(ExperimentError, MemoryError):
+    """A method's MemoryError, annotated with the method and seed."""
 
 
 @dataclass(frozen=True)
@@ -356,12 +363,9 @@ def _training_counts(labels: np.ndarray, class_counts) -> np.ndarray:
     return class_counts[labels]
 
 
-# _BLOCK, the rows per block of the fit's passes over the training rows
-# (see `classifier`), is also the rows per pair of blocks, one on each
-# thread, of the scoring pass over the test rows, which makes its (n, K)
-# scratch one block at a time.
 def _blocks(n: int):
-    """Slices of _BLOCK consecutive rows covering n rows, the last one partial."""
+    """Slices of _BLOCK consecutive rows covering n rows, the last one partial:
+    the blocks of the fit's passes over the training rows (see `classifier`)."""
     return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
 
 
@@ -388,7 +392,7 @@ def m0_loss_gradients(
     `adjust` applies them. Classes it excludes (beta = 0, or an unbounded
     kappa) get a zero gradient; their samples add nothing to the mean.
 
-    The sum over samples is one pass over blocks of rows, so the scratch
+    The sum over samples is one pass over blocks of 512 rows, so the scratch
     memory is O(block * (p + K)) whatever the number of rows.
     """
     features = _float_rows(features)
@@ -406,9 +410,9 @@ def _m0_gradients(fitted, beta_hat, features, norms, labels, mode):
     divided by their validated `norms`.
     One pass over blocks of rows sums g = d loss / d logit (zero on the rows of excluded
     classes) into zsum_k = sum_n g_nk z_n and psum_k = sum_n g_nk, all that both routes need.
-    Each block's unit rows and logits are written into one buffer each of _BLOCK rows. Every
-    transpose product is of the full buffers, a partial block's unused rows zeroed (rows of
-    zero gradient): the product of a partial block's rows alone rounded differently under
+    Each block's unit rows and logits are written into one buffer each of _BLOCK (512) rows.
+    Every transpose product is of the full buffers, a partial block's unused rows zeroed (rows
+    of zero gradient): the product of a partial block's rows alone rounded differently under
     one and two BLAS threads."""
     p, alphas, betas = fitted.dim, fitted.alphas, fitted.betas
     kappas, ms = fitted.kappas, fitted.mus
@@ -496,7 +500,7 @@ def _load_data(config: ExperimentConfig, seed: int, pool: ThreadPoolExecutor | N
     the ground truth (None for files).
 
     Both files are read, and their dimensions checked, here. A generated
-    training set of at least two _BLOCKs of rows is drawn on two threads
+    training set of at least _SPLIT_ROWS rows is drawn on two threads
     when `pool` is given: its worker fills the tail classes that hold the
     second half of the rows while this thread fills the rest. Generated test
     rows are checked and allocated here, after the training draw, and drawn
@@ -515,7 +519,7 @@ def _load_data(config: ExperimentConfig, seed: int, pool: ThreadPoolExecutor | N
                 _check_prior_frame(train_ds, config.beta_hat, "beta_hat")
         return train_ds, lambda: test_ds, None
     spec = LongTailSpec(config.n_classes, config.head_size, config.gamma)
-    if pool is None or sum(class_sizes(spec)) < 2 * _BLOCK:
+    if pool is None or sum(class_sizes(spec)) < _SPLIT_ROWS:
         train_ds, truth = generate(spec, config.dim, config.kappa_range, config.center_mode, seed)
     else:
         sizes, truth = _long_tail_truth(spec, config.dim, config.kappa_range, config.center_mode, seed)
@@ -527,6 +531,11 @@ def _load_data(config: ExperimentConfig, seed: int, pool: ThreadPoolExecutor | N
         train_ds = _drawn(truth, counts, features)
     test_counts, test_features = _allocate_draw(truth, np.full(config.n_classes, config.test_per_class))
     return train_ds, partial(_fill_draw, truth, test_counts, test_features, seed, 3), truth
+
+
+# The fewest generated training rows drawn on two threads: a smaller draw is
+# not worth the hand-off (lt-default's 2,304 rows stay on one).
+_SPLIT_ROWS = 4096
 
 
 def _on_both_threads(pool: ThreadPoolExecutor, own, other):
@@ -549,14 +558,29 @@ def _on_both_threads(pool: ThreadPoolExecutor, own, other):
 _COLLAPSE_ON = {"bape": "mus", "bape+adjust": "mus", "softmax": "W", "logit_adjusted": "W"}
 
 
-class _Scratch:
-    """One thread's buffers for scoring blocks of up to `size` test rows: one
-    rows buffer, which holds the kind of rows last made, bape's product, and
-    one score buffer per head of the method with the most `heads`. Made by
-    the thread that runs the pass: a buffer the worker made would stay in the
-    worker's malloc arena."""
+# The float64 scratch each scoring thread's block holds, in bytes. At K=20,
+# p=32 with the ensemble listed this gives blocks of 1068 rows: in blocks of
+# 256 rows the small per-block numpy calls, held by the GIL, made those runs
+# about 7% slower. A block is never cut below _SCORE_MIN_ROWS rows, where
+# the cost of each product call starts to show: on 2 vCPUs, 10,000 rows
+# times a (1000, 256) W took 86 ms in blocks of 128 rows and 137 ms in
+# blocks of 64.
+_SCORE_BYTES = 768 * 1024
+_SCORE_MIN_ROWS = 128
 
-    def __init__(self, size: int, dim: int, n_classes: int, heads: int):
+
+class _Scratch:
+    """One thread's buffers for scoring `n` test rows a block of `block` rows
+    at a time: one rows buffer, which holds the kind of rows last made,
+    bape's product, and one score buffer per head of the method with the
+    most `heads`. A block is sized to fill about _SCORE_BYTES with these
+    buffers, and the buffers hold at most `n` rows. Made by the thread that
+    runs the pass: a buffer the worker made would stay in the worker's
+    malloc arena."""
+
+    def __init__(self, n: int, dim: int, n_classes: int, heads: int):
+        self.block = max(_SCORE_MIN_ROWS, _SCORE_BYTES // (8 * (dim + n_classes * (1 + heads))))
+        size = min(self.block, n)
         self.rows = np.empty((size, dim))
         self.product = np.empty((size, n_classes))
         self.scores = [np.empty((size, n_classes)) for _ in range(heads)]
@@ -593,14 +617,15 @@ def _predictions(built, methods, config: ExperimentConfig, features: np.ndarray,
     method spent scoring them, summed over both threads.
 
     This thread scores the first half of the rows while `pool`'s worker
-    scores the second, each in blocks of _BLOCK // 2 rows, so both threads
-    together hold the scratch of one _BLOCK. Every head and kind of rows the
-    methods read must be in `built` already: the threads only read it. Each
-    method scores with its heads in `_HEADS`, whose scores on a block live
-    only while that method is scored; the ensemble scores the mean of the
-    bape and logit_adjusted log-posteriors, the latter at the training
-    temperature. An error of the first half is raised before one of the
-    second, each once both halves have ended.
+    scores the second, each in blocks sized by `_Scratch` to about
+    _SCORE_BYTES of scratch, unless K and p are so large that the block is
+    at its floor of _SCORE_MIN_ROWS rows. Every head and kind of
+    rows the methods read must be in `built` already: the threads only read
+    it. Each method scores with its heads in `_HEADS`, whose scores on a
+    block live only while that method is scored; the ensemble scores the
+    mean of the bape and logit_adjusted log-posteriors, the latter at the
+    training temperature. An error of the first half is raised before one of
+    the second, each once both halves have ended.
     """
     n = len(features)
     preds = {method: np.empty(n, dtype=np.intp) for method in methods}
@@ -608,7 +633,7 @@ def _predictions(built, methods, config: ExperimentConfig, features: np.ndarray,
     n_classes = len(built[_HEADS[methods[0]][0]].b)
     halves = [range(0, (n + 1) // 2), range((n + 1) // 2, n)]
     score = [partial(_score_rows, built, methods, config, features, seed, preds, rows,
-                     _Scratch(min(_BLOCK // 2, len(rows)), features.shape[1], n_classes, heads)) for rows in halves]
+                     _Scratch(len(rows), features.shape[1], n_classes, heads)) for rows in halves]
     seconds = _on_both_threads(pool, *score)
     return preds, {method: seconds[0][method] + seconds[1][method] for method in methods}
 
@@ -616,10 +641,10 @@ def _predictions(built, methods, config: ExperimentConfig, features: np.ndarray,
 def _score_rows(built, methods, config: ExperimentConfig, features: np.ndarray, seed: int, preds: dict, rows: range,
                 scratch: _Scratch) -> dict:
     """Each method's predictions on `rows`, written into `preds`, a block of
-    _BLOCK // 2 rows at a time; returns the seconds each method spent."""
+    `scratch.block` rows at a time; returns the seconds each method spent."""
     seconds = dict.fromkeys(methods, 0.0)
-    for start in range(rows.start, rows.stop, _BLOCK // 2):
-        block, cache = slice(start, min(start + _BLOCK // 2, rows.stop)), {}
+    for start in range(rows.start, rows.stop, scratch.block):
+        block, cache = slice(start, min(start + scratch.block, rows.stop)), {}
         for method in methods:
             started = time.perf_counter()
             with _charged_to(method, seed, methods):
@@ -635,16 +660,18 @@ def _score_rows(built, methods, config: ExperimentConfig, features: np.ndarray, 
 
 @contextmanager
 def _charged_to(method: str, seed: int, methods):
-    """Re-raise any error as an ExperimentError naming the method and seed; a
-    diverging linear head is charged to its own method if listed, else to the
-    first of `methods` that scores with it, not to the first user of the
-    stack it was trained in."""
+    """Re-raise any error as an ExperimentError naming the method and seed, a
+    MemoryError as an ExperimentMemoryError; a diverging linear head
+    is charged to its own method if listed, else to the first of `methods`
+    that scores with it, not to the first user of the stack it was trained
+    in."""
     try:
         yield
     except Exception as exc:
         if isinstance(exc, TrainingDivergedError):
             method = next(m for m in sorted(methods, key=lambda m: m != exc.mode) if exc.mode in _HEADS[m])
-        raise ExperimentError(f"method {method!r}, seed {seed}: {exc}") from exc
+        error = ExperimentMemoryError if isinstance(exc, MemoryError) else ExperimentError
+        raise error(f"method {method!r}, seed {seed}: {exc}") from exc
 
 
 def _tail_collapse(built, method: str, train_counts, threshold: int) -> float | None:

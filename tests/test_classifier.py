@@ -433,8 +433,8 @@ class TestClassStats:
     def _float32_rows():
         # Rows normalised in float64 and stored as float32, so each norm is
         # off 1 by up to ~1e-7, as generated features' are. Class 1 holds
-        # rows 3000-6199, across the block boundaries at 4096 and 6144;
-        # class 3 is empty.
+        # rows 3000-6199, six full 512-row blocks and a partial one; class 3
+        # is empty.
         rng = np.random.default_rng(11)
         z = rng.standard_normal((7000, 24))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
@@ -448,7 +448,7 @@ class TestClassStats:
         features, y = self._float32_rows()
         if order == "shuffled":
             y = np.random.default_rng(12).permutation(y)
-        assert _BLOCK == 2048
+        assert _BLOCK == 512
         counts, resultants = class_stats(features, y, 5, _unit_norms(features))
         expected_counts, expected = self._gathered(as_unit_vector(features), y, 5)
         assert_array_equal(counts, expected_counts)

@@ -683,9 +683,11 @@ class TestCompare:
         # 148 tail classes of p=256: a Gram-matrix collapse, unit @ unit.T,
         # read -0.0008222274719354902 under one BLAS thread and
         # -0.0008222274719354915 under two. The two m0-step runs, a 665-row
-        # training set (one partial block) and lt-exact-m0's seed-1 shape,
-        # moved their collapse by an ulp while the m0 gradient's transpose
-        # product was of a partial block's rows only.
+        # training set (a full 512-row block and a partial one) and
+        # lt-exact-m0's seed-1 shape, moved their collapse by an ulp while the
+        # m0 gradient's transpose product was of a partial block's rows only,
+        # and the 665-row run did again under a 431-row block. Four threads
+        # split the products differently from two.
         m0 = {"seeds": [1], "methods": ["bape"], "n_classes": 100, "dim": 128, "gamma": 100.0,
               "kappa_range": [20.0, 200.0], "alpha_hat": 1.0, "beta_hat": 0.5, "estimation": "exact",
               "m0_steps": 3, "test_per_class": 5}
@@ -696,13 +698,13 @@ class TestCompare:
             {**m0, "head_size": 500},
         ]:
             reports = []
-            for threads in ("1", "2"):
+            for threads in ("1", "2", "4"):
                 out = self._compare_in_subprocess(tmp_path, config, OPENBLAS_NUM_THREADS=threads,
                                                   OMP_NUM_THREADS=threads)
                 assert out.returncode == 0, out.stderr
                 rows = json.loads(out.stdout)
                 reports.append([{**row, "wall_time": 0.0} for row in rows])
-            assert reports[0] == reports[1], config
+            assert reports[0] == reports[1] == reports[2], config
 
     def test_huge_finite_weights_print_nothing(self, tmp_path):
         # lr = 1e300 trains without diverging to weights near 1e300, whose
@@ -909,6 +911,15 @@ class TestCompare:
         cfg.write_text(json.dumps(self.SMALL))
         assert main(["compare", "--config", str(cfg)]) == 1
         assert "error: out of memory: Unable to allocate 53.7 TiB" in capsys.readouterr().err
+
+    def test_out_of_memory_in_a_fit_names_its_method_and_seed(self, tmp_path, capsys):
+        # 10**18 epochs: numpy refuses the schedule's size at once, so nothing
+        # is allocated. The MemoryError exited 1 as a plain method error.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"seeds": [0], "methods": ["softmax"], "n_classes": 3, "dim": 4, "head_size": 5,
+                                   "test_per_class": 1, "epochs": 10**18}))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: out of memory: method 'softmax', seed 0: ")
 
     @pytest.mark.parametrize("overrides", [{}, {"methods": ["bape"], "head_size": 1}], ids=["fits", "bape-fails"])
     def test_out_of_memory_in_the_test_draw_names_no_method(self, tmp_path, capsys, monkeypatch, overrides):

@@ -54,10 +54,14 @@ from spherebayes.harness import (
     METHODS,
     ExperimentConfig,
     ExperimentError,
+    ExperimentMemoryError,
     ReportRow,
     _BLOCK,
+    _SPLIT_ROWS,
+    _Scratch,
     _blocks,
     _m0_gradients,
+    _predictions,
     emit_report,
     m0_loss_gradients,
     run_experiment,
@@ -462,7 +466,7 @@ class TestM0Gradients:
     @pytest.mark.parametrize("with_excluded, scale", [
         pytest.param(False, 1, id="False"),
         pytest.param(True, 1, id="True"),
-        # 4200 or 4202 rows: two full blocks and a partial one
+        # 4200 or 4202 rows: eight full blocks and a partial one
         pytest.param(False, 25, id="False-blocks"),
         pytest.param(True, 25, id="True-blocks"),
     ])
@@ -474,7 +478,7 @@ class TestM0Gradients:
         counts, resultants = class_stats(feats, ds.labels, 6, np.ones(ds.n))
         priors = ClassPriors.from_counts(counts)
         args = (build_etf(6, 9, 13), counts, resultants, 1.0, 0.5, priors, feats, ds.labels, mode)
-        assert (ds.n > 2 * _BLOCK and ds.n % _BLOCK) if scale > 1 else ds.n < _BLOCK
+        assert (ds.n > 8 * _BLOCK and ds.n % _BLOCK) if scale > 1 else ds.n < _BLOCK
         got = self._fitted_gradient(*args)
         if with_excluded:
             assert np.all(got[5] == 0.0)
@@ -498,13 +502,13 @@ class TestM0Gradients:
     @staticmethod
     def _lt_exact_m0_args():
         # The lt-exact-m0 benchmark shape on seed 11 (K = 100, p = 128,
-        # 10899 rows: five full blocks and a partial one) and its first frame.
+        # 10899 rows: 21 full blocks and a partial one) and its first frame.
         seed = 11
         train, _ = generate(LongTailSpec(100, 500, 100.0), 128, (20.0, 200.0), "random", seed)
         feats = as_unit_vector(train.features)
         counts, resultants = class_stats(feats, train.labels, 100, np.ones(train.n))
         frame = build_etf(100, 128, int(substream(seed, 4).integers(2**63 - 1)))
-        assert train.n > 5 * _BLOCK and train.n % _BLOCK
+        assert train.n > 21 * _BLOCK and train.n % _BLOCK
         return frame, counts, resultants, 1.0, 0.5, ClassPriors.from_counts(counts), feats, train.labels, "exact"
 
     def test_close_to_out_of_place_formula_on_lt_exact_m0_data(self):
@@ -517,7 +521,7 @@ class TestM0Gradients:
 
     def test_holds_no_full_size_array(self):
         # One (n_train, K) float64 array is 8.7 MB at this shape; the blocked
-        # pass keeps O(block * (p + K)) scratch and peaks near 4.3 MB.
+        # pass keeps O(block * (p + K)) scratch and peaks near 1.5 MB.
         frame, counts, resultants, alpha_hat, beta_hat, _, z, labels, mode = self._lt_exact_m0_args()
         fitted = _fit_stats(counts, resultants, alpha_hat, beta_hat, frame.vectors, mode, "exclude")
         tracemalloc.start()
@@ -548,7 +552,7 @@ class TestM0Gradients:
     def test_fit_makes_no_float64_copy_of_the_training_rows(self):
         # The lt-exact-m0 benchmark's fit: K = 100, p = 128, 10899 rows and
         # three exact m0 steps. A float64 copy of the rows is 11.2 MB; the
-        # fit reads them a block at a time and peaks near 5.2 MB.
+        # fit reads them a block at a time and peaks near 2.0 MB.
         import spherebayes.harness as harness
 
         cfg = ExperimentConfig(methods=("bape",), n_classes=100, dim=128, head_size=500, gamma=100.0,
@@ -618,16 +622,20 @@ class TestM0Gradients:
         assert after < before
 
 
-@pytest.mark.parametrize("n, p, k", [(20000, 128, 100), (4000, 32, 20), (2 * _BLOCK + 5, 6, 3)])
+@pytest.mark.parametrize("n, p, k", [(20000, 128, 100), (4000, 32, 20), (8 * _BLOCK + 5, 6, 3)])
 def test_blocked_product_is_bitwise_the_full_product(n, p, k):
     # The scoring pass and the m0 gradient take z @ W.T a block of rows at a
-    # time. BLAS does not promise that a block's rows equal those rows of
-    # the full product; every shape here ends in a partial block.
+    # time, in blocks of their own sizes. BLAS does not promise that a
+    # block's rows equal those rows of the full product; every shape here
+    # ends in a partial gradient block, and the first two in a partial
+    # scoring block (299 and 1365 rows).
     rng = np.random.default_rng(n)
     z = rng.standard_normal((n, p))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     w = 30.0 * rng.standard_normal((k, p))
     assert_array_equal(np.concatenate([z[rows] @ w.T for rows in _blocks(n)]), z @ w.T)
+    block = _Scratch(0, p, k, 1).block
+    assert_array_equal(np.concatenate([z[start:start + block] @ w.T for start in range(0, n, block)]), z @ w.T)
 
 
 def _scoring_rise(monkeypatch) -> int:
@@ -889,7 +897,7 @@ class TestRunExperiment:
         # "keep" bape+adjust's W is bape's own array, and it adds its b to the
         # same product, bitwise its own logits too. The other modes change W
         # and score with their own call. The pass sees one array per block
-        # (three per half of the rows here, the last partial), in method
+        # (two per half of the rows here, the last partial), in method
         # order with the oracle last; each method's blocks are compared
         # concatenated, this thread's half first. Only the scoring pass is
         # spied on: the m0 step of the fit scores with its own call too.
@@ -908,13 +916,13 @@ class TestRunExperiment:
             (threading.get_ident(), s.copy())) or s.argmax(axis=-1))
         monkeypatch.setattr(harness, "_predictions", spied_scoring_pass)
         cfg = small_config(seeds=(4,), methods=("bape", "bape+adjust", "ensemble"), kappa_mode=kappa_mode,
-                           fixed_kappa=fixed_kappa, alpha_hat=1.0, beta_hat=0.5, m0_steps=1, test_per_class=1100)
+                           fixed_kappa=fixed_kappa, alpha_hat=1.0, beta_hat=0.5, m0_steps=1, test_per_class=3000)
         run_experiment(cfg)
         # Each thread's calls in its own order, this thread's first.
         calls, own_calls = ([call for _, call in sorted(seen, key=lambda c: c[0] != threading.get_ident())]
                             for seen in (calls, own_calls))
         n_blocks = len(calls) // 4
-        assert n_blocks == 6 and len(calls) == 4 * n_blocks
+        assert n_blocks == 2 * math.ceil(6000 / _Scratch(6000, 6, 4, 2).block) == 4 and len(calls) == 4 * n_blocks
         scores = [np.concatenate(calls[i::4]) for i in range(4)]
         train_ds, draw_test, _ = harness._load_data(cfg, 4)
         test_ds = draw_test()
@@ -938,19 +946,20 @@ class TestRunExperiment:
         seen = []
         monkeypatch.setattr(harness, "logits", lambda head, z, **kw: seen.append(
             (threading.get_ident(), head, z.copy())) or logits(head, z, **kw))
-        cfg = small_config(seeds=(2,), methods=("ensemble",), normalize=True, test_per_class=600)
+        cfg = small_config(seeds=(2,), methods=("ensemble",), normalize=True, test_per_class=3000)
         run_experiment(cfg)
         rows = np.asarray(harness._load_data(cfg, 2)[1]().features, dtype=float)
         seen.sort(key=lambda call: call[0] != threading.get_ident())  # this thread's half first
         blocks = [z for _, head, z in seen if isinstance(head, LinearClassifier)]
-        assert len(blocks) == 4  # two per half of the 2400 rows
+        assert len(blocks) == 2 * math.ceil(6000 / _Scratch(6000, 6, 4, 2).block) == 4  # two per half of 12000 rows
         linear_z = np.concatenate(blocks)
         assert not np.array_equal(linear_z, rows)  # the float32 rows are off the sphere in their last bits
         assert_array_equal(linear_z, rows / np.linalg.norm(rows, axis=1, keepdims=True))
 
-    @pytest.mark.parametrize("test_per_class", [1, 1100])
+    @pytest.mark.parametrize("test_per_class", [1, 1100, 3000])
     def test_blocked_predictions_equal_full_array_scores(self, monkeypatch, test_per_class):
-        # One row per class, and 4400 rows: two full blocks and a partial one.
+        # One row per class; 4400 rows, one partial block per half; and
+        # 12000 rows, a full block and a partial one per half.
         # Each method's predictions must be the argmax of its own logits
         # taken on all the rows at once.
         import spherebayes.harness as harness
@@ -991,10 +1000,34 @@ class TestRunExperiment:
 
     def test_scoring_keeps_only_the_scores_a_method_reads(self, monkeypatch):
         # The same pass. Each thread holds one rows buffer, bape's product and
-        # one score buffer for a block of 1024 rows (no method here has two
-        # heads), 2.7 MB; the predictions take 0.5 MB. A pass that kept every
-        # head's scores for the block rose 8.8 MiB.
-        assert 0 < _scoring_rise(monkeypatch) < 7 * 2**20
+        # one score buffer (no method here has two heads) for a block of 299
+        # rows, 0.8 MB; the predictions take 0.5 MB, and the pass rises about
+        # 2.2 MiB. A pass that kept every head's scores for the block rose
+        # 8.8 MiB in blocks of 1024 rows.
+        assert 0 < _scoring_rise(monkeypatch) < 3 * 2**20
+
+    def test_scoring_scratch_is_sized_in_bytes(self):
+        # K=1000, p=256 and 4096 test rows, one bape head. Blocks of 1024
+        # rows held 2 x 1024 x (256 + 2000) float64 on the two threads, 37
+        # MB; blocks sized to about 768 KiB of scratch are 128 rows here, and
+        # the pass peaks near 4.9 MB.
+        rng = np.random.default_rng(26)
+        mus = rng.standard_normal((1000, 256))
+        clf = BayesClassifier(mus / np.linalg.norm(mus, axis=1, keepdims=True), rng.uniform(20.0, 200.0, 1000),
+                              ClassPriors.uniform(1000))
+        z = rng.standard_normal((4096, 256))
+        z = (z / np.linalg.norm(z, axis=1, keepdims=True)).astype(np.float32)
+        built = {"bape": clf, "unit": _unit_norms(z)}
+        assert _Scratch(2048, 256, 1000, 1).block == 128
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            tracemalloc.start()
+            try:
+                preds, _ = _predictions(built, ("bape",), small_config(), z, 0, pool)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert_array_equal(preds["bape"], logits(clf, as_unit_vector(z)).argmax(axis=1))
+        assert peak < 6e6
 
     # No np.errstate wrapper below: a leaked RuntimeWarning would fail them.
     @pytest.mark.parametrize("methods, culprit", [
@@ -1013,6 +1046,15 @@ class TestRunExperiment:
         cfg = small_config(methods=methods, eta=0.0, lr=1e308, epochs=6, batch_size=64)
         with pytest.raises(ExperimentError, match=r"^method 'softmax', seed 0: softmax head: non-finite"):
             run_experiment(cfg)
+
+    def test_out_of_memory_in_a_fit_is_both_a_memory_and_an_experiment_error(self):
+        # numpy refuses 10**18 epochs' schedule at once, so nothing is allocated.
+        cfg = ExperimentConfig(seeds=(0,), methods=("softmax",), n_classes=3, dim=4, head_size=5,
+                               test_per_class=1, epochs=10**18)
+        with pytest.raises(ExperimentMemoryError, match=r"^method 'softmax', seed 0: ") as info:
+            run_experiment(cfg)
+        assert isinstance(info.value, ExperimentError) and isinstance(info.value, MemoryError)
+        assert isinstance(info.value.__cause__, MemoryError)
 
     def test_head_is_built_before_its_test_rows_are_checked(self, tmp_path):
         # One sample per class under alpha_hat = 0 leaves every kappa
@@ -1259,7 +1301,7 @@ class TestWorkOnTwoThreads:
         with ThreadPoolExecutor(max_workers=1) as pool:
             train_ds, _, truth = harness._load_data(cfg, 5, pool)
         expected, _ = generate(LongTailSpec(8, 1500, 10.0), 8, cfg.kappa_range, cfg.center_mode, 5)
-        assert train_ds.n == expected.n >= 2 * _BLOCK
+        assert train_ds.n == expected.n >= _SPLIT_ROWS
         assert_array_equal(train_ds.features, expected.features)
         assert_array_equal(train_ds.labels, expected.labels)
         assert_array_equal(train_ds.class_counts, expected.class_counts)

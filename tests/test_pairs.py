@@ -61,3 +61,59 @@ def test_reads_the_end_to_end_metrics_of_the_benchmark():
     names = [m["name"] for m in pairs.end_to_end_metrics(str(ROOT))]
     assert names == [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     assert "op_s.p50.host_norm" in names
+
+
+def test_failed_ops_sum_over_runs_and_compare_as_shares():
+    runs = [{"failed": 1, "attempted": 120}, {"failed": 0, "attempted": 80}]
+    assert pairs.failed_ops(runs) == (1, 200)
+    assert pairs.fails_more((0, 200), (1, 200))
+    assert not pairs.fails_more((1, 200), (1, 200))
+    assert not pairs.fails_more((2, 400), (1, 200))  # the same share
+    assert not pairs.fails_more((1, 100), (0, 50))
+    assert pairs.fails_more((1, 300), (1, 200))
+
+
+def test_more_failed_ops_show_no_gain():
+    s = pairs.summarize(OP_S, PARENT, CHANGE, more_failures=True)
+    assert (s["wins"], s["pairs"], s["gain"]) == (9, 10, False)
+    text = pairs.report(OP_S, list(range(801, 811)), PARENT, CHANGE, more_failures=True)
+    assert text.splitlines()[-1] == ("  change better in 9 of 10 pairs; gap beyond the parent's IQR 0.025, "
+                                     "more failed ops: no")
+
+
+def _fake_runs(monkeypatch, failed, correct=None):
+    """Replace the runner with one that returns fixed result lines: the op
+    time from PARENT or CHANGE, `failed[side]` failed ops of 100, and
+    correct unless the run is `correct`'s (side, pair index)."""
+    count = {"parent": 0, "change": 0}
+
+    def run_once(tree, workload, seed, seconds):
+        side = "parent" if tree == "P" else "change"
+        i = count[side]
+        count[side] += 1
+        value = (PARENT if side == "parent" else CHANGE)[i]
+        return {"correct": (side, i) != correct, "attempted": 100, "failed": failed[side],
+                "metrics": {OP_S["name"]: {"value": value, "unit": "s"}}}, {}
+
+    monkeypatch.setattr(pairs, "end_to_end_metrics", lambda tree: [OP_S])
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    return ["--parent", "P", "--change", "C", "--workload", "w", "--first-seed", "801"]
+
+
+def test_an_incorrect_run_exits_1_naming_it(monkeypatch, capsys):
+    argv = _fake_runs(monkeypatch, {"parent": 0, "change": 0}, correct=("change", 1))
+    assert pairs.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: pair 2 seed 802 change is not correct; no verdict is given\n"
+    assert "median" not in out
+
+
+def test_failed_ops_are_printed_and_more_of_them_deny_the_gain(monkeypatch, capsys):
+    argv = _fake_runs(monkeypatch, {"parent": 0, "change": 1})
+    assert pairs.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "failed ops: parent 0/1000, change 10/1000" in lines
+    assert lines[-1].endswith(", more failed ops: no")
+    argv = _fake_runs(monkeypatch, {"parent": 1, "change": 1})
+    assert pairs.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("0.025: yes")
