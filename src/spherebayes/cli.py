@@ -19,11 +19,13 @@ import argparse
 import functools
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
-from .baselines import _linear_norms, linear_from_json, linear_to_json, predict_linear
-from .classifier import AdjustmentPolicy, ClassPriors, adjust, from_json, predict, to_json
+from .baselines import _linear_norms, linear_from_json, linear_to_json
+from .classifier import AdjustmentPolicy, ClassPriors, adjust, from_json, to_json
 from .datagen import (
     FeatureFileError,
     LongTailSpec,
@@ -42,10 +44,14 @@ from .harness import (
     _fit_bape,
     _fit_linear,
     _is_real,
+    _predictions,
+    _rows_of,
+    _training_counts,
     emit_report,
     run_experiment,
     split_accuracy,
 )
+from .vmf import _unit_norms
 
 __all__ = ["main"]
 
@@ -231,7 +237,7 @@ def _cmd_eval(args) -> int:
         policy = _parse_adjustment(args, clf.n_classes)
         if policy is not None:
             clf = adjust(clf, policy)
-        score, rows = predict, ds.features
+        method, norms = "bape", None  # unit norms: checked after the labels, so errors keep their order
     else:
         if args.adjust_priors or args.kappa_mode != "keep":
             raise ValueError("adjustment flags only apply to bape classifier documents")
@@ -240,16 +246,17 @@ def _cmd_eval(args) -> int:
         if not isinstance(normalize, bool):
             raise ValueError(f"malformed classifier document: normalize must be true or false, got {normalize!r}")
         # The rows the head was trained on: projected onto the sphere under `fit --normalize`.
-        score, rows = predict_linear, ds.features / _linear_norms(ds.features, normalize)[:, np.newaxis]
+        method, norms = "softmax", _linear_norms(ds.features, normalize)
     if ds.dim != clf.dim:
         raise ValueError(f"dimension mismatch: expected {clf.dim}, got {ds.dim}")
     if ds.labels.size and ds.labels.max() >= clf.n_classes:
         raise ValueError(f"evaluation labels span {ds.labels.max() + 1} classes, the classifier {clf.n_classes}")
-    preds = score(clf, rows)
-    counts = ds.class_counts
-    if args.split_counts_from:
-        counts = read_features(args.split_counts_from).class_counts
-    result = split_accuracy(preds, ds.labels, counts)
+    built = {method: clf, _rows_of(method): _unit_norms(ds.features) if norms is None else norms}
+    counts = read_features(args.split_counts_from).class_counts if args.split_counts_from else ds.class_counts
+    _training_counts(ds.labels, counts)  # the split check, before any row is scored
+    with ThreadPoolExecutor(max_workers=1) as pool:  # compare's pass; only an ensemble reads the temperature
+        preds, _ = _predictions(built, (method,), 1.0, ds.features, nullcontext, pool)
+    result = split_accuracy(preds[method], ds.labels, counts)
     text_out = json.dumps(result, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

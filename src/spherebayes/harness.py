@@ -23,6 +23,8 @@ first use. Every head is fitted and every test row checked before any row is
 scored. The scoring then splits the test rows in two halves, one per thread,
 each scored in row blocks sized to about _SCORE_BYTES of float64 scratch per
 thread, which keeps each prediction bitwise that of the full-size arrays.
+The pass takes a temperature and an error-context factory, not a config and
+seed, so `spherebayes eval` scores its one head through it too.
 
 Accuracy is reported overall and over class-frequency splits: many-shot
 (train count > 100), medium-shot (20..100), few-shot (< 20).
@@ -611,8 +613,7 @@ def _head_scores(head: str, built, features: np.ndarray, block: slice, scratch: 
     return np.add(cache["product"], clf.b, out=out[:n])
 
 
-def _predictions(built, methods, config: ExperimentConfig, features: np.ndarray, seed: int,
-                 pool: ThreadPoolExecutor):
+def _predictions(built, methods, temperature: float, features: np.ndarray, charged, pool: ThreadPoolExecutor):
     """Each method's predicted class on every test row, and the seconds each
     method spent scoring them, summed over both threads.
 
@@ -624,35 +625,38 @@ def _predictions(built, methods, config: ExperimentConfig, features: np.ndarray,
     it. Each method scores with its heads in `_HEADS`, whose scores on a
     block live only while that method is scored; the ensemble scores the
     mean of the bape and logit_adjusted log-posteriors, the latter at the
-    training temperature. An error of the first half is raised before one of
-    the second, each once both halves have ended.
+    training `temperature`. Each method is scored inside `charged(method)`:
+    `_charged_to` in `compare`, `contextlib.nullcontext` in `eval`. An error
+    of the first half is raised before one of the second, each once both
+    halves have ended.
     """
     n = len(features)
     preds = {method: np.empty(n, dtype=np.intp) for method in methods}
     heads = max(len(_HEADS[method]) for method in methods)
     n_classes = len(built[_HEADS[methods[0]][0]].b)
     halves = [range(0, (n + 1) // 2), range((n + 1) // 2, n)]
-    score = [partial(_score_rows, built, methods, config, features, seed, preds, rows,
+    score = [partial(_score_rows, built, methods, temperature, features, charged, preds, rows,
                      _Scratch(len(rows), features.shape[1], n_classes, heads)) for rows in halves]
     seconds = _on_both_threads(pool, *score)
     return preds, {method: seconds[0][method] + seconds[1][method] for method in methods}
 
 
-def _score_rows(built, methods, config: ExperimentConfig, features: np.ndarray, seed: int, preds: dict, rows: range,
+def _score_rows(built, methods, temperature: float, features: np.ndarray, charged, preds: dict, rows: range,
                 scratch: _Scratch) -> dict:
     """Each method's predictions on `rows`, written into `preds`, a block of
-    `scratch.block` rows at a time; returns the seconds each method spent."""
+    `scratch.block` rows at a time, each method inside `charged(method)`;
+    returns the seconds each method spent."""
     seconds = dict.fromkeys(methods, 0.0)
     for start in range(rows.start, rows.stop, scratch.block):
         block, cache = slice(start, min(start + scratch.block, rows.stop)), {}
         for method in methods:
             started = time.perf_counter()
-            with _charged_to(method, seed, methods):
+            with charged(method):
                 scores = [_head_scores(head, built, features, block, scratch, cache, out)
                           for head, out in zip(_HEADS[method], scratch.scores)]
                 if method == "ensemble":
                     linear, bape = scores
-                    scores = [0.5 * (log_softmax(bape) + log_softmax(linear / config.temperature))]
+                    scores = [0.5 * (log_softmax(bape) + log_softmax(linear / temperature))]
                 preds[method][block] = top_class(scores[0])
             seconds[method] += time.perf_counter() - started
     return seconds
@@ -784,7 +788,8 @@ def _seed_rows(config: ExperimentConfig, seed: int, train_ds: Dataset, test_set,
         seconds[method] = time.perf_counter() - started - (waited.pop() if waited else 0.0)
     test_ds = built["test"]
     _training_counts(test_ds.labels, train_ds.class_counts)  # the split check, before any row is scored
-    preds, pass_seconds = _predictions(built, scored, config, test_ds.features, seed, pool)
+    charged = partial(_charged_to, seed=seed, methods=scored)
+    preds, pass_seconds = _predictions(built, scored, config.temperature, test_ds.features, charged, pool)
     oracle_acc = float(np.mean(preds["oracle"] == test_ds.labels)) if truth is not None else None
     rows = []
     for method in config.methods:

@@ -6,15 +6,25 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from spherebayes.classifier import from_json
-from spherebayes.baselines import linear_from_json
+from spherebayes.classifier import AdjustmentPolicy, ClassPriors, adjust, from_json, predict, to_json
+from spherebayes.baselines import LinearClassifier, linear_from_json, linear_to_json
 from spherebayes.cli import main
-from spherebayes.datagen import Dataset, LongTailSpec, generate, read_features, write_features
+from spherebayes.datagen import (
+    Dataset,
+    LongTailSpec,
+    class_sizes,
+    generate,
+    make_truth,
+    read_features,
+    sample_dataset,
+    write_features,
+)
 from spherebayes.vmf import substream
 
 
@@ -390,13 +400,15 @@ class TestEval:
                      "--data", str(test)]) == 2
 
 
-    def test_split_counts_with_fewer_classes_is_exit_1(self, workspace, capsys):
+    def test_split_counts_with_fewer_classes_is_exit_1(self, workspace, capsys, monkeypatch):
         tmp, train, test = workspace
         clf = self._fit(workspace)
         ds = read_features(train)
         fewer = tmp / "fewer.bin"
         keep = ds.labels < 3
         write_features(fewer, Dataset(ds.features[keep], ds.labels[keep], ds.class_counts[:3]))
+        # Found before any row is scored.
+        monkeypatch.setattr("spherebayes.cli._predictions", lambda *args: pytest.fail("rows were scored"))
         code = main(["eval", "--classifier", str(clf), "--data", str(test),
                      "--split-counts-from", str(fewer)])
         assert code == 1
@@ -412,6 +424,65 @@ class TestEval:
         assert main(["eval", "--classifier", str(clf), "--data", str(empty), "--out", str(out)]) == 1
         assert "evaluation set is empty" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_missing_split_counts_file_is_exit_2_before_any_row_is_scored(self, workspace, capsys, monkeypatch):
+        # It was found only after every row was scored.
+        tmp, train, test = workspace
+        clf = self._fit(workspace)
+        monkeypatch.setattr("spherebayes.cli._predictions", lambda *args: pytest.fail("rows were scored"))
+        assert main(["eval", "--classifier", str(clf), "--data", str(test),
+                     "--split-counts-from", str(tmp / "none.bin")]) == 2
+        assert "none.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, data, message", [
+        # A linear head's norms are taken, and a zero row found, before the
+        # dimension and label checks.
+        ("softmax", "wide-zero", "row 1 has zero norm and cannot be normalized"),
+        ("softmax", "more-zero", "row 1 has zero norm and cannot be normalized"),
+        # bape's unit norms are checked after both.
+        ("bape", "wide-off", "dimension mismatch: expected 6, got 7"),
+        ("bape", "more-off", "evaluation labels span 6 classes, the classifier 4"),
+    ])
+    def test_errors_come_in_order(self, workspace, capsys, model, data, message):
+        tmp, train, test = workspace
+        clf = self._fit(workspace, model, ("--epochs", "2", "--normalize") if model == "softmax" else ())
+        shape, fault = data.split("-")
+        ds, _ = generate(LongTailSpec(6, 30, 5.0), 6, seed=0) if shape == "more" else generate(
+            LongTailSpec(4, 30, 5.0), 7, seed=0)
+        features = ds.features * 2.0
+        if fault == "zero":
+            features[1] = 0.0
+        write_features(tmp / "bad.bin", Dataset(features, ds.labels, ds.class_counts))
+        assert main(["eval", "--classifier", str(clf), "--data", str(tmp / "bad.bin")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_scores_in_blocks(self, tmp_path, monkeypatch):
+        # K=200, p=64 and 8000 rows: a float64 copy of the rows is 4 MB and
+        # the full (n, K) logits 12.8 MB. Scoring them whole peaked at 19.3
+        # MiB under tracemalloc; the blocked pass peaks near 4.9 MiB.
+        truth = make_truth(200, 64, (20.0, 200.0), "random", 0)
+        ds = sample_dataset(truth, np.full(200, 40), 0, stream=3)
+        data = tmp_path / "test.bin"
+        write_features(data, ds)
+        bape = truth.classifier(ClassPriors.from_counts(class_sizes(LongTailSpec(200, 200, 10.0))))
+        (tmp_path / "bape.json").write_text(to_json(bape))
+        (tmp_path / "linear.json").write_text(linear_to_json(LinearClassifier(bape.W, bape.b), normalize=True))
+        scored = []
+        monkeypatch.setattr("spherebayes.cli.split_accuracy", lambda preds, *args: scored.append(preds) or {})
+        for name, extra in [("bape.json", ()), ("bape.json", ("--adjust-priors", "uniform")), ("linear.json", ())]:
+            tracemalloc.start()
+            try:
+                assert main(["eval", "--classifier", str(tmp_path / name), "--data", str(data), *extra]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
+        plain, adjusted, linear = scored
+        assert_array_equal(plain, predict(bape, ds.features))
+        assert_array_equal(adjusted, predict(adjust(bape, AdjustmentPolicy(ClassPriors.uniform(200))), ds.features))
+        assert not np.array_equal(adjusted, plain)
+        assert_array_equal(linear, plain)  # the same W and b on the projected rows
+
 
 def _train_without_last_class(tmp_path, train_name):
     """A six-class mixture: train file without class 5 (named by suffix),

@@ -10,6 +10,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import fields, replace
 
 import numpy as np
@@ -1022,7 +1023,7 @@ class TestRunExperiment:
         with ThreadPoolExecutor(max_workers=1) as pool:
             tracemalloc.start()
             try:
-                preds, _ = _predictions(built, ("bape",), small_config(), z, 0, pool)
+                preds, _ = _predictions(built, ("bape",), 1.0, z, nullcontext, pool)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
