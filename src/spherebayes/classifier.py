@@ -197,9 +197,10 @@ def logits(head, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return s
 
 
-def log_softmax(s: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis: logits to log class posteriors."""
-    return s - logsumexp(s, axis=-1, keepdims=True)
+def log_softmax(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Log-softmax over the last axis: logits to log class posteriors,
+    written into `out` if given (which may be `s` itself)."""
+    return np.subtract(s, logsumexp(s, axis=-1, keepdims=True), out=out)
 
 
 def top_class(s: np.ndarray) -> int | np.ndarray:

@@ -31,6 +31,7 @@ from .datagen import (
     LongTailSpec,
     _check_row_total,
     generate,
+    read_class_counts,
     read_features,
     sample_dataset,
     write_features,
@@ -252,7 +253,7 @@ def _cmd_eval(args) -> int:
     if ds.labels.size and ds.labels.max() >= clf.n_classes:
         raise ValueError(f"evaluation labels span {ds.labels.max() + 1} classes, the classifier {clf.n_classes}")
     built = {method: clf, _rows_of(method): _unit_norms(ds.features) if norms is None else norms}
-    counts = read_features(args.split_counts_from).class_counts if args.split_counts_from else ds.class_counts
+    counts = read_class_counts(args.split_counts_from) if args.split_counts_from else ds.class_counts
     _training_counts(ds.labels, counts)  # the split check, before any row is scored
     with ThreadPoolExecutor(max_workers=1) as pool:  # compare's pass; only an ensemble reads the temperature
         preds, _ = _predictions(built, (method,), 1.0, ds.features, nullcontext, pool)

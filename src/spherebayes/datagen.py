@@ -40,6 +40,7 @@ __all__ = [
     "oracle_accuracy",
     "write_features",
     "read_features",
+    "read_class_counts",
 ]
 
 _MAGIC = b"BAPF"
@@ -66,6 +67,12 @@ class LabelRangeError(FeatureFileError):
     pass
 
 
+# The most classes a long-tail profile may have: over twelve times the 8,142
+# of iNaturalist 2018, the largest common long-tail benchmark. It is checked
+# before the profile's row total, which is summed over one size per class.
+MAX_CLASSES = 100_000
+
+
 @dataclass(frozen=True)
 class LongTailSpec:
     """Exponential class-size profile: head size N, imbalance factor gamma."""
@@ -77,6 +84,8 @@ class LongTailSpec:
     def __post_init__(self):
         if self.n_classes < 2:
             raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
+        if self.n_classes > MAX_CLASSES:
+            raise ValueError(f"n_classes must be <= {MAX_CLASSES}, got {self.n_classes}")
         if self.head_size < 1:
             raise ValueError(f"head_size must be >= 1, got {self.head_size}")
         if not np.isfinite(self.gamma) or self.gamma < 1.0:
@@ -331,29 +340,51 @@ def read_features(path) -> Dataset:
     """Read a feature file written by write_features (either format)."""
     path = str(path)
     with open(path, "rb") as fh:
-        head = fh.read(4)
-        if head == _MAGIC:
-            version, n, p, k = struct.unpack("<IIII", _read_exact(fh, 16, "header"))
-            if version != _VERSION:
-                raise VersionMismatchError(f"unsupported version {version}")
-            # Checked before reading, so a corrupt header cannot force a huge allocation.
-            size, needed = os.fstat(fh.fileno()).st_size, 20 + 4 * n * (p + 1)
-            if size < needed:
-                raise TruncatedFileError(
-                    f"header declares n={n}, p={p} ({needed} bytes); file holds {size}"
-                )
-            feats = np.frombuffer(
-                _read_exact(fh, 4 * n * p, "feature block"), dtype="<f4"
-            ).reshape(n, p)
-            labels = np.frombuffer(
-                _read_exact(fh, 4 * n, "label block"), dtype="<u4"
-            ).astype(np.int64)
-            if labels.size and labels.max() >= k:
-                raise LabelRangeError(f"label {labels.max()} outside [0, {k})")
-            return Dataset(feats, labels, np.bincount(labels, minlength=k))
-        if head.startswith(b"labe"):
+        if (shape := _binary_header(fh)) is None:
             return _read_csv(path)
-    raise MagicMismatchError(f"not a feature file (leading bytes {head!r})")
+        n, p, k = shape
+        feats = np.frombuffer(_read_exact(fh, 4 * n * p, "feature block"), dtype="<f4").reshape(n, p)
+        labels = _binary_labels(fh, n, k)
+    return Dataset(feats, labels, np.bincount(labels, minlength=k))
+
+
+def read_class_counts(path) -> np.ndarray:
+    """The per-class row counts of a feature file, with the checks and errors
+    of read_features. Of a binary file only the header and the label block
+    are read; its feature block is skipped. A CSV file is read whole."""
+    path = str(path)
+    with open(path, "rb") as fh:
+        if (shape := _binary_header(fh)) is None:
+            return _read_csv(path).class_counts
+        n, p, k = shape
+        fh.seek(4 * n * p, os.SEEK_CUR)
+        return np.bincount(_binary_labels(fh, n, k), minlength=k)
+
+
+def _binary_header(fh) -> tuple[int, int, int] | None:
+    """n, p and K of the binary feature file open in `fh`, whose blocks
+    follow; None if it is a CSV file."""
+    head = fh.read(4)
+    if head != _MAGIC:
+        if head.startswith(b"labe"):
+            return None
+        raise MagicMismatchError(f"not a feature file (leading bytes {head!r})")
+    version, n, p, k = struct.unpack("<IIII", _read_exact(fh, 16, "header"))
+    if version != _VERSION:
+        raise VersionMismatchError(f"unsupported version {version}")
+    # Checked before reading, so a corrupt header cannot force a huge allocation.
+    size, needed = os.fstat(fh.fileno()).st_size, 20 + 4 * n * (p + 1)
+    if size < needed:
+        raise TruncatedFileError(f"header declares n={n}, p={p} ({needed} bytes); file holds {size}")
+    return n, p, k
+
+
+def _binary_labels(fh, n: int, k: int) -> np.ndarray:
+    """The label block that `fh` is at, checked to lie in [0, k)."""
+    labels = np.frombuffer(_read_exact(fh, 4 * n, "label block"), dtype="<u4").astype(np.int64)
+    if labels.size and labels.max() >= k:
+        raise LabelRangeError(f"label {labels.max()} outside [0, {k})")
+    return labels
 
 
 def _read_csv(path: str) -> Dataset:

@@ -625,8 +625,11 @@ def _predictions(built, methods, temperature: float, features: np.ndarray, charg
     it. Each method scores with its heads in `_HEADS`, whose scores on a
     block live only while that method is scored; the ensemble scores the
     mean of the bape and logit_adjusted log-posteriors, the latter at the
-    training `temperature`. Each method is scored inside `charged(method)`:
-    `_charged_to` in `compare`, `contextlib.nullcontext` in `eval`. An error
+    training `temperature`, each taken in place in the thread's score
+    buffers, so the only (block, K) array a block makes is the one each
+    logsumexp holds while it runs. Each method is scored inside
+    `charged(method)`: `_charged_to` in `compare`,
+    `contextlib.nullcontext` in `eval`. An error
     of the first half is raised before one of the second, each once both
     halves have ended.
     """
@@ -656,7 +659,12 @@ def _score_rows(built, methods, temperature: float, features: np.ndarray, charge
                           for head, out in zip(_HEADS[method], scratch.scores)]
                 if method == "ensemble":
                     linear, bape = scores
-                    scores = [0.5 * (log_softmax(bape) + log_softmax(linear / temperature))]
+                    if temperature != 1.0:  # x / 1.0 is x: skipping it changes no score
+                        linear /= temperature
+                    log_softmax(bape, out=bape)
+                    bape += log_softmax(linear, out=linear)
+                    bape *= 0.5
+                    scores = [bape]
                 preds[method][block] = top_class(scores[0])
             seconds[method] += time.perf_counter() - started
     return seconds

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -425,6 +426,54 @@ class TestEval:
         assert "evaluation set is empty" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("corrupt", ["missing", "magic", "version", "truncated", "label", "csv-label"])
+    def test_split_counts_file_fails_as_a_data_file_does(self, workspace, capsys, corrupt):
+        # The counts are read without the feature block, but every bad file
+        # keeps the exit code and message that read_features gives it.
+        tmp, train, test = workspace
+        clf = self._fit(workspace)
+        raw = bytearray(train.read_bytes())
+        bad = tmp / f"{corrupt}.bin"
+        if corrupt == "magic":
+            raw[:4] = b"PNG\x00"
+        elif corrupt == "version":
+            raw[4:8] = struct.pack("<I", 2)
+        elif corrupt == "truncated":
+            raw = raw[:-1]
+        elif corrupt == "label":
+            raw[-4:] = struct.pack("<I", 9)
+        elif corrupt == "csv-label":
+            bad = tmp / "bad.csv"
+            raw = b"label,f0\n0,1.0\n-1,0.5\n"
+        if corrupt != "missing":
+            bad.write_bytes(bytes(raw))
+        as_data = main(["eval", "--classifier", str(clf), "--data", str(bad)])
+        data_err = capsys.readouterr().err
+        as_counts = main(["eval", "--classifier", str(clf), "--data", str(test), "--split-counts-from", str(bad)])
+        assert (as_counts, capsys.readouterr().err) == (as_data, data_err) == (2, data_err)
+
+    def test_split_counts_file_feature_block_is_not_read(self, workspace, capsys):
+        # A binary counts file of 4096 rows of p=2048, written sparse: its
+        # feature block is 32 MiB, its label block 16 KiB. Reading the block
+        # would take the 32 MiB; the whole eval peaks near 70 KB.
+        tmp, train, test = workspace
+        clf = self._fit(workspace)
+        wide, n, p = tmp / "wide.bin", 4096, 2048
+        with open(wide, "wb") as fh:
+            fh.write(b"BAPF" + struct.pack("<IIII", 1, n, p, 4))
+            fh.seek(4 * n * p, os.SEEK_CUR)
+            fh.write((np.arange(n) % 4).astype("<u4").tobytes())
+        tracemalloc.start()
+        try:
+            code = main(["eval", "--classifier", str(clf), "--data", str(test), "--split-counts-from", str(wide)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["many"] == doc["all"] and doc["medium"] is None and doc["few"] is None  # 1024 rows a class
+        assert peak < 4 * 2**20
+
     def test_missing_split_counts_file_is_exit_2_before_any_row_is_scored(self, workspace, capsys, monkeypatch):
         # It was found only after every row was scored.
         tmp, train, test = workspace
@@ -540,6 +589,34 @@ class TestCompare:
 
     def test_missing_config_is_exit_2(self, tmp_path):
         assert main(["compare", "--config", str(tmp_path / "none.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["compare", "generate"])
+    def test_class_count_past_its_bound_is_exit_1_within_a_second(self, tmp_path, capsys, command):
+        # The profile's row total was summed over a Python list of one size
+        # per class, so a config or flag of 10**12 classes never loaded.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"n_classes": 10**12}))
+        argv = {"compare": ["compare", "--config", str(cfg)],
+                "generate": ["generate", "--classes", str(10**12), "--out", str(tmp_path / "x.bin")]}[command]
+
+        class Late(BaseException):  # not an Exception, so main cannot report it as an error
+            pass
+
+        def late(signum, frame):
+            raise Late
+
+        previous = signal.signal(signal.SIGALRM, late)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            code = main(argv)
+        except Late:
+            pytest.fail(f"{command} with 10**12 classes did not return within a second")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 1
+        assert "n_classes must be <= 100000, got 1000000000000" in capsys.readouterr().err
+        assert not (tmp_path / "x.bin").exists()
 
     def test_empty_trailing_class_in_train_file(self, tmp_path):
         # Class 5 is declared by the file header but has no training rows:

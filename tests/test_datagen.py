@@ -13,6 +13,7 @@ from scipy.special import i0
 
 from spherebayes.classifier import ClassPriors
 from spherebayes.datagen import (
+    MAX_CLASSES,
     Dataset,
     FeatureFileError,
     LabelRangeError,
@@ -25,6 +26,7 @@ from spherebayes.datagen import (
     generate,
     make_truth,
     oracle_accuracy,
+    read_class_counts,
     read_features,
     sample_dataset,
     write_features,
@@ -78,6 +80,11 @@ class TestClassSizes:
         # numpy wrapped the total, or failed to take the head class's size.
         with pytest.raises(ValueError, match=r"n_classes and head_size give \d+ rows in total, which must be below"):
             LongTailSpec(3, head_size, 100.0)
+
+    def test_class_count_is_bounded_before_the_sizes_are_taken(self):
+        assert len(class_sizes(LongTailSpec(MAX_CLASSES, 1, 1.0))) == MAX_CLASSES
+        with pytest.raises(ValueError, match=f"n_classes must be <= {MAX_CLASSES}, got {10**18}"):
+            LongTailSpec(10**18, 1, 1.0)
 
     def test_row_total_bound_is_2_to_the_63(self):
         assert sum(class_sizes(LongTailSpec(2, 2**62 - 512, 1.0))) == 2**63 - 1024
@@ -465,6 +472,15 @@ class TestFeatureFiles:
             corrupt.write_text(f"label,f0,f1\n0,1.0,0.0\n{row}\n")
             with pytest.raises(FeatureFileError, match=re.escape(f"{corrupt}: row 3 has {what}")):
                 read_features(corrupt)
+
+    @pytest.mark.parametrize("suffix", [".bin", ".csv"])
+    def test_class_counts_read_alone(self, tmp_path, suffix):
+        ds = self._dataset()
+        path = tmp_path / f"data{suffix}"
+        write_features(path, ds)
+        counts = read_class_counts(path)
+        assert counts.dtype == np.int64
+        assert_array_equal(counts, read_features(path).class_counts)
 
     def test_errors_share_a_base_class(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -639,31 +639,34 @@ def test_blocked_product_is_bitwise_the_full_product(n, p, k):
     assert_array_equal(np.concatenate([z[start:start + block] @ w.T for start in range(0, n, block)]), z @ w.T)
 
 
-def _scoring_rise(monkeypatch) -> int:
+def _scoring_rise(monkeypatch, config: ExperimentConfig) -> int:
     """How far traced memory rises above its start in the scoring pass of a
-    K=100, p=128 run of the closed-form methods on 20000 test rows."""
+    one-seed run of `config`."""
     import spherebayes.harness as harness
 
     scoring = harness._predictions
     rises = []
 
-    def measured(built, methods, config, features, seed, pool):
+    def measured(built, methods, temperature, features, charged, pool):
         held, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        out = scoring(built, methods, config, features, seed, pool)
+        out = scoring(built, methods, temperature, features, charged, pool)
         rises.append(tracemalloc.get_traced_memory()[1] - held)
         return out
 
     monkeypatch.setattr(harness, "_predictions", measured)
-    cfg = ExperimentConfig(seeds=(0,), methods=("bape", "bape+adjust", "oracle"), n_classes=100, dim=128,
-                           head_size=60, gamma=10.0, kappa_range=(20.0, 200.0), test_per_class=200)
     tracemalloc.start()
     try:
-        run_experiment(cfg)
+        run_experiment(config)
     finally:
         tracemalloc.stop()
     (rise,) = rises
     return rise
+
+
+# K=100, p=128 and 200 test rows per class, the closed-form methods.
+_CLOSED_FORM_SCORING = dict(seeds=(0,), methods=("bape", "bape+adjust", "oracle"), n_classes=100, dim=128,
+                            head_size=60, gamma=10.0, kappa_range=(20.0, 200.0), test_per_class=200)
 
 
 def small_config(**overrides):
@@ -997,7 +1000,7 @@ class TestRunExperiment:
         # K=100, p=128 and 200 test rows per class, the closed-form methods:
         # one (n_test, K) float64 array is 16 MB, so scores held at full size
         # fail this. The blocked pass rises about 6 MB above what it starts with.
-        assert 0 < _scoring_rise(monkeypatch) < 20000 * 100 * 8
+        assert 0 < _scoring_rise(monkeypatch, ExperimentConfig(**_CLOSED_FORM_SCORING)) < 20000 * 100 * 8
 
     def test_scoring_keeps_only_the_scores_a_method_reads(self, monkeypatch):
         # The same pass. Each thread holds one rows buffer, bape's product and
@@ -1005,7 +1008,24 @@ class TestRunExperiment:
         # rows, 0.8 MB; the predictions take 0.5 MB, and the pass rises about
         # 2.2 MiB. A pass that kept every head's scores for the block rose
         # 8.8 MiB in blocks of 1024 rows.
-        assert 0 < _scoring_rise(monkeypatch) < 3 * 2**20
+        assert 0 < _scoring_rise(monkeypatch, ExperimentConfig(**_CLOSED_FORM_SCORING)) < 3 * 2**20
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.5])
+    def test_ensemble_scores_in_place(self, monkeypatch, temperature):
+        # lt-default's shape: K=20, p=32, all six methods and 4000 test rows,
+        # so each thread scores 2000 rows in blocks of 1068. The pass may
+        # hold the two threads' scratch, the predictions, and on each thread
+        # one logsumexp's transient: its (block, K) float64 terms and bool
+        # maxima and its (block, 1) columns: 2.23 MB. The pass rises about
+        # 2.06 MB; an ensemble scored through out-of-place (block, K)
+        # temporaries rose 2.40 MB.
+        cfg = ExperimentConfig(seeds=(0,), epochs=2, temperature=temperature)
+        n, p, k = cfg.n_classes * cfg.test_per_class, cfg.dim, cfg.n_classes
+        scratches = [_Scratch(len(half), p, k, 2) for half in (range((n + 1) // 2), range((n + 1) // 2, n))]
+        held = sum(a.nbytes for s in scratches for a in (s.rows, s.product, *s.scores))
+        preds = len(METHODS) * n * np.dtype(np.intp).itemsize
+        logsumexp_transient = sum(s.block * k * (8 + 1) + 5 * s.block * 8 for s in scratches)
+        assert 0 < _scoring_rise(monkeypatch, cfg) < held + preds + logsumexp_transient
 
     def test_scoring_scratch_is_sized_in_bytes(self):
         # K=1000, p=256 and 4096 test rows, one bape head. Blocks of 1024
