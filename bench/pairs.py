@@ -9,6 +9,10 @@ Even pairs run the parent first and odd pairs the change first. The trees
 are two checkouts of the repository, for example the parent commit and the
 working tree; each runs its own `perfbench/`.
 
+Before the first pair it prints each tree's `git rev-parse HEAD` and whether
+the tree's tracked files differ from it, or that the tree is not a git
+checkout, so the output names what was compared.
+
 A run that reports `correct: false` ends the script with exit code 1,
 naming the run: no verdict is given over it. Otherwise it prints each side's
 failed ops against attempted, summed over its runs, and for every end-to-end
@@ -34,6 +38,23 @@ def end_to_end_metrics(tree: str) -> list[dict]:
     """The end-to-end metrics BENCHMARK.json declares: name, unit, better, bound."""
     with open(os.path.join(tree, "BENCHMARK.json")) as fh:
         return json.load(fh)["end_to_end"]
+
+
+def describe_tree(tree: str) -> str:
+    """The tree's `git rev-parse HEAD` and whether its tracked files differ
+    from HEAD, or that it is not a git checkout (a directory that is not the
+    top level of a work tree, such as a `git archive` copy, is not one)."""
+    try:
+        top = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=tree,
+                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    except OSError:  # no such directory, or no git to ask
+        return "not a git checkout"
+    lines = top.stdout.split()
+    if top.returncode != 0 or len(lines) != 2 or os.path.realpath(lines[0]) != os.path.realpath(tree):
+        return "not a git checkout"
+    changed = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=tree,
+                             stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
+    return f"HEAD {lines[1]}, tracked files {'differ from HEAD' if changed else 'as in HEAD'}"
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -128,6 +149,8 @@ def main(argv=None) -> int:
     metrics = end_to_end_metrics(args.change)
     seeds = [args.first_seed + i for i in range(args.pairs)]
     runs = {"parent": [], "change": []}
+    for side in runs:
+        print(f"{side} tree {getattr(args, side)}: {describe_tree(getattr(args, side))}", flush=True)
     try:
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

@@ -199,17 +199,24 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     of `train` in its mode.
 
     The step is bound by numpy call overhead at the sizes used here, so it
-    runs in place on per-batch-size scratch buffers and skips identity
-    operations (the division by a temperature of 1, the grad_scale multiply
-    when every head's scale is 1, and a weight decay of 0). A batch of m
-    rows has class-major (H, K, m) logits, theta @ zb.T, one (K, p + 1) x
-    (p + 1, m) product per head as in a one-head run. Each sample's maximum
+    makes its ufunc and BLAS calls and nothing else: every operand a step
+    takes (its row and target slices, scratch buffers and their views, and
+    the floats m*T and 1/(m*T)) is built once per run, in one tuple per
+    step, and the step skips identity operations (the division by a
+    temperature of 1, the grad_scale multiply when every head's scale is 1,
+    and a weight decay of 0). The log-priors are broadcast once per batch
+    size to a contiguous (H, K, m) array, so that adding them is one flat
+    pass. A batch of m rows has class-major (H, K, m) logits, theta @ zb.T,
+    one (K, p + 1) x (p + 1, m) product per head as in a one-head run: one
+    (H*K, p + 1) product would sum in another order and change bits
+    against `train`, and so would a contiguous copy of zb.T. Each sample's maximum
     and softmax sum then reduce over K contiguous runs of m values, which
     numpy does as a few long vector operations. The softmax is shifted by
     each sample's maximum and exponentiated; dividing by its sums times m*T
     and subtracting 1/(m*T) at the targets gives (p - onehot)/(m*T) in one
     pass over the logits. Each step keeps its shifted true-class logits and
-    its row sums, which become per-step mean losses once per epoch. The
+    its row sums, which become per-step mean losses once per epoch, in
+    buffers made once. The
     losses are checked for non-finite values once per epoch; a divergence
     raises TrainingDivergedError naming the first step and head that went
     non-finite, as a per-step check would.
@@ -225,7 +232,7 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     k = int(y.max()) + 1 if k is None else int(k)
     if k < 2:
         raise ValueError("need at least 2 classes present")
-    _check_labels(y, k)
+    y = _check_labels(y, k).astype(np.intp, copy=False)  # in range, so exact; the targets are intp too
     # The training rows with a trailing 1, the only float64 copy of z.
     rows = np.empty((n, p + 1))
     rows[:, p] = 1.0
@@ -248,6 +255,7 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     scale = None if (scales == 1.0).all() else np.repeat(scales, k * (p + 1))
     temperature = schedule.temperature
     weight_decay = schedule.weight_decay
+    momentum = schedule.momentum
     shuffler = substream(schedule.rng_seed, 1)
     size = min(schedule.batch_size, n)  # a batch never holds more than the n rows
     starts = range(0, n, size)
@@ -257,75 +265,98 @@ def _train_heads(z, y, k, schedule: TrainConfig, heads) -> list[tuple[LinearClas
     position = np.arange(n)
     batch_of = np.where(position < starts[-1], size, n - starts[-1])
     offsets = np.arange(h)[:, np.newaxis] * k * batch_of + position % size
+    # Each epoch shuffles `order` in place (as permutation(n) shuffles a
+    # fresh arange) and writes its targets into `targets`, so that every
+    # step's slices of both are views made once.
+    order = np.empty_like(position)
+    targets = np.empty_like(offsets)
     # Step i keeps its (H, m) shifted true-class logits and row sums in the
     # first m columns of row i, C-contiguous per head so that each head's
     # sum runs as over a one-head (m,) vector; the unused columns of a short
     # last step stay 0 and 1.
     shifted = np.zeros((len(starts), h, size))
     sums = np.ones((len(starts), h, size))
-    steps = [(start, shifted[i, :, :m], sums[i, :, np.newaxis, :m]) for i, (start, m) in
-             enumerate(zip(starts, batch_sizes[1:, 0].tolist()))]
     # Scratch for a batch of m rows (only the last batch can have m < size):
     # the rows, their (H, K, m) logits, and each sample's maximum and its
-    # softmax sum times m*T, both (H, 1, m).
-    scratch = {m: (np.empty((m, p + 1)), np.empty((h, k, m)), np.empty((h, 1, m)), np.empty((h, 1, m)))
+    # softmax sum times m*T, both (H, 1, m); and the log-priors broadcast to
+    # a C-contiguous (H, K, m) array, whose add runs as one flat pass where
+    # a (H, K, 1) operand's would be strided, with the same sums.
+    scratch = {m: (np.empty((m, p + 1)), np.empty((h, k, m)), np.empty((h, 1, m)), np.empty((h, 1, m)),
+                   np.broadcast_to(log_pi, (h, k, m)).copy())
                for m in set(batch_sizes[1:, 0].tolist())}
+    # One tuple per step, holding every operand its calls take.
+    steps = []
+    for i, (start, m) in enumerate(zip(starts, batch_sizes[1:, 0].tolist())):
+        zb, s, top, denom, log_pi_m = scratch[m]
+        steps.append((order[start : start + m], targets[:, start : start + m], zb, zb.T, s, s.reshape(-1), top,
+                      denom, log_pi_m, shifted[i, :, :m], sums[i, :, np.newaxis, :m], m * temperature,
+                      1.0 / (m * temperature)))
+    w, gw = theta[:, :, :p], gtheta[:, :, :p]
+    decay = np.empty_like(w)
     full = n // size  # the steps with m = size
     # Row 0 stays 0, the start of each epoch's running total of loss * m;
     # row i + 1 takes step i's mean loss.
     losses = np.zeros((len(starts) + 1, h))
+    step_losses, full_losses = losses[1:], losses[1 : full + 1]
+    logp = np.empty_like(shifted)
+    full_logp, last_logp = logp[:full], logp[-1, :, : batch_sizes[-1, 0]]
+    neg_batch_sizes = -batch_sizes[1:]
+    finite, weighted, running = np.empty(losses.shape, dtype=bool), np.empty_like(losses), np.empty_like(losses)
     histories = np.zeros((schedule.epochs, h))
+    # The step's callables, bound once.
+    take, matmul, exp = rows.take, np.matmul, np.exp
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    max_reduce, sum_reduce, subtract_at = np.maximum.reduce, np.add.reduce, np.subtract.at
+    divided, scaled, decayed = temperature != 1.0, scale is not None, weight_decay != 0.0
 
     # Divergence ends in inf or nan, which the finite checks below report;
     # the rest of a diverging epoch runs on, silently, before the check.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(schedule.epochs):
             lr = schedule.lr * 0.5 * (1.0 + np.cos(np.pi * epoch / schedule.epochs))
-            order = shuffler.permutation(n)
-            targets = offsets + y[order] * batch_of
-            for start, true_logits, row_sums in steps:
-                target = targets[:, start : start + size]
-                m = target.shape[1]
-                zb, s, top, denom = scratch[m]
+            np.copyto(order, position)
+            shuffler.shuffle(order)
+            add(offsets, y[order] * batch_of, out=targets)
+            for order_b, target, zb, zb_t, s, s_flat, top, denom, log_pi_m, true_logits, row_sums, mt, inv_mt in steps:
                 # mode="clip" skips take's buffered bounds check: every index
                 # here is in range by construction.
-                rows.take(order[start : start + size], axis=0, out=zb, mode="clip")
-                np.matmul(theta, zb.T, out=s)
-                if temperature != 1.0:
-                    s /= temperature
-                s += log_pi
+                take(order_b, axis=0, out=zb, mode="clip")
+                matmul(theta, zb_t, out=s)
+                if divided:
+                    divide(s, temperature, out=s)
+                add(s, log_pi_m, out=s)
                 # Each sample's maximum, nan where one of its logits is.
-                np.maximum.reduce(s, axis=1, keepdims=True, out=top)
-                s -= top
-                s.take(target, out=true_logits, mode="clip")
-                g = np.exp(s, out=s)
-                np.add.reduce(g, axis=1, keepdims=True, out=row_sums)
+                max_reduce(s, axis=1, keepdims=True, out=top)
+                subtract(s, top, out=s)
+                s_flat.take(target, out=true_logits, mode="clip")
+                exp(s, out=s)
+                sum_reduce(s, axis=1, keepdims=True, out=row_sums)
                 # (p - onehot) / (m T), with one division over the logits.
-                np.multiply(row_sums, m * temperature, out=denom)
-                g /= denom
-                np.subtract.at(g.reshape(-1), target, 1.0 / (m * temperature))
-                np.matmul(g, zb, out=gtheta)
-                if scale is not None:
-                    grad *= scale
-                if weight_decay != 0.0:
-                    gtheta[:, :, :p] += weight_decay * theta[:, :, :p]
-                grad *= lr
-                vel *= schedule.momentum
-                vel -= grad
-                params += vel
-            logp = shifted - np.log(sums)
-            np.add.reduce(logp[:full], axis=-1, out=losses[1 : full + 1])
+                multiply(row_sums, mt, out=denom)
+                divide(s, denom, out=s)
+                subtract_at(s_flat, target, inv_mt)
+                matmul(s, zb, out=gtheta)
+                if scaled:
+                    multiply(grad, scale, out=grad)
+                if decayed:
+                    add(gw, multiply(weight_decay, w, out=decay), out=gw)
+                multiply(grad, lr, out=grad)
+                multiply(vel, momentum, out=vel)
+                subtract(vel, grad, out=vel)
+                add(params, vel, out=params)
+            subtract(shifted, np.log(sums, out=logp), out=logp)
+            sum_reduce(full_logp, axis=-1, out=full_losses)
             if full < len(starts):
-                np.add.reduce(logp[-1, :, : batch_sizes[-1, 0]], axis=-1, out=losses[-1])
-            np.divide(losses[1:], -batch_sizes[1:], out=losses[1:])
-            finite = np.isfinite(losses)
+                sum_reduce(last_logp, axis=-1, out=losses[-1])
+            divide(step_losses, neg_batch_sizes, out=step_losses)
+            np.isfinite(losses, out=finite)
             if not finite.all():
                 row = int(np.argmin(finite.all(axis=1)))  # the losses row of the first step to diverge
                 raise _diverged(
                     finite[row], modes, f"non-finite loss at epoch {epoch}, sample offset {starts[row - 1]} (lr={lr:.3g})"
                 )
             # Added in step order, as a running total of loss * m would be.
-            histories[epoch] = np.add.accumulate(losses * batch_sizes)[-1]
+            histories[epoch] = np.add.accumulate(multiply(losses, batch_sizes, out=weighted), axis=0, out=running)[-1]
     finite = np.isfinite(theta).all(axis=(1, 2))
     if not finite.all():
         raise _diverged(finite, modes, "non-finite weights after the last step")

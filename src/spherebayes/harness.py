@@ -660,7 +660,12 @@ def _score_rows(built, methods, temperature: float, features: np.ndarray, charge
                 if method == "ensemble":
                     linear, bape = scores
                     if temperature != 1.0:  # x / 1.0 is x: skipping it changes no score
-                        linear /= temperature
+                        with np.errstate(over="ignore"):
+                            linear /= temperature
+                        # Two reductions, not a (block, K) mask: finite at both ends is finite throughout.
+                        if not (np.isfinite(linear.max()) and np.isfinite(linear.min())):
+                            raise ValueError(f"temperature {temperature} takes the logit_adjusted scores "
+                                             "past the float range")
                     log_softmax(bape, out=bape)
                     bape += log_softmax(linear, out=linear)
                     bape *= 0.5

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vmf import substream
+from .vmf import _row_norms, substream
 
 __all__ = ["EtfFrame", "build_etf", "grad_step_m0"]
 
@@ -99,8 +99,13 @@ def grad_step_m0(frame: EtfFrame, grads, lr: float) -> EtfFrame:
         raise ValueError(f"gradient shape {grads.shape} does not match frame {frame.vectors.shape}")
     if not np.all(np.isfinite(grads)):
         raise ValueError("non-finite gradients")
-    moved = frame.vectors - lr * grads
-    norms = np.linalg.norm(moved, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        step = lr * grads
+    if not np.all(np.isfinite(step)):
+        raise ValueError(f"learning rate {lr} times the gradients overflows the float range")
+    moved = frame.vectors - step
+    # The squares of a row past ~1e154 would overflow a plain norm.
+    scale, norms = _row_norms(moved)
     if np.any(norms == 0.0):
         raise ValueError("gradient step collapsed a direction to the origin")
-    return EtfFrame(moved / norms)
+    return EtfFrame(moved / scale[:, np.newaxis] / norms[:, np.newaxis])

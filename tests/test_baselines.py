@@ -662,6 +662,30 @@ class TestTrainHeads:
             assert history == alone_history
             assert len(history) == 3
 
+    @pytest.mark.parametrize("k, p, batch_size, n", [(5, 4, 13, 40), (7, 5, 17, 69), (20, 32, 64, 129)])
+    @pytest.mark.parametrize("eta", [0.5, 2.0])
+    def test_one_row_last_batch_is_bitwise_both_references(self, k, p, batch_size, n, eta):
+        # n % batch_size == 1, so the step operands built for each batch
+        # size (the log-priors broadcast to (H, K, m), m T and 1/(m T)) are
+        # built for m = 1 as well; two empty trailing classes get -inf
+        # log-priors in the adjusted head.
+        assert n % batch_size == 1
+        z, y = 1.7 * unit_rows(n, p, k + p) + 0.1, sorted_labels(n, k, p)
+        shared = dict(lr=0.5, epochs=3, batch_size=batch_size, temperature=0.7, weight_decay=1e-3, rng_seed=5)
+        heads = [("softmax", 1.0), ("logit_adjusted", eta)]
+        fused = _train_heads(z, y, k + 2, TrainConfig(**shared), heads)
+        for (clf, history), (w, b, expected) in zip(fused, class_major_reference_heads(z, y, k + 2,
+                                                                                       TrainConfig(**shared), heads)):
+            assert_array_equal(clf.W, w)
+            assert_array_equal(clf.b, b)
+            assert np.array_equal(history, expected)
+        for (mode, scale), (clf, history) in zip(heads, fused):
+            alone_history = []
+            alone = train(z, y, TrainConfig(mode=mode, grad_scale=scale, **shared), alone_history, n_classes=k + 2)
+            assert_array_equal(clf.W, alone.W)
+            assert_array_equal(clf.b, alone.b)
+            assert history == alone_history
+
     # The divergence tests run without an np.errstate wrapper: under the
     # error::RuntimeWarning filter any leaked warning fails them.
     def test_softmax_head_diverges_alone(self):
@@ -701,6 +725,17 @@ class TestTrainInputs:
         z, y = blob_data(n_per=10)
         with pytest.raises(ValueError, match="labels must be integers"):
             train(z, y.astype(float), TrainConfig(lr=0.1, epochs=1, batch_size=8))
+
+    def test_unsigned_64_bit_labels_train_as_signed_ones(self):
+        # uint64 labels times the int64 batch offsets promoted to float64,
+        # which the targets' take rejected with a TypeError.
+        z, y = blob_data(n_per=10)
+        config = TrainConfig(lr=0.1, epochs=2, batch_size=8)
+        expected = train(z, y, config)
+        for dtype in (np.uint64, np.uint8, np.int32):
+            got = train(z, y.astype(dtype), config)
+            assert_array_equal(got.W, expected.W)
+            assert_array_equal(got.b, expected.b)
 
     def test_zero_row_under_normalize_is_named(self):
         z = unit_rows(30, 4, 21)

@@ -618,6 +618,29 @@ class TestCompare:
         assert "n_classes must be <= 100000, got 1000000000000" in capsys.readouterr().err
         assert not (tmp_path / "x.bin").exists()
 
+    @pytest.mark.parametrize("m0_lr", [1e155, 1e200, 1e300])
+    def test_huge_prior_direction_rate_steps_to_unit_frames(self, tmp_path, capsys, m0_lr):
+        # Past ~1e154 the squares of a stepped frame row overflowed its plain
+        # norm: a RuntimeWarning leaked and the run exited 1 with "frame rows
+        # must be unit vectors".
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"seeds": [0], "n_classes": 3, "dim": 4, "head_size": 10, "epochs": 1,
+                                   "methods": ["bape"], "alpha_hat": 1.0, "beta_hat": 0.5, "m0_steps": 2,
+                                   "m0_lr": m0_lr}))
+        assert main(["compare", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_temperature_past_the_ensembles_float_range_is_exit_1(self, tmp_path, capsys):
+        # The ensemble divided the logit_adjusted scores by 1e-200 past the
+        # float range, leaked two RuntimeWarnings, predicted from NaN scores
+        # and exited 0.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"seeds": [0], "n_classes": 3, "dim": 4, "head_size": 10, "epochs": 1,
+                                   "temperature": 1e-200}))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == ("error: method 'ensemble', seed 0: temperature 1e-200 takes the "
+                                           "logit_adjusted scores past the float range\n")
+
     def test_empty_trailing_class_in_train_file(self, tmp_path):
         # Class 5 is declared by the file header but has no training rows:
         # every method must still score all six classes.

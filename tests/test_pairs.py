@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -117,3 +118,36 @@ def test_failed_ops_are_printed_and_more_of_them_deny_the_gain(monkeypatch, caps
     argv = _fake_runs(monkeypatch, {"parent": 1, "change": 1})
     assert pairs.main(argv) == 0
     assert capsys.readouterr().out.splitlines()[-1].endswith("0.025: yes")
+
+
+def _git(tree, *args) -> str:
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args], cwd=tree,
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+def test_each_tree_is_named_by_its_head_and_whether_it_differs(tmp_path):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "a.txt").write_text("1")
+    _git(tree, "init", "-q")
+    _git(tree, "add", "a.txt")
+    _git(tree, "commit", "-q", "-m", "one")
+    head = _git(tree, "rev-parse", "HEAD")
+    assert pairs.describe_tree(str(tree)) == f"HEAD {head}, tracked files as in HEAD"
+    (tree / "b.txt").write_text("untracked files do not count")
+    assert pairs.describe_tree(str(tree)) == f"HEAD {head}, tracked files as in HEAD"
+    (tree / "a.txt").write_text("2")
+    assert pairs.describe_tree(str(tree)) == f"HEAD {head}, tracked files differ from HEAD"
+    # A directory inside a checkout, and one in none (as a `git archive` copy), are not checkouts.
+    (tree / "sub").mkdir()
+    assert pairs.describe_tree(str(tree / "sub")) == "not a git checkout"
+    assert pairs.describe_tree(str(tmp_path)) == "not a git checkout"
+    assert pairs.describe_tree(str(tmp_path / "missing")) == "not a git checkout"
+
+
+def test_the_trees_are_named_before_the_first_pair(monkeypatch, capsys):
+    argv = _fake_runs(monkeypatch, {"parent": 0, "change": 0})
+    assert pairs.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["parent tree P: not a git checkout", "change tree C: not a git checkout",
+                         "pair 1 seed 801 parent: correct=True failed=0/100"]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from spherebayes.priors import EtfFrame, build_etf, grad_step_m0
 
@@ -101,6 +101,29 @@ class TestGradStepM0:
         stepped = grad_step_m0(frame, g, lr=0.4)
         off = stepped.gram()[~np.eye(4, dtype=bool)]
         assert np.ptp(off) > 1e-3
+
+    @pytest.mark.parametrize("lr", [1e155, 1e200, 1e300])
+    def test_huge_rate_steps_to_unit_rows(self, lr):
+        # Past ~1e154 the squares of a stepped row overflowed the plain
+        # norm: a RuntimeWarning leaked and the frame check failed with
+        # "frame rows must be unit vectors". The step dwarfs the frame, so
+        # each row moves to -g/|g|.
+        frame = build_etf(3, 4, 0)
+        g = np.random.default_rng(1).standard_normal((3, 4))
+        stepped = grad_step_m0(frame, g, lr)
+        assert_allclose(np.linalg.norm(stepped.vectors, axis=1), 1.0, rtol=1e-15)
+        assert_allclose(stepped.vectors, -g / np.linalg.norm(g, axis=1, keepdims=True), rtol=1e-14)
+
+    def test_ordinary_rate_is_bitwise_the_plain_norm(self):
+        frame = build_etf(4, 6, 2)
+        g = np.random.default_rng(2).standard_normal((4, 6))
+        moved = frame.vectors - 0.3 * g
+        assert_array_equal(grad_step_m0(frame, g, 0.3).vectors, moved / np.linalg.norm(moved, axis=1, keepdims=True))
+
+    def test_step_past_the_float_range_names_the_rate(self):
+        frame = build_etf(3, 4, 0)
+        with pytest.raises(ValueError, match=r"learning rate 1e\+300 times the gradients overflows"):
+            grad_step_m0(frame, np.full((3, 4), 1e10), 1e300)
 
     def test_rejects_bad_inputs(self):
         frame = build_etf(3, 4, 0)
