@@ -19,9 +19,15 @@ failed ops against attempted, summed over its runs, and for every end-to-end
 metric that BENCHMARK.json names (read from the change tree, never written)
 each pair's two values, each side's median and quartiles, how many pairs the
 change won (ties count for neither), the relative change of the medians
-against the metric's bound, and whether the pairs show a gain: the change
+against the metric's bound, whether the pairs show a gain (the change
 wins at least nine tenths of the pairs, the medians differ by more than the
-parent's interquartile range, and no larger share of the change's ops failed.
+parent's interquartile range, and no larger share of the change's ops
+failed), and a regression verdict: "no regression" when the change's median
+is no worse than the parent's by more than the bound, relative to the
+parent's median, and "regression" when it is worse by more; but
+"unresolved" when the parent's own interquartile range, relative to its
+median, is wider than the bound, unless every run of the change beats every
+run of the parent.
 """
 
 from __future__ import annotations
@@ -106,20 +112,28 @@ def fails_more(parent: tuple[int, int], change: tuple[int, int]) -> bool:
 
 def summarize(metric: dict, parent: list[float], change: list[float], more_failures: bool = False) -> dict:
     """One metric over pairs of runs: each side's quartiles, the change's wins,
-    the relative change of the medians and whether the pairs show a gain,
-    which they never do when `more_failures`."""
+    the relative change of the medians, whether the pairs show a gain, which
+    they never do when `more_failures`, and the regression verdict."""
     sign = 1.0 if metric["better"] == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     p_q, c_q = quartiles(parent), quartiles(change)
     gap = sign * (p_q[1] - c_q[1])  # positive when the change's median is better
+    relative = (c_q[1] - p_q[1]) / p_q[1] if p_q[1] else 0.0
+    spread = (p_q[2] - p_q[0]) / abs(p_q[1]) if p_q[1] else 0.0  # the parent's IQR over its median
+    if spread > metric["bound"] and not all(sign * (p - c) > 0 for p in parent for c in change):
+        verdict = "unresolved"
+    else:
+        verdict = "regression" if sign * relative > metric["bound"] else "no regression"
     return {
         "name": metric["name"],
         "parent": p_q,
         "change": c_q,
         "wins": wins,
         "pairs": len(parent),
-        "relative": (c_q[1] - p_q[1]) / p_q[1] if p_q[1] else 0.0,
+        "relative": relative,
         "gain": wins >= 0.9 * len(parent) and gap > p_q[2] - p_q[0] and not more_failures,
+        "spread": spread,
+        "verdict": verdict,
     }
 
 
@@ -134,6 +148,8 @@ def report(metric: dict, seeds: list[int], parent: list[float], change: list[flo
                  f"{s['relative']:+.2%}")
     lines.append(f"  change better in {s['wins']} of {s['pairs']} pairs; gap beyond the parent's IQR "
                  f"{p3 - p1:.6g}{', more failed ops' if more_failures else ''}: {'yes' if s['gain'] else 'no'}")
+    lines.append(f"  worse by more than the bound {metric['bound']:.0%}, the parent's IQR {s['spread']:.2%} of its "
+                 f"median: {s['verdict']}")
     return "\n".join(lines)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -152,6 +153,9 @@ def _cmd_generate(args) -> int:
     # The draw checks the kappa range and the long-tail profile itself.
     per_class, dim = _ROWS["test_per_class"], _ROWS["dim"]
     if args.test_out:
+        if os.path.realpath(args.out) == os.path.realpath(args.test_out):
+            raise ValueError(f"--out and --test-out name the same file, {args.out!r}: the test set would "
+                             "overwrite the training set")
         per_class.check(per_class.generate, args.test_per_class)
         names = f"{_ROWS['n_classes'].generate} and {per_class.generate}"
         _check_row_total(args.n_classes * args.test_per_class, names)

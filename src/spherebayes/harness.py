@@ -16,13 +16,17 @@ from the same mixture, per seed. Methods:
 Each head scores the test rows in the form it was fitted on: the features
 divided by the norms of its kind of rows, the unit norms for the Bayes heads
 and `_linear_norms` for the linear heads (ones unless `normalize`).
-Each run has one worker thread beside the calling thread. It fills the tail
-classes of a generated training set of at least _SPLIT_ROWS rows, then
-draws the test rows while the heads are fitted; they are waited for at their
-first use. Every head is fitted and every test row checked before any row is
-scored. The scoring then splits the test rows in two halves, one per thread,
-each scored in row blocks sized to about _SCORE_BYTES of float64 scratch per
-thread, which keeps each prediction bitwise that of the full-size arrays.
+Each run may use one worker thread beside the calling thread, for a step
+that holds at least _HAND_OFF_VALUES values (`_hand_off`): it fills the tail
+classes of a generated training draw of rows x p values that large, draws a
+test set that large while the heads are fitted (the test rows are waited
+for at their first use), and scores the second half of a scoring pass of
+test rows x (p + K) values that large. A smaller step runs on the calling
+thread, and a run whose steps are all smaller never starts the worker.
+Every head is fitted and every test row checked before any row is scored.
+The pass scores its rows, or each half of them, in row blocks sized to
+about _SCORE_BYTES of float64 scratch per thread, which keeps each
+prediction bitwise that of the full-size arrays.
 The pass takes a temperature and an error-context factory, not a config and
 seed, so `spherebayes eval` scores its one head through it too.
 
@@ -502,11 +506,13 @@ def _load_data(config: ExperimentConfig, seed: int, pool: ThreadPoolExecutor | N
     the ground truth (None for files).
 
     Both files are read, and their dimensions checked, here. A generated
-    training set of at least _SPLIT_ROWS rows is drawn on two threads
-    when `pool` is given: its worker fills the tail classes that hold the
-    second half of the rows while this thread fills the rest. Generated test
-    rows are checked and allocated here, after the training draw, and drawn
-    by the call, which may run on another thread while the heads are fitted.
+    training set of rows x p values is drawn on two threads when `pool` is
+    given and `_hand_off(rows, p)` holds, rows x p >= _HAND_OFF_VALUES (see
+    its comment): its worker fills the tail classes that hold the second
+    half of the rows while this thread fills the rest. Generated test rows
+    are checked and allocated here, after the training draw, and drawn by
+    the call, which `_run_seed` runs on the worker while the heads are
+    fitted when the test set is as large.
     """
     if config.train_file is not None:
         train_ds, test_ds = read_features(config.train_file), read_features(config.test_file)
@@ -521,7 +527,7 @@ def _load_data(config: ExperimentConfig, seed: int, pool: ThreadPoolExecutor | N
                 _check_prior_frame(train_ds, config.beta_hat, "beta_hat")
         return train_ds, lambda: test_ds, None
     spec = LongTailSpec(config.n_classes, config.head_size, config.gamma)
-    if pool is None or sum(class_sizes(spec)) < _SPLIT_ROWS:
+    if pool is None or not _hand_off(sum(class_sizes(spec)), config.dim):
         train_ds, truth = generate(spec, config.dim, config.kappa_range, config.center_mode, seed)
     else:
         sizes, truth = _long_tail_truth(spec, config.dim, config.kappa_range, config.center_mode, seed)
@@ -535,9 +541,27 @@ def _load_data(config: ExperimentConfig, seed: int, pool: ThreadPoolExecutor | N
     return train_ds, partial(_fill_draw, truth, test_counts, test_features, seed, 3), truth
 
 
-# The fewest generated training rows drawn on two threads: a smaller draw is
-# not worth the hand-off (lt-default's 2,304 rows stay on one).
-_SPLIT_ROWS = 4096
+# The fewest values a step must hold, rows times row width, before the worker
+# takes a share of it: the training draw's rows x p, the test draw's rows x p
+# and the scoring pass's test rows x (p + K). Threaded against serial, in
+# process on 2 vCPUs (median paired ratio, 21 pairs), the split training draw
+# broke even at 279k values (K=100, p=64, 4,357 rows of many tiny classes) and
+# gained 0.82 at 558k; the test draw on the worker gained nothing up to 640k
+# and 0.83 at 768k. The scoring pass alone gained at every size tried (0.74 at
+# lt-default's 208k), but in a run whose steps are all small it is kept on one
+# thread, so the run never starts the worker and spares its thread's memory:
+# lt-default's peak RSS fell 1.2%, its op time within its spread. A small pass
+# in a run whose draw has started the worker gives that gain up for nothing;
+# no benchmark workload has that shape. lt-default's steps (74k, 128k and 208k
+# values) stay on one thread and lt-exact-m0's (1.4M, 2.6M and 4.6M) on two,
+# each at least twice as far from 2**19 = 524,288.
+_HAND_OFF_VALUES = 2**19
+
+
+def _hand_off(rows: int, width: int) -> bool:
+    """Whether a step over `rows` rows of `width` values is large enough to
+    share with the worker: a smaller one runs on the calling thread."""
+    return rows * width >= _HAND_OFF_VALUES
 
 
 def _on_both_threads(pool: ThreadPoolExecutor, own, other):
@@ -615,12 +639,15 @@ def _head_scores(head: str, built, features: np.ndarray, block: slice, scratch: 
 
 def _predictions(built, methods, temperature: float, features: np.ndarray, charged, pool: ThreadPoolExecutor):
     """Each method's predicted class on every test row, and the seconds each
-    method spent scoring them, summed over both threads.
+    method spent scoring them, summed over the threads that scored them.
 
-    This thread scores the first half of the rows while `pool`'s worker
-    scores the second, each in blocks sized by `_Scratch` to about
-    _SCORE_BYTES of scratch, unless K and p are so large that the block is
-    at its floor of _SCORE_MIN_ROWS rows. Every head and kind of
+    When `_hand_off(rows, p + K)` holds, rows x (p + K) >= _HAND_OFF_VALUES
+    (see its comment), this thread scores the first half of the rows while
+    `pool`'s worker scores the second; otherwise this thread scores them
+    all, and `pool` is not used, so a run whose steps are all small never
+    starts the worker. Each thread scores in blocks sized by `_Scratch` to
+    about _SCORE_BYTES of scratch, unless K and p are so large that the
+    block is at its floor of _SCORE_MIN_ROWS rows. Every head and kind of
     rows the methods read must be in `built` already: the threads only read
     it. Each method scores with its heads in `_HEADS`, whose scores on a
     block live only while that method is scored; the ensemble scores the
@@ -637,11 +664,12 @@ def _predictions(built, methods, temperature: float, features: np.ndarray, charg
     preds = {method: np.empty(n, dtype=np.intp) for method in methods}
     heads = max(len(_HEADS[method]) for method in methods)
     n_classes = len(built[_HEADS[methods[0]][0]].b)
-    halves = [range(0, (n + 1) // 2), range((n + 1) // 2, n)]
+    dim = features.shape[1]
+    parts = [range(0, (n + 1) // 2), range((n + 1) // 2, n)] if _hand_off(n, dim + n_classes) else [range(n)]
     score = [partial(_score_rows, built, methods, temperature, features, charged, preds, rows,
-                     _Scratch(len(rows), features.shape[1], n_classes, heads)) for rows in halves]
-    seconds = _on_both_threads(pool, *score)
-    return preds, {method: seconds[0][method] + seconds[1][method] for method in methods}
+                     _Scratch(len(rows), dim, n_classes, heads)) for rows in parts]
+    seconds = _on_both_threads(pool, *score) if len(score) == 2 else [score[0]()]
+    return preds, {method: sum(part[method] for part in seconds) for method in methods}
 
 
 def _score_rows(built, methods, temperature: float, features: np.ndarray, charged, preds: dict, rows: range,
@@ -703,11 +731,12 @@ def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
     """All configured methods on all seeds; rows sorted by (method, seed).
 
     One worker thread, which lives for this call, works beside the calling
-    thread on each seed: it fills the tail classes of a large training draw,
-    draws the test set while the heads are fitted, and scores the second half
-    of the test rows. Each class draws from its own substream and each row's
-    scores depend on that row alone, so no value depends on the threads'
-    timing.
+    thread on each seed's steps of at least _HAND_OFF_VALUES values: it fills
+    the tail classes of such a training draw, draws such a test set while the
+    heads are fitted, and scores the second half of such a scoring pass. It
+    is started at the first such step, so a run of smaller steps starts no
+    thread. Each class draws from its own substream and each row's scores
+    depend on that row alone, so no value depends on the threads' timing.
     """
     rows = []
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -733,8 +762,15 @@ class _BuiltOnFirstUse(dict):
 
 
 def _run_seed(config: ExperimentConfig, seed: int, pool: ThreadPoolExecutor) -> list[ReportRow]:
-    """One seed's report rows; its test set is drawn on `pool` while the heads are fitted."""
+    """One seed's report rows. A test set of at least _HAND_OFF_VALUES values,
+    rows x p (see its comment), is drawn on `pool` while the heads are
+    fitted, and a failed draw's error is raised in place of any fit's; a
+    smaller one, or a test file's, is drawn here before any head is fitted.
+    Either way a draw's error names no method."""
     train_ds, draw_test, truth = _load_data(config, seed, pool)
+    if truth is None or not _hand_off(config.n_classes * config.test_per_class, config.dim):
+        test_ds = draw_test()  # raised here, its error comes before every fit's and names no method
+        return _seed_rows(config, seed, train_ds, lambda: test_ds, truth, pool)
     drawn = pool.submit(draw_test)
     try:
         return _seed_rows(config, seed, train_ds, drawn.result, truth, pool)
@@ -749,7 +785,7 @@ def _run_seed(config: ExperimentConfig, seed: int, pool: ThreadPoolExecutor) -> 
 def _seed_rows(config: ExperimentConfig, seed: int, train_ds: Dataset, test_set, truth,
                pool: ThreadPoolExecutor) -> list[ReportRow]:
     """One seed's report rows; `test_set()` returns the test set, waiting for
-    its draw, and `pool`'s worker scores half the test rows."""
+    its draw, and `pool`'s worker scores half of a large pass's test rows."""
     # The linear heads this run needs, trained together on the first use of either.
     heads = tuple(head for head in _SGD_HEADS if head in _heads_of(config.methods))
     waited = []  # the one wait for the test set, which no method is charged

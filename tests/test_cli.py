@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from spherebayes.classifier import AdjustmentPolicy, ClassPriors, adjust, from_json, predict, to_json
 from spherebayes.baselines import LinearClassifier, linear_from_json, linear_to_json
 from spherebayes.cli import main
+from spherebayes.harness import _HAND_OFF_VALUES
 from spherebayes.datagen import (
     Dataset,
     LongTailSpec,
@@ -118,6 +119,22 @@ class TestGenerate:
         assert main(argv + flags) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "tr.bin").exists() and not (tmp_path / "te.bin").exists()
+
+    @pytest.mark.parametrize("test_out", ["P", "./P", "sub/../P"])
+    def test_one_file_for_both_sets_is_exit_1_before_any_draw(self, tmp_path, capsys, monkeypatch, test_out):
+        # The test set was written over the training set, and the command
+        # exited 0: P read back the 6 test rows, counts [2 2 2].
+        import spherebayes.cli as cli
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        monkeypatch.setattr(cli, "generate", lambda *args: pytest.fail("the training set was drawn"))
+        code = main(["generate", "--classes", "3", "--dim", "4", "--head-size", "10", "--seed", "0",
+                     "--test-per-class", "2", "--out", "P", "--test-out", test_out])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: --out and --test-out name the same file, 'P': the test set "
+                                           "would overwrite the training set\n")
+        assert not (tmp_path / "P").exists()
 
     def test_negative_seed_is_exit_1_and_named(self, tmp_path, capsys):
         # This failed in the draw, with numpy's "expected non-negative integer".
@@ -1094,11 +1111,14 @@ class TestCompare:
 
     @pytest.mark.parametrize("overrides", [{}, {"methods": ["bape"], "head_size": 1}], ids=["fits", "bape-fails"])
     def test_out_of_memory_in_the_test_draw_names_no_method(self, tmp_path, capsys, monkeypatch, overrides):
-        # The draw runs on a worker thread and fails once bape's fit has
-        # ended; the run waits for it while checking bape's test rows. With
+        # A test set of 4 x 2048 rows of 64 values, large enough to be drawn
+        # on the worker thread: the draw fails once bape's fit has ended,
+        # and the run waits for it while checking bape's test rows. With
         # one row per class bape's fit fails as well ("every class is
         # degenerate"), but the draw comes before every fit.
         import spherebayes.harness as harness
+
+        wide = {"dim": 64, "test_per_class": -(-_HAND_OFF_VALUES // (4 * 64))}
 
         fit_bape, fitted = harness._fit_bape, threading.Event()
 
@@ -1115,9 +1135,28 @@ class TestCompare:
         monkeypatch.setattr(harness, "_fit_bape", fit_then_signal)
         monkeypatch.setattr(harness, "_fill_draw", fill)
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({**self.SMALL, **overrides}))
+        cfg.write_text(json.dumps({**self.SMALL, **wide, **overrides}))
         assert main(["compare", "--config", str(cfg)]) == 1
         assert fitted.is_set()
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 10.0 MiB\n"
+
+    @pytest.mark.parametrize("overrides", [{}, {"methods": ["bape"], "head_size": 1}], ids=["fits", "bape-fails"])
+    def test_out_of_memory_in_an_inline_test_draw_names_no_method(self, tmp_path, capsys, monkeypatch, overrides):
+        # SMALL's 80 test rows are drawn on this thread, before any fit:
+        # the draw's error is the one reported, naming no method, and no
+        # head is fitted.
+        import spherebayes.harness as harness
+
+        def fill(*args):
+            assert threading.current_thread() is threading.main_thread()
+            raise MemoryError("Unable to allocate 10.0 MiB")
+
+        monkeypatch.setattr(harness, "_fit_bape", lambda *args: pytest.fail("a head was fitted"))
+        monkeypatch.setattr(harness, "_fit_linear", lambda *args: pytest.fail("a head was fitted"))
+        monkeypatch.setattr(harness, "_fill_draw", fill)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**self.SMALL, **overrides}))
+        assert main(["compare", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == "error: out of memory: Unable to allocate 10.0 MiB\n"
 
     @pytest.mark.parametrize("train_fails", [True, False])

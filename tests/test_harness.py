@@ -58,7 +58,7 @@ from spherebayes.harness import (
     ExperimentMemoryError,
     ReportRow,
     _BLOCK,
-    _SPLIT_ROWS,
+    _HAND_OFF_VALUES,
     _Scratch,
     _blocks,
     _m0_gradients,
@@ -685,10 +685,30 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def wide_dim(rows: int) -> int:
+    """The smallest dim at which a step over `rows` rows reaches _HAND_OFF_VALUES:
+    a draw of `rows` rows, and a scoring pass of as many test rows, is then
+    shared with the worker."""
+    return -(-_HAND_OFF_VALUES // rows)
+
+
+def handed_off(**overrides):
+    """small_config with a test draw, and so a scoring pass, wide enough to be
+    shared with the worker: 4 * test_per_class rows of 64 values."""
+    return small_config(**{"dim": 64, "test_per_class": -(-_HAND_OFF_VALUES // (4 * 64)), **overrides})
+
+
+# The rows of split_config's training draw.
+_SPLIT_TRAIN_ROWS = sum(class_sizes(LongTailSpec(8, 1500, 10.0)))
+
+
 def split_config(**overrides):
-    """A config whose training draw, 4966 rows, is large enough to be split."""
-    return small_config(**{"n_classes": 8, "dim": 8, "head_size": 1500, "test_per_class": 300, "epochs": 2,
-                           **overrides})
+    """A config whose every step is shared with the worker: a training draw of
+    4966 rows and a test draw of 8 * test_per_class rows, each wide enough to
+    reach _HAND_OFF_VALUES."""
+    dim = wide_dim(_SPLIT_TRAIN_ROWS)
+    return small_config(**{"n_classes": 8, "dim": dim, "head_size": 1500,
+                           "test_per_class": -(-_HAND_OFF_VALUES // (8 * dim)), "epochs": 2, **overrides})
 
 
 class TestRunExperiment:
@@ -900,8 +920,9 @@ class TestRunExperiment:
         # bape scores its product plus b, bitwise its own logits. Under
         # "keep" bape+adjust's W is bape's own array, and it adds its b to the
         # same product, bitwise its own logits too. The other modes change W
-        # and score with their own call. The pass sees one array per block
-        # (two per half of the rows here, the last partial), in method
+        # and score with their own call. The rows are just wide enough for
+        # the pass to be shared with the worker. The pass sees one array per
+        # block (four per half of the rows here, the last partial), in method
         # order with the oracle last; each method's blocks are compared
         # concatenated, this thread's half first. Only the scoring pass is
         # spied on: the m0 step of the fit scores with its own call too.
@@ -919,14 +940,16 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "top_class", lambda s: calls.append(
             (threading.get_ident(), s.copy())) or s.argmax(axis=-1))
         monkeypatch.setattr(harness, "_predictions", spied_scoring_pass)
+        dim = wide_dim(12000) - 4
         cfg = small_config(seeds=(4,), methods=("bape", "bape+adjust", "ensemble"), kappa_mode=kappa_mode,
-                           fixed_kappa=fixed_kappa, alpha_hat=1.0, beta_hat=0.5, m0_steps=1, test_per_class=3000)
+                           fixed_kappa=fixed_kappa, alpha_hat=1.0, beta_hat=0.5, m0_steps=1, test_per_class=3000,
+                           dim=dim)
         run_experiment(cfg)
         # Each thread's calls in its own order, this thread's first.
         calls, own_calls = ([call for _, call in sorted(seen, key=lambda c: c[0] != threading.get_ident())]
                             for seen in (calls, own_calls))
         n_blocks = len(calls) // 4
-        assert n_blocks == 2 * math.ceil(6000 / _Scratch(6000, 6, 4, 2).block) == 4 and len(calls) == 4 * n_blocks
+        assert n_blocks == 2 * math.ceil(6000 / _Scratch(6000, dim, 4, 2).block) == 8 and len(calls) == 4 * n_blocks
         scores = [np.concatenate(calls[i::4]) for i in range(4)]
         train_ds, draw_test, _ = harness._load_data(cfg, 4)
         test_ds = draw_test()
@@ -950,20 +973,27 @@ class TestRunExperiment:
         seen = []
         monkeypatch.setattr(harness, "logits", lambda head, z, **kw: seen.append(
             (threading.get_ident(), head, z.copy())) or logits(head, z, **kw))
-        cfg = small_config(seeds=(2,), methods=("ensemble",), normalize=True, test_per_class=3000)
+        dim = wide_dim(12000) - 4  # just wide enough for the pass to be shared with the worker
+        cfg = small_config(seeds=(2,), methods=("ensemble",), normalize=True, test_per_class=3000, dim=dim)
         run_experiment(cfg)
         rows = np.asarray(harness._load_data(cfg, 2)[1]().features, dtype=float)
         seen.sort(key=lambda call: call[0] != threading.get_ident())  # this thread's half first
         blocks = [z for _, head, z in seen if isinstance(head, LinearClassifier)]
-        assert len(blocks) == 2 * math.ceil(6000 / _Scratch(6000, 6, 4, 2).block) == 4  # two per half of 12000 rows
+        assert len({ident for ident, head, _ in seen if isinstance(head, LinearClassifier)}) == 2
+        assert len(blocks) == 2 * math.ceil(6000 / _Scratch(6000, dim, 4, 2).block) == 8  # four per half of 12000 rows
         linear_z = np.concatenate(blocks)
         assert not np.array_equal(linear_z, rows)  # the float32 rows are off the sphere in their last bits
         assert_array_equal(linear_z, rows / np.linalg.norm(rows, axis=1, keepdims=True))
 
-    @pytest.mark.parametrize("test_per_class", [1, 1100, 3000])
-    def test_blocked_predictions_equal_full_array_scores(self, monkeypatch, test_per_class):
-        # One row per class; 4400 rows, one partial block per half; and
-        # 12000 rows, a full block and a partial one per half.
+    @pytest.mark.parametrize("test_per_class, wide", [
+        pytest.param(1, False, id="1"), pytest.param(1100, False, id="1100"), pytest.param(3000, False, id="3000"),
+        pytest.param(1100, True, id="1100-halves"), pytest.param(3000, True, id="3000-halves")])
+    def test_blocked_predictions_equal_full_array_scores(self, monkeypatch, test_per_class, wide):
+        # One row per class; 4400 rows; and 12000 rows. At small_config's
+        # width all are scored on this thread, 4400 rows in one partial block
+        # and 12000 in two full blocks and a partial one. Widened just enough
+        # for the pass to reach the rule, each is scored in two halves, one
+        # per thread, each ending in a partial block.
         # Each method's predictions must be the argmax of its own logits
         # taken on all the rows at once.
         import spherebayes.harness as harness
@@ -975,12 +1005,17 @@ class TestRunExperiment:
             return split_accuracy(predictions, *args, **kwargs)
 
         monkeypatch.setattr(harness, "split_accuracy", scored)
+        n = 4 * test_per_class
+        dim = wide_dim(n) - 4 if wide else 6
         cfg = small_config(seeds=(6,), methods=METHODS, test_per_class=test_per_class, alpha_hat=1.0, beta_hat=0.5,
-                           m0_steps=1, temperature=0.8, epochs=2)
+                           m0_steps=1, temperature=0.8, epochs=2, dim=dim)
+        assert harness._hand_off(n, dim + 4) == wide
+        rows = (n + 1) // 2 if wide else n  # the rows of each part
+        assert rows % _Scratch(rows, dim, 4, 2).block  # each part ends in a partial block
         run_experiment(cfg)
         train_ds, draw_test, truth = harness._load_data(cfg, 6)
         test_ds = draw_test()
-        assert test_ds.n == 4 * test_per_class
+        assert test_ds.n == n
         bape = harness._fit_bape(train_ds, cfg, 6)
         linear = harness._fit_linear(train_ds, cfg, ("softmax", "logit_adjusted"), 6)
         unit_z = as_unit_vector(test_ds.features)
@@ -1013,19 +1048,28 @@ class TestRunExperiment:
     @pytest.mark.parametrize("temperature", [1.0, 0.5])
     def test_ensemble_scores_in_place(self, monkeypatch, temperature):
         # lt-default's shape: K=20, p=32, all six methods and 4000 test rows,
-        # so each thread scores 2000 rows in blocks of 1068. The pass may
-        # hold the two threads' scratch, the predictions, and on each thread
-        # one logsumexp's transient: its (block, K) float64 terms and bool
-        # maxima and its (block, 1) columns: 2.23 MB. The pass rises about
-        # 2.06 MB; an ensemble scored through out-of-place (block, K)
-        # temporaries rose 2.40 MB.
+        # too few to share with the worker, so this thread scores them in
+        # blocks of 1068. The pass may hold its scratch (786 KB), the
+        # predictions (192 KB), one logsumexp's transient, as measured here
+        # (285 KB with scipy 1.17), and a margin of 64 KiB for Python objects
+        # and allocator noise: 1.33 MB. The pass rises about 1.27 MB; each
+        # (block, K) float64 temporary of an ensemble scored out of place
+        # would add 171 KB, so the margin must stay below that.
         cfg = ExperimentConfig(seeds=(0,), epochs=2, temperature=temperature)
         n, p, k = cfg.n_classes * cfg.test_per_class, cfg.dim, cfg.n_classes
-        scratches = [_Scratch(len(half), p, k, 2) for half in (range((n + 1) // 2), range((n + 1) // 2, n))]
-        held = sum(a.nbytes for s in scratches for a in (s.rows, s.product, *s.scores))
+        assert n * (p + k) < _HAND_OFF_VALUES
+        scratch = _Scratch(n, p, k, 2)
+        held = sum(a.nbytes for a in (scratch.rows, scratch.product, *scratch.scores))
         preds = len(METHODS) * n * np.dtype(np.intp).itemsize
-        logsumexp_transient = sum(s.block * k * (8 + 1) + 5 * s.block * 8 for s in scratches)
-        assert 0 < _scoring_rise(monkeypatch, cfg) < held + preds + logsumexp_transient
+        block = np.zeros((scratch.block, k))
+        log_softmax(block, out=block)
+        tracemalloc.start()
+        try:
+            log_softmax(block, out=block)
+            _, logsumexp_transient = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < _scoring_rise(monkeypatch, cfg) < held + preds + logsumexp_transient + 64 * 1024
 
     def test_scoring_scratch_is_sized_in_bytes(self):
         # K=1000, p=256 and 4096 test rows, one bape head. Blocks of 1024
@@ -1133,7 +1177,9 @@ class InlineExecutor:
 
 
 class TestTestSetDraw:
-    """The test set is drawn on a worker thread while the heads are fitted."""
+    """A test set of at least _HAND_OFF_VALUES values is drawn on a worker
+    thread while the heads are fitted; a smaller one on the calling thread,
+    before them."""
 
     @pytest.mark.parametrize("cfg", [
         ExperimentConfig(seeds=(1,), methods=("bape", "bape+adjust", "oracle"), n_classes=100, dim=128,
@@ -1142,11 +1188,15 @@ class TestTestSetDraw:
         ExperimentConfig(seeds=(1,), n_classes=20, dim=32, head_size=500, epochs=30),
         small_config(seeds=(3, 1, 4), alpha_hat=1.0, beta_hat=0.5, m0_steps=2),
         split_config(seeds=(3, 1, 4), alpha_hat=1.0, beta_hat=0.5, m0_steps=2),  # each training draw split
-        small_config(test_per_class=100),  # 400 test rows: one partial block per half
-        small_config(n_classes=3, test_per_class=683),  # 2049 rows: two blocks on this thread, one on the worker
-        small_config(test_per_class=768),  # 3072 rows: three half-blocks of rows
+        # Test rows just wide enough to be drawn and scored with the worker:
+        small_config(test_per_class=100, dim=wide_dim(400)),  # 400 rows: a full 128-row block and a partial one a half
+        small_config(n_classes=3, test_per_class=683, dim=wide_dim(2049)),  # 2049 rows: this thread's half a row longer
+        small_config(test_per_class=768, dim=wide_dim(3072)),  # 3072 rows: three blocks per half
+        # and one value narrower: all on this thread.
+        small_config(test_per_class=768, dim=wide_dim(3072) - 5),  # 3072 rows of p + K values, one short of a share
+        split_config(test_per_class=1, dim=wide_dim(_SPLIT_TRAIN_ROWS) - 1),  # a training draw one short of a split
     ], ids=["lt-exact-m0", "lt-default", "three-seeds", "three-split-seeds", "partial-block", "odd-half-blocks",
-            "three-half-blocks"])
+            "three-half-blocks", "pass-on-one-thread", "training-draw-on-one-thread"])
     def test_reports_equal_an_inline_draw(self, monkeypatch, cfg):
         import spherebayes.harness as harness
 
@@ -1162,7 +1212,11 @@ class TestTestSetDraw:
         inline = run_experiment(cfg)
         n = len(cfg.seeds)
         assert len(threads) == 2 * n
-        assert threading.current_thread() not in threads[:n] and threads[n:] == [threading.current_thread()] * n
+        if cfg.n_classes * cfg.test_per_class * cfg.dim >= _HAND_OFF_VALUES:
+            assert threading.current_thread() not in threads[:n]
+        else:
+            assert threads[:n] == [threading.current_thread()] * n
+        assert threads[n:] == [threading.current_thread()] * n
         assert emit_report([replace(r, wall_time=0.0) for r in threaded]) == emit_report(
             [replace(r, wall_time=0.0) for r in inline])
 
@@ -1174,13 +1228,41 @@ class TestTestSetDraw:
         assert set(threading.enumerate()) <= before
         run_experiment(split_config(seeds=(0, 1)))  # each training draw split, each test set scored in halves
         assert set(threading.enumerate()) <= before
-        with pytest.raises(ExperimentError, match="every class is degenerate"):
-            run_experiment(small_config(methods=("bape",), head_size=1))
-        assert set(threading.enumerate()) <= before
+        for cfg in (small_config(methods=("bape",), head_size=1), handed_off(methods=("bape",), head_size=1)):
+            with pytest.raises(ExperimentError, match="every class is degenerate"):
+                run_experiment(cfg)
+            assert set(threading.enumerate()) <= before
         monkeypatch.setattr(harness, "_fill_draw", lambda *args: 1 / 0)
-        with pytest.raises(ZeroDivisionError):
-            run_experiment(small_config())
-        assert set(threading.enumerate()) <= before
+        for cfg in (small_config(), handed_off()):
+            with pytest.raises(ZeroDivisionError):
+                run_experiment(cfg)
+            assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("cfg", [ExperimentConfig(seeds=(0, 1), epochs=2), small_config(seeds=(0, 1))],
+                             ids=["lt-default", "small"])
+    def test_a_run_of_small_steps_starts_no_thread(self, monkeypatch, cfg):
+        # lt-default's steps: a training draw of 2,304 x 32 values, a test
+        # draw of 4,000 x 32 and a pass of 4,000 x (32 + 20), each at least
+        # twice as small as _HAND_OFF_VALUES.
+        import spherebayes.harness as harness
+
+        train_rows = sum(class_sizes(LongTailSpec(cfg.n_classes, cfg.head_size, cfg.gamma)))
+        test_rows = cfg.n_classes * cfg.test_per_class
+        assert 2 * max(train_rows * cfg.dim, test_rows * (cfg.dim + cfg.n_classes)) <= _HAND_OFF_VALUES
+        before, during = threading.enumerate(), []
+        score_rows = harness._score_rows
+        monkeypatch.setattr(harness, "_score_rows", lambda *args: during.append(threading.enumerate()) or score_rows(
+            *args))
+        threaded = run_experiment(cfg)
+        assert during == [before] * len(cfg.seeds) and threading.enumerate() == before
+
+        class NoSubmit(InlineExecutor):
+            def submit(self, fn, *args):
+                raise AssertionError("a step was handed to the worker")
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", NoSubmit)
+        inline = run_experiment(cfg)
+        assert [replace(r, wall_time=0.0) for r in inline] == [replace(r, wall_time=0.0) for r in threaded]
 
     def test_a_failed_fit_waits_for_the_draw(self, monkeypatch):
         import spherebayes.harness as harness
@@ -1195,7 +1277,7 @@ class TestTestSetDraw:
         monkeypatch.setattr(harness, "_fill_draw", slow_fill)
         with ThreadPoolExecutor(max_workers=1) as pool:
             with pytest.raises(ExperimentError, match="every class is degenerate"):
-                harness._run_seed(small_config(methods=("bape",), head_size=1), 0, pool)
+                harness._run_seed(handed_off(methods=("bape",), head_size=1), 0, pool)
             assert len(drawn) == 1
 
     def test_the_wait_for_the_draw_is_charged_to_no_method(self, monkeypatch):
@@ -1208,14 +1290,14 @@ class TestTestSetDraw:
 
         monkeypatch.setattr(harness, "_fill_draw", slow_fill)
         started = time.perf_counter()
-        (row,) = run_experiment(small_config(methods=("bape",)))
+        (row,) = run_experiment(handed_off(methods=("bape",)))
         assert time.perf_counter() - started >= 0.5
         assert row.wall_time < 0.25
 
 
 class TestWorkOnTwoThreads:
-    """The scoring pass, and a large training draw, are split between the
-    calling thread and the run's worker."""
+    """A scoring pass, and a training draw, of at least _HAND_OFF_VALUES
+    values are split between the calling thread and the run's worker."""
 
     def test_one_test_row_equals_an_inline_run(self, tmp_path, monkeypatch):
         import spherebayes.harness as harness
@@ -1243,7 +1325,7 @@ class TestWorkOnTwoThreads:
             return score_rows(*args)
 
         monkeypatch.setattr(harness, "_score_rows", recorded)
-        run_experiment(small_config(test_per_class=501))  # 2004 rows
+        run_experiment(small_config(test_per_class=501, dim=wide_dim(2004) - 4))  # 2004 rows of p + K values
         here = threading.current_thread()
         (first, first_rows), (second, second_rows) = sorted(halves, key=lambda half: half[1].start)
         assert first is here and second is not here
@@ -1263,7 +1345,7 @@ class TestWorkOnTwoThreads:
         monkeypatch.setattr(harness, "_unit_norms",
                             lambda features: norms.append((threading.current_thread(), len(features)))
                             or _unit_norms(features))
-        run_experiment(small_config(methods=methods, test_per_class=600))
+        run_experiment(small_config(methods=methods, test_per_class=600, dim=wide_dim(2400) - 4))
         # Each of these runs fits bape, which takes its training rows' norms
         # once, on this thread; every other call is counted.
         norms.remove((threading.current_thread(), sum(class_sizes(LongTailSpec(4, 40, 10.0)))))
@@ -1302,7 +1384,7 @@ class TestWorkOnTwoThreads:
         here = threading.current_thread()
         monkeypatch.setattr(harness, "_head_scores", failing)
         monkeypatch.setattr(harness, "_score_rows", slow_worker)
-        cfg = small_config(methods=methods, test_per_class=550)
+        cfg = small_config(methods=methods, test_per_class=550, dim=wide_dim(2200) - 4)
         message = rf"^method '{culprit[0]}', seed 0: {culprit[1]} fails on row {culprit[2]}$"
         with ThreadPoolExecutor(max_workers=1) as pool:
             with pytest.raises(ExperimentError, match=message):
@@ -1321,8 +1403,8 @@ class TestWorkOnTwoThreads:
         cfg = split_config()
         with ThreadPoolExecutor(max_workers=1) as pool:
             train_ds, _, truth = harness._load_data(cfg, 5, pool)
-        expected, _ = generate(LongTailSpec(8, 1500, 10.0), 8, cfg.kappa_range, cfg.center_mode, 5)
-        assert train_ds.n == expected.n >= _SPLIT_ROWS
+        expected, _ = generate(LongTailSpec(8, 1500, 10.0), cfg.dim, cfg.kappa_range, cfg.center_mode, 5)
+        assert train_ds.n == expected.n and train_ds.n * cfg.dim >= _HAND_OFF_VALUES
         assert_array_equal(train_ds.features, expected.features)
         assert_array_equal(train_ds.labels, expected.labels)
         assert_array_equal(train_ds.class_counts, expected.class_counts)
@@ -1345,6 +1427,10 @@ class TestWorkOnTwoThreads:
         expected, _ = generate(LongTailSpec(4, 40, 10.0), 6, (8.0, 25.0), "random", 2)
         train_ds, _, _ = harness._load_data(small_config(), 2, NoPool())
         assert_array_equal(train_ds.features, expected.features)
+        # Many tiny tail classes: K=100, p=64 and 4,357 rows filled 8-11% slower split.
+        cfg = ExperimentConfig(n_classes=100, dim=64, head_size=200)
+        train_ds, _, _ = harness._load_data(cfg, 2, NoPool())
+        assert train_ds.n == 4357 and train_ds.n * cfg.dim < _HAND_OFF_VALUES
         before = set(threading.enumerate())
         harness._load_data(split_config(), 2)
         assert set(threading.enumerate()) == before
@@ -1358,7 +1444,7 @@ class TestWorkOnTwoThreads:
         import spherebayes.harness as harness
 
         cfg = split_config()
-        _, truth = datagen._long_tail_truth(LongTailSpec(8, 1500, 10.0), 8, cfg.kappa_range, cfg.center_mode, 5)
+        _, truth = datagen._long_tail_truth(LongTailSpec(8, 1500, 10.0), cfg.dim, cfg.kappa_range, cfg.center_mode, 5)
         kappas, sample, failed = [c.kappa for c in truth.components], datagen.sample, []
 
         def failing_sample(params, n, rng):

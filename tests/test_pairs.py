@@ -54,8 +54,30 @@ def test_report_prints_every_pair_and_the_verdict():
     lines = text.splitlines()
     assert lines[0] == "op_s.p50.host_norm (s, lower is better, bound 0.2)"
     assert lines[1] == "  seed 801: 0.3 -> 0.24"
-    assert lines[-2] == "  median 0.315 (quartiles 0.3025-0.3275) -> 0.245 (0.24-0.25), -22.22%"
-    assert lines[-1] == "  change better in 9 of 10 pairs; gap beyond the parent's IQR 0.025: yes"
+    assert lines[-3] == "  median 0.315 (quartiles 0.3025-0.3275) -> 0.245 (0.24-0.25), -22.22%"
+    assert lines[-2] == "  change better in 9 of 10 pairs; gap beyond the parent's IQR 0.025: yes"
+    assert lines[-1] == "  worse by more than the bound 20%, the parent's IQR 7.94% of its median: no regression"
+
+
+SETUP_S = {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}
+
+
+@pytest.mark.parametrize("metric, parent, change, verdict", [
+    # The parent's IQR is 7.9% of its median, inside the 20% bound.
+    (OP_S, PARENT, [1.19 * p for p in PARENT], "no regression"),  # 19% slower
+    (OP_S, PARENT, [1.21 * p for p in PARENT], "regression"),  # 21% slower
+    (OP_S, PARENT, CHANGE, "no regression"),  # faster
+    (ACC, [0.60] * 5, [0.55] * 5, "no regression"),  # 8.3% lower, inside the 10% bound
+    (ACC, [0.60] * 5, [0.53] * 5, "regression"),  # 11.7% lower: higher is better
+    # The parent's IQR, 0.35-0.6 around a median of 0.4, is 62.5% of its median, wider than the
+    # 25% bound, as FOUND 28's setup_s spread can be.
+    (SETUP_S, [0.3, 0.4, 0.7, 0.35, 0.6], [0.36, 0.38, 0.37, 0.39, 0.35], "unresolved"),  # in its spread
+    (SETUP_S, [0.3, 0.4, 0.7, 0.35, 0.6], [0.9, 0.8, 0.85, 0.95, 1.0], "unresolved"),  # even past the bound
+    (SETUP_S, [0.3, 0.4, 0.7, 0.35, 0.6], [0.29, 0.2, 0.25, 0.28, 0.1], "no regression"),  # beats every run
+    (SETUP_S, [0.3, 0.4, 0.7, 0.35, 0.6], [0.29, 0.2, 0.3, 0.28, 0.1], "unresolved"),  # a tie beats none
+])
+def test_the_regression_verdict(metric, parent, change, verdict):
+    assert pairs.summarize(metric, parent, change)["verdict"] == verdict
 
 
 def test_reads_the_end_to_end_metrics_of_the_benchmark():
@@ -78,7 +100,7 @@ def test_more_failed_ops_show_no_gain():
     s = pairs.summarize(OP_S, PARENT, CHANGE, more_failures=True)
     assert (s["wins"], s["pairs"], s["gain"]) == (9, 10, False)
     text = pairs.report(OP_S, list(range(801, 811)), PARENT, CHANGE, more_failures=True)
-    assert text.splitlines()[-1] == ("  change better in 9 of 10 pairs; gap beyond the parent's IQR 0.025, "
+    assert text.splitlines()[-2] == ("  change better in 9 of 10 pairs; gap beyond the parent's IQR 0.025, "
                                      "more failed ops: no")
 
 
@@ -114,10 +136,10 @@ def test_failed_ops_are_printed_and_more_of_them_deny_the_gain(monkeypatch, caps
     assert pairs.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "failed ops: parent 0/1000, change 10/1000" in lines
-    assert lines[-1].endswith(", more failed ops: no")
+    assert lines[-2].endswith(", more failed ops: no")
     argv = _fake_runs(monkeypatch, {"parent": 1, "change": 1})
     assert pairs.main(argv) == 0
-    assert capsys.readouterr().out.splitlines()[-1].endswith("0.025: yes")
+    assert capsys.readouterr().out.splitlines()[-2].endswith("0.025: yes")
 
 
 def _git(tree, *args) -> str:
